@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot paths (google-benchmark): the quantities the
-// paper analyses asymptotically — O(h1·z²) community partitioning,
-// O(m·n·N_r) reputation scoring — plus the event queue, the rate adapter
-// step and the SARIMA recursion.
+// paper analyses asymptotically — community partitioning (O(h1·Σ deg) with
+// in-place swap scoring), O(m·n·N_r) reputation scoring — plus the event
+// queue, the rate adapter step and the SARIMA recursion.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -41,33 +41,45 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000);
 
+/// z of the §3.4 partition on the default testbed (datacenters × servers).
+const int kDefaultServers = static_cast<int>(core::TestbedConfig{}.datacenter_count) *
+                            core::TestbedConfig{}.servers_per_datacenter;
+
 void BM_ModularitySwapTrial(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(7);
-  social::SocialGraphConfig gcfg;
-  auto graph = social::generate_power_law_graph(n, gcfg, rng);
-  social::Partition partition(n);
-  for (std::size_t i = 0; i < n; ++i) partition[i] = static_cast<int>(i % 16);
-  social::ModularityState ms(graph, partition, 16);
-  std::size_t player = 0;
-  for (auto _ : state) {
-    ms.move(player, static_cast<int>((player + 1) % 16));
-    benchmark::DoNotOptimize(ms.modularity());
-    ms.move(player, static_cast<int>(player % 16));
-    player = (player + 1) % n;
+  const auto graph = social::generate_power_law_graph(n, social::SocialGraphConfig{}, rng);
+  social::PartitionerConfig pcfg;
+  pcfg.communities = kDefaultServers;
+  pcfg.max_swap_trials = 0;
+  pcfg.max_consecutive_miss = 0;
+  social::ModularityState ms(graph, social::CommunityPartitioner(pcfg).greedy_seed(graph, rng),
+                             kDefaultServers);
+  // Pre-drawn trial pairs, so the loop times the in-place scoring alone.
+  std::vector<std::pair<social::PlayerId, social::PlayerId>> trials(4096);
+  for (auto& [pi, pj] : trials) {
+    pi = static_cast<social::PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    pj = static_cast<social::PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
   }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [pi, pj] = trials[next];
+    benchmark::DoNotOptimize(ms.score_swap(pi, pj));
+    next = (next + 1) % trials.size();
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ModularitySwapTrial)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_ModularitySwapTrial)->Arg(10000);
 
 void BM_CommunityPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(11);
-  social::SocialGraphConfig gcfg;
-  auto graph = social::generate_power_law_graph(n, gcfg, rng);
+  const auto graph = social::generate_power_law_graph(n, social::SocialGraphConfig{}, rng);
+  const core::SystemConfig defaults;
   social::PartitionerConfig pcfg;
-  pcfg.communities = 50;
-  pcfg.max_swap_trials = 200;
-  pcfg.max_consecutive_miss = 50;
+  pcfg.communities = kDefaultServers;
+  pcfg.max_swap_trials = defaults.partitioner_swap_trials;
+  pcfg.max_consecutive_miss = defaults.partitioner_miss_limit;
   const social::CommunityPartitioner partitioner(pcfg);
   for (auto _ : state) {
     util::Rng run_rng(13);

@@ -4,7 +4,8 @@
 # Runs the microbenchmark suite (google-benchmark) and the scale harness
 # (bench_scale: candidate discovery linear-vs-grid, end-to-end subcycles
 # reference-vs-optimised, trace-sink encoding JSONL-vs-binary) and merges
-# both into one tracked JSON document. Baselines come from the same
+# both into one tracked JSON document. Both append to the run-store, so
+# scripts/bench_trend.py trends the micro timings too. Baselines come from the same
 # binary's reference modes (CandidateMode::kLinear, QosEngineConfig::
 # memoize = false, serial, JsonlTraceSink), so every report carries its
 # own before/after pair.
@@ -82,7 +83,7 @@ if [ "$QUICK" -eq 1 ]; then
   # This google-benchmark accepts a bare double (newer releases want a
   # trailing "s"; keep the flag compatible with the pinned toolchain).
   MICRO_ARGS+=(--benchmark_min_time=0.05
-               --benchmark_filter='BM_CandidateDiscovery|BM_QosSubcycle')
+               --benchmark_filter='BM_CandidateDiscovery|BM_QosSubcycle|BM_ModularitySwapTrial')
 fi
 ./build/bench/bench_micro "${MICRO_ARGS[@]}" >"$WORK_DIR/micro.json"
 
@@ -101,11 +102,15 @@ fi
 
 echo "== merge -> $OUT =="
 python3 - "$WORK_DIR/micro.json" "$WORK_DIR/scale.json" "$OUT" "$QUICK" \
-  "$BUILD_TYPE" "$COMPILER" "$ALLOW_DEBUG" "$GIT_SHA" "$RUN_ID" "$CONFIG_HASH" <<'EOF'
-import json, sys
-(micro_path, scale_path, out_path, quick,
- build_type, compiler, allow_debug, git_sha, run_id, config_hash) = sys.argv[1:11]
+  "$BUILD_TYPE" "$COMPILER" "$ALLOW_DEBUG" "$GIT_SHA" "$RUN_ID" "$CONFIG_HASH" \
+  "$RUNSTORE" <<'EOF'
+import json, re, sys
+sys.path.insert(0, "scripts")
+import bench_trend
+(micro_path, scale_path, out_path, quick, build_type, compiler,
+ allow_debug, git_sha, run_id, config_hash, runstore) = sys.argv[1:12]
 micro = json.load(open(micro_path))
+NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 scale = json.load(open(scale_path))
 context = {k: micro.get("context", {}).get(k)
            for k in ("num_cpus", "mhz_per_cpu", "library_build_type")}
@@ -123,8 +128,9 @@ doc = {
     "context": context,
     "scale": scale,
     "micro": [
-        {"name": b["name"], "real_time_ns": b["real_time"],
-         "cpu_time_ns": b["cpu_time"],
+        {"name": b["name"],
+         "real_time_ns": b["real_time"] * NS_PER[b.get("time_unit", "ns")],
+         "cpu_time_ns": b["cpu_time"] * NS_PER[b.get("time_unit", "ns")],
          "items_per_second": b.get("items_per_second")}
         for b in micro.get("benchmarks", [])
         if b.get("run_type", "iteration") == "iteration"
@@ -142,6 +148,14 @@ doc["headline"] = {
 }
 json.dump(doc, open(out_path, "w"), indent=1)
 print(json.dumps(doc["headline"], indent=1))
+if runstore:
+    # Micro results trend beside the scale columns, under the same run id
+    # ("BM_X/10000" -> column "micro.BM_X_10000.real_time_ns").
+    bench_trend.append_run(runstore, (run_id, git_sha, config_hash), {
+        "micro." + re.sub(r"[^A-Za-z0-9._-]", "_", b["name"]) + ".real_time_ns":
+            b["real_time_ns"]
+        for b in doc["micro"]
+    })
 if quick != "1":
     assert doc["headline"]["discovery_speedup_10k_fleet"] >= 5.0, \
         "candidate discovery speedup below the tracked 5x floor"

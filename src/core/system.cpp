@@ -158,7 +158,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
   for (auto& server : partition_) {
     server = static_cast<social::CommunityId>(part_rng.uniform_int(0, total_servers_ - 1));
   }
-  if (cfg_.strategies.social_assignment) reassign_servers(/*day=*/0, /*record_latency=*/false);
+  if (cfg_.strategies.social_assignment) reassign_servers("partition");
 
   remaining_subcycles_.assign(players_.size(), 0);
 
@@ -345,7 +345,7 @@ void System::begin_cycle(int day) {
   // Weekly social reassignment (§3.4 "runs periodically (e.g., weekly)").
   if (cfg_.strategies.social_assignment && day > 1 &&
       (day - 1) % cfg_.reassign_period_days == 0) {
-    reassign_servers(day, /*record_latency=*/true);
+    measure_server_assignment_seconds();
   }
 }
 
@@ -797,28 +797,19 @@ void System::recover_supernodes() {
 }
 
 double System::measure_server_assignment_seconds() {
-  const auto merged = coplay_.merged_with(testbed_.social_graph());
-  const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
-  util::Rng part_rng = rng_.fork("measure-partition");
-  const auto start = std::chrono::steady_clock::now();
-  auto result = partitioner.partition(merged, part_rng);
-  const auto stop = std::chrono::steady_clock::now();
-  partition_ = std::move(result.partition);
-  const double seconds = std::chrono::duration<double>(stop - start).count();
+  const double seconds = reassign_servers("measure-partition");
   collector_.record_server_assignment(seconds);
   return seconds;
 }
 
-void System::reassign_servers(int day, bool record_latency) {
-  (void)day;
-  if (record_latency) {
-    measure_server_assignment_seconds();
-    return;
-  }
+double System::reassign_servers(std::string_view rng_label) {
   const auto merged = coplay_.merged_with(testbed_.social_graph());
   const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
-  util::Rng part_rng = rng_.fork("partition");
+  util::Rng part_rng = rng_.fork(rng_label);
+  const auto start = std::chrono::steady_clock::now();
   partition_ = partitioner.partition(merged, part_rng).partition;
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
 }
 
 std::vector<double> System::supernode_join_latencies() const {

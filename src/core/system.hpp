@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -97,9 +98,8 @@ struct SystemConfig {
   /// Social reassignment cadence, in days ("e.g., weekly").
   int reassign_period_days = 7;
   /// h1/h2 — §3.4 notes the repetition count trades clustering quality
-  /// against computation; with the O(deg)-per-trial incremental
-  /// modularity, a generous budget is cheap, and the weekly cadence
-  /// amortizes it.
+  /// against computation; with swap trials scored in place in O(deg),
+  /// a generous budget is cheap, and the weekly cadence amortizes it.
   int partitioner_swap_trials = 50000;  ///< h1
   int partitioner_miss_limit = 5000;    ///< h2
 
@@ -204,7 +204,9 @@ class System {
   void detach_player(PlayerState& p);
   void update_cross_server_latency();
   void maybe_run_provisioning(int day, int subcycle);
-  void reassign_servers(int day, bool record_latency);
+  /// Re-partitions the merged friend graph into servers (§3.4) with an rng
+  /// forked under `rng_label`; returns the partitioner's wall-clock seconds.
+  double reassign_servers(std::string_view rng_label);
   void migrate_players_off_undeployed(int day);
   void setup_fault_injection(std::uint64_t seed);
   /// FaultInjector crash hooks: fail the victim (resolving kAnyTarget) and

@@ -92,64 +92,27 @@ Partition CommunityPartitioner::greedy_seed(const SocialGraph& graph, util::Rng&
 PartitionerResult CommunityPartitioner::partition(const SocialGraph& graph,
                                                   util::Rng& rng) const {
   PartitionerResult result;
-  result.partition = greedy_seed(graph, rng);
   const int z = cfg_.communities;
-
-  ModularityState state(graph, result.partition, z);
+  ModularityState state(graph, greedy_seed(graph, rng), z);
   result.initial_modularity = state.modularity();
 
-  if (z < 2 || graph.player_count() < 2) {
-    result.final_modularity = result.initial_modularity;
-    result.partition = state.partition();
-    return result;
-  }
-
-  // Step 5/6: random swap hill-climbing with rollback on non-improvement.
-  double best = result.initial_modularity;
-  int consecutive_miss = 0;
+  // Step 5/6: random swap hill-climbing. Each trial is scored in place and
+  // the partition changes only when the swap strictly improves Γ.
   const std::size_t n = graph.player_count();
-  for (int trial = 0; trial < cfg_.max_swap_trials; ++trial) {
-    ++result.swap_trials;
-    const auto pi = static_cast<PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const auto pj = static_cast<PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const CommunityId ci = state.community_of(pi);
-    const CommunityId cj = state.community_of(pj);
-    if (ci == cj) {
-      // Not a cross-community pair; costs a trial (matches the paper's
-      // "repeat h1 times" accounting) but cannot be a hit.
-      if (++consecutive_miss >= cfg_.max_consecutive_miss && cfg_.max_consecutive_miss > 0) {
-        result.stopped_by_miss_streak = true;
-        break;
-      }
-      continue;
-    }
-
-    // Swap n_i + F(i) (those currently with n_i) and n_j + F(j).
-    std::vector<std::pair<PlayerId, CommunityId>> moved;
-    auto move_group = [&](PlayerId center, CommunityId from, CommunityId to) {
-      if (state.community_of(center) == from) {
-        moved.emplace_back(center, from);
-        state.move(center, to);
-      }
-      for (PlayerId f : graph.friends(center)) {
-        if (state.community_of(f) == from) {
-          moved.emplace_back(f, from);
-          state.move(f, to);
-        }
-      }
-    };
-    move_group(pi, ci, cj);
-    move_group(pj, cj, ci);
-
-    const double now = state.modularity();
-    if (now > best) {
-      best = now;
-      consecutive_miss = 0;
-      ++result.accepted_swaps;
-    } else {
-      // Miss: roll back in reverse order.
-      for (auto it = moved.rbegin(); it != moved.rend(); ++it) state.move(it->first, it->second);
-      if (++consecutive_miss >= cfg_.max_consecutive_miss && cfg_.max_consecutive_miss > 0) {
+  if (z >= 2 && n >= 2) {
+    int consecutive_miss = 0;
+    for (int trial = 0; trial < cfg_.max_swap_trials; ++trial) {
+      ++result.swap_trials;
+      const auto pi = static_cast<PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      const auto pj = static_cast<PlayerId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      // A same-community pair scores 0: it costs a trial (matches the
+      // paper's "repeat h1 times" accounting) but cannot be a hit.
+      if (state.score_swap(pi, pj) > 0) {
+        state.commit_swap();
+        consecutive_miss = 0;
+        ++result.accepted_swaps;
+      } else if (++consecutive_miss >= cfg_.max_consecutive_miss &&
+                 cfg_.max_consecutive_miss > 0) {
         result.stopped_by_miss_streak = true;
         break;
       }
@@ -157,7 +120,7 @@ PartitionerResult CommunityPartitioner::partition(const SocialGraph& graph,
   }
 
   result.partition = state.partition();
-  result.final_modularity = best;
+  result.final_modularity = state.modularity();
   return result;
 }
 

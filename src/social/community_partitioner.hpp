@@ -9,11 +9,13 @@
 //   4. repeat until z communities exist (the last takes the remainder);
 //   5. hill-climb: pick random players n_i, n_j from two random distinct
 //      communities, swap n_i+F(i) with n_j+F(j); keep the swap iff the
-//      modularity Γ improves, otherwise roll back (a "Miss");
+//      modularity Γ improves, otherwise it is a "Miss";
 //   6. stop after h1 swap trials or h2 consecutive Misses.
 //
-// Complexity: each trial moves O(deg) nodes and evaluates Γ in O(z²),
-// giving the paper's O(h1·z²) bound (assuming z² > E per §3.4).
+// Complexity: each trial is scored in place from integer tallies
+// (ModularityState::score_swap) in O(Σ deg of the moved nodes), with no
+// mutation on a Miss; an accepted swap is written back in O(moved nodes).
+// That replaces the paper's O(h1·z²) bound with O(h1·Σ deg).
 #pragma once
 
 #include "social/modularity.hpp"

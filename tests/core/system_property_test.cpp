@@ -4,6 +4,7 @@
 // if an experiment config breaks accounting, it fails here first.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/baselines.hpp"
@@ -25,6 +26,10 @@ struct SystemCase {
   WorkloadMode workload;
   std::size_t fixed_deployment;
 };
+
+// Without this gtest prints the raw object bytes, which include the name's
+// heap pointer, so the listed test names would change on every run.
+void PrintTo(const SystemCase& c, std::ostream* os) { *os << c.name; }
 
 class SystemInvariants : public ::testing::TestWithParam<SystemCase> {};
 

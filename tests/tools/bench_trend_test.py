@@ -89,6 +89,23 @@ class BenchTrendTest(unittest.TestCase):
                                "--mode", "enforce"])
         self.assertEqual(rc, 0)
 
+    def test_new_series_without_history_never_gates(self):
+        # A benchmark added to the run (a new micro column) has no stored
+        # history yet: it is reported, not gated, and the known columns
+        # still trend as usual.
+        seed_history(self.store)
+        self.fresh(**{"micro.BM_ModularitySwapTrial_10000.real_time_ns": 250.0})
+        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
+        by_col = {f["column"]: f for f in findings}
+        new = by_col["micro.BM_ModularitySwapTrial_10000.real_time_ns"]
+        self.assertEqual(new["status"], "no-history")
+        self.assertEqual(new["history"], 0)
+        self.assertEqual(
+            by_col["scale.subcycle.fleet10000.baseline_ms"]["status"], "ok")
+        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
+                               "--mode", "enforce"])
+        self.assertEqual(rc, 0)
+
     def test_config_hash_separates_histories(self):
         # Quick-mode history must not gate a full-mode run: the fresh run's
         # config hash matches nothing, so there is no usable history.
