@@ -11,7 +11,7 @@
 //                        fixed-width format tools/trace/tracecat decodes);
 //   --trace-sample <n>   sampled retention: keep every nth non-structural
 //                        event (decided by a deterministic counter, so the
-//                        sampled trace is identical at any thread count);
+//                        sampled trace is identical across runs);
 //   --trace-agg          aggregated retention: per-subcycle, per-kind
 //                        {count, value-sum} summary events only;
 //   --report-json <file> write the run report (metrics + counters +
@@ -21,11 +21,10 @@
 //   --run-id <s>         run-store manifest fields (defaults: "local",
 //   --git-sha <s>        "unknown", "unknown");
 //   --config-hash <s>
-//   --obs-off            disable the observability recorder entirely;
-//   --threads <n>        QoS worker threads (sets CLOUDFOG_THREADS before
-//                        any System is built; results are byte-identical
-//                        at every thread count).
+//   --obs-off            disable the observability recorder entirely.
 // Flags taking a value accept both "--flag value" and "--flag=value".
+// Any other argument is an error (exit status 2), so a stale flag in a
+// script fails loudly instead of silently changing what a run compares.
 // Default is a reduced-but-faithful scale (6 cycles, 3 warm-up).
 #pragma once
 
@@ -215,10 +214,9 @@ inline core::ExperimentScale scale_from_args(int argc, char** argv,
       opts.run_key.config_hash = value;
     } else if (std::strcmp(argv[i], "--obs-off") == 0) {
       obs_off = true;
-    } else if (flag_value(argc, argv, &i, "--threads", &value)) {
-      // The engine reads the variable at construction; every System in
-      // this process picks it up.
-      setenv("CLOUDFOG_THREADS", value, 1);
+    } else {
+      std::cerr << "error: unknown argument: " << argv[i] << '\n';
+      std::exit(2);
     }
   }
   if (opts.trace_sample > 0 && opts.trace_agg) {

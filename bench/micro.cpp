@@ -217,15 +217,14 @@ BENCHMARK(BM_CandidateDiscovery)
     ->Args({10000, 1});
 
 // One end-to-end System subcycle (population churn + demand tallies + QoS
-// pass) on the CloudFog arm: the reference engine (memoize off, serial)
-// against the memoized engine at 1 and 4 worker threads.
+// pass) on the CloudFog arm: the reference engine (memoize off) against
+// the memoized engine.
 void BM_QosSubcycle(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   const core::Testbed testbed(core::TestbedConfig::peersim(players), 42);
   core::SystemConfig cfg;
   cfg.supernode_count = players / 10;  // the profile's capable pool
   cfg.qos.memoize = state.range(1) != 0;
-  cfg.qos.threads = static_cast<int>(state.range(2));
   core::System system(testbed, cfg, 42);
   const int per_day = testbed.activity().config().subcycles_per_day;
   system.begin_cycle(0);
@@ -238,10 +237,9 @@ void BM_QosSubcycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(players));
 }
 BENCHMARK(BM_QosSubcycle)
-    ->ArgNames({"players", "memo", "threads"})
-    ->Args({2000, 0, 1})
-    ->Args({2000, 1, 1})
-    ->Args({2000, 1, 4})
+    ->ArgNames({"players", "memo"})
+    ->Args({2000, 0})
+    ->Args({2000, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Observability hot paths: the disabled gate must be near-free; the

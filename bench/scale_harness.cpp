@@ -9,9 +9,8 @@
 //     fleet size;
 //   * end-to-end System subcycle — population churn + demand tallies +
 //     QoS pass on the CloudFog arm, reference engine (linear discovery,
-//     memoization off, serial) vs the optimised engine (grid + memo) at
-//     1 and N worker threads, at a fig7-style point and at the
-//     10k-supernode scale-out point.
+//     memoization off) vs the optimised engine (grid + memo), at a
+//     fig7-style point and at the 10k-supernode scale-out point.
 //
 // Both modes produce byte-identical simulation results (the determinism
 // gate enforces it); this binary only tracks their cost. Output is a JSON
@@ -23,12 +22,11 @@
 // "binary tracing is >=3x cheaper" claim is tracked like every other
 // headline number.
 //
-// Usage: bench_scale [--quick] [--threads <n>] [--json <path>]
+// Usage: bench_scale [--quick] [--json <path>]
 //                    [--runstore <dir> --run-id <s> --git-sha <s>
 //                     --config-hash <s>]
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -98,21 +96,17 @@ DiscoveryPoint bench_discovery(std::size_t fleet_size, int repeats) {
 struct SubcyclePoint {
   std::size_t players = 0;
   std::size_t fleet = 0;
-  double baseline_ms = 0.0;      ///< linear discovery, memo off, serial
-  double optimized_1t_ms = 0.0;  ///< grid + memo, 1 thread
-  double optimized_nt_ms = 0.0;  ///< grid + memo, N threads
+  double baseline_ms = 0.0;      ///< linear discovery, memo off
+  double optimized_1t_ms = 0.0;  ///< grid + memo
   double speedup_1t = 0.0;
-  double speedup_nt = 0.0;
 };
 
 double bench_subcycle_arm(const core::Testbed& testbed, std::size_t fleet_size,
-                          core::CandidateMode mode, bool memoize, int threads,
-                          int measured_days) {
+                          core::CandidateMode mode, bool memoize, int measured_days) {
   core::SystemConfig cfg;
   cfg.supernode_count = fleet_size;
   cfg.discovery = mode;
   cfg.qos.memoize = memoize;
-  cfg.qos.threads = threads;
   core::System system(testbed, cfg, 42);
   const int per_day = testbed.activity().config().subcycles_per_day;
   // One warm-up day (days are 1-based) attaches the steady-state session
@@ -129,8 +123,7 @@ double bench_subcycle_arm(const core::Testbed& testbed, std::size_t fleet_size,
   return elapsed_ms(t0) / static_cast<double>(measured_days * per_day);
 }
 
-SubcyclePoint bench_subcycle(std::size_t players, std::size_t fleet_size, int threads,
-                             int measured_days) {
+SubcyclePoint bench_subcycle(std::size_t players, std::size_t fleet_size, int measured_days) {
   fleet_size = std::min(fleet_size, players);  // capable pool bound (quick mode)
   auto tcfg = core::TestbedConfig::peersim(players);
   if (fleet_size > players / 10) tcfg.supernode_capable_fraction = 1.0;
@@ -139,13 +132,10 @@ SubcyclePoint bench_subcycle(std::size_t players, std::size_t fleet_size, int th
   point.players = players;
   point.fleet = fleet_size;
   point.baseline_ms = bench_subcycle_arm(testbed, fleet_size, core::CandidateMode::kLinear,
-                                         /*memoize=*/false, /*threads=*/1, measured_days);
+                                         /*memoize=*/false, measured_days);
   point.optimized_1t_ms = bench_subcycle_arm(testbed, fleet_size, core::CandidateMode::kGrid,
-                                             /*memoize=*/true, /*threads=*/1, measured_days);
-  point.optimized_nt_ms = bench_subcycle_arm(testbed, fleet_size, core::CandidateMode::kGrid,
-                                             /*memoize=*/true, threads, measured_days);
+                                             /*memoize=*/true, measured_days);
   point.speedup_1t = point.baseline_ms / std::max(1e-9, point.optimized_1t_ms);
-  point.speedup_nt = point.baseline_ms / std::max(1e-9, point.optimized_nt_ms);
   return point;
 }
 
@@ -261,15 +251,12 @@ TraceOverheadPoint bench_trace_overhead(std::uint64_t count, int repeats) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int threads = 4;
   std::string json_path;
   std::string runstore_dir;
   obs::RunKey run_key{"local", "unknown", "unknown"};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--runstore") == 0 && i + 1 < argc) {
@@ -280,6 +267,9 @@ int main(int argc, char** argv) {
       run_key.git_sha = argv[++i];
     } else if (std::strcmp(argv[i], "--config-hash") == 0 && i + 1 < argc) {
       run_key.config_hash = argv[++i];
+    } else {
+      std::cerr << "error: unknown argument: " << argv[i] << '\n';
+      return 2;
     }
   }
   // Timing only: the recorder would charge every trace append to the
@@ -300,13 +290,12 @@ int main(int argc, char** argv) {
   std::vector<SubcyclePoint> subcycle;
   // fig7-style point (default 600-supernode fleet) and the 10k-supernode
   // scale-out point the index/memo layers target.
-  subcycle.push_back(bench_subcycle(quick ? 2000 : 10000, 600, threads, days));
-  subcycle.push_back(bench_subcycle(quick ? 2000 : 10000, 10000, threads, days));
+  subcycle.push_back(bench_subcycle(quick ? 2000 : 10000, 600, days));
+  subcycle.push_back(bench_subcycle(quick ? 2000 : 10000, 10000, days));
   for (const auto& p : subcycle) {
     std::cerr << "subcycle players=" << p.players << " fleet=" << p.fleet
               << " baseline_ms=" << p.baseline_ms << " opt1t_ms=" << p.optimized_1t_ms
-              << " opt" << threads << "t_ms=" << p.optimized_nt_ms
-              << " speedup_1t=" << p.speedup_1t << " speedup_nt=" << p.speedup_nt << '\n';
+              << " speedup_1t=" << p.speedup_1t << '\n';
   }
 
   const TraceOverheadPoint trace_overhead =
@@ -331,7 +320,6 @@ int main(int argc, char** argv) {
   }
   *os << "{\n  \"schema\": \"cloudfog.bench_scale/1\",\n";
   *os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  *os << "  \"threads\": " << threads << ",\n";
   *os << "  \"candidate_discovery\": [\n";
   for (std::size_t i = 0; i < discovery.size(); ++i) {
     const auto& p = discovery[i];
@@ -345,8 +333,7 @@ int main(int argc, char** argv) {
     *os << "    {\"players\": " << p.players << ", \"fleet\": " << p.fleet
         << ", \"baseline_ms\": " << p.baseline_ms
         << ", \"optimized_1t_ms\": " << p.optimized_1t_ms
-        << ", \"optimized_nt_ms\": " << p.optimized_nt_ms
-        << ", \"speedup_1t\": " << p.speedup_1t << ", \"speedup_nt\": " << p.speedup_nt << "}"
+        << ", \"speedup_1t\": " << p.speedup_1t << "}"
         << (i + 1 < subcycle.size() ? "," : "") << '\n';
   }
   *os << "  ],\n  \"trace_overhead\": {\n";
@@ -372,8 +359,7 @@ int main(int argc, char** argv) {
       const std::string prefix = "scale.subcycle.fleet" + std::to_string(p.fleet);
       store.append(row, prefix + ".baseline_ms", p.baseline_ms);
       store.append(row, prefix + ".optimized_1t_ms", p.optimized_1t_ms);
-      store.append(row, prefix + ".optimized_nt_ms", p.optimized_nt_ms);
-      store.append(row, prefix + ".speedup_nt", p.speedup_nt);
+      store.append(row, prefix + ".speedup_1t", p.speedup_1t);
     }
     store.append(row, "scale.trace.jsonl_ns_per_event", trace_overhead.jsonl_ns_per_event);
     store.append(row, "scale.trace.binary_ns_per_event", trace_overhead.binary_ns_per_event);

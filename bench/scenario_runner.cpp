@@ -9,7 +9,7 @@
 // --expect-fail inverts it (0 iff at least one envelope failed) — CI uses
 // that to prove the adversary scenarios actually bite when the reputation
 // defence is switched off. Observability flags (--trace, --report-json,
-// --runstore, --threads…) work like every other bench binary; each
+// --runstore…) work like every other bench binary; each
 // scenario contributes one "scenario.<name>" run summary with
 // envelope.pass / envelope.margin.* stats for trend tracking.
 #include <algorithm>
@@ -25,14 +25,15 @@
 
 int main(int argc, char** argv) {
   using namespace cloudfog;
-  (void)bench::scale_from_args(argc, argv);  // obs/threads flags; specs carry their own scale
-
   std::string dir = "data/scenarios";
   std::vector<std::string> picked;
   bool all = false;
   bool list = false;
   bool expect_fail = false;
   scenario::ScenarioRunOptions run_opts;
+  // Scenario flags are consumed here; the rest go to the shared parser,
+  // which rejects anything it does not know.
+  std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
       dir = argv[++i];
@@ -48,8 +49,12 @@ int main(int argc, char** argv) {
       run_opts.reputation_override = false;
     } else if (std::strcmp(argv[i], "--expect-fail") == 0) {
       expect_fail = true;
+    } else {
+      rest.push_back(argv[i]);
     }
   }
+  // Obs flags only: specs carry their own scale.
+  (void)bench::scale_from_args(static_cast<int>(rest.size()), rest.data());
 
   // Resolve the scenario files, sorted by name (directory iteration order
   // is filesystem-dependent; the report must not be).

@@ -7,7 +7,7 @@
 # both into one tracked JSON document. Both append to the run-store, so
 # scripts/bench_trend.py trends the micro timings too. Baselines come from the same
 # binary's reference modes (CandidateMode::kLinear, QosEngineConfig::
-# memoize = false, serial, JsonlTraceSink), so every report carries its
+# memoize = false, JsonlTraceSink), so every report carries its
 # own before/after pair.
 #
 # Tracked outputs (BENCH_*.json and the data/runstore history) are only
@@ -90,9 +90,9 @@ fi
 echo "== scale harness (bench_scale) =="
 GIT_SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 RUN_ID="bench-$(date -u +%Y%m%dT%H%M%SZ)-$$"
-CONFIG_HASH=$(printf 'quick=%s threads=4 build=%s' "$QUICK" "$BUILD_TYPE" \
+CONFIG_HASH=$(printf 'quick=%s build=%s' "$QUICK" "$BUILD_TYPE" \
   | sha256sum | cut -c1-12)
-SCALE_ARGS=(--json "$WORK_DIR/scale.json" --threads 4)
+SCALE_ARGS=(--json "$WORK_DIR/scale.json")
 if [ "$QUICK" -eq 1 ]; then SCALE_ARGS+=(--quick); fi
 if [ -n "$RUNSTORE" ]; then
   SCALE_ARGS+=(--runstore "$RUNSTORE" --run-id "$RUN_ID"
@@ -141,7 +141,6 @@ sub = scale["subcycle"]
 trace = scale["trace_overhead"]
 doc["headline"] = {
     "discovery_speedup_10k_fleet": disc.get(10000, disc[max(disc)])["speedup"],
-    "subcycle_speedup_scaleout_nt": sub[-1]["speedup_nt"],
     "subcycle_speedup_scaleout_1t": sub[-1]["speedup_1t"],
     "trace_binary_time_ratio": trace["time_ratio"],
     "trace_binary_bytes_ratio": trace["bytes_ratio"],
@@ -159,7 +158,7 @@ if runstore:
 if quick != "1":
     assert doc["headline"]["discovery_speedup_10k_fleet"] >= 5.0, \
         "candidate discovery speedup below the tracked 5x floor"
-    assert doc["headline"]["subcycle_speedup_scaleout_nt"] >= 2.0, \
+    assert doc["headline"]["subcycle_speedup_scaleout_1t"] >= 2.0, \
         "end-to-end subcycle speedup below the tracked 2x floor"
     assert max(doc["headline"]["trace_binary_time_ratio"],
                doc["headline"]["trace_binary_bytes_ratio"]) >= 3.0, \

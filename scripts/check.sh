@@ -7,26 +7,23 @@
 #   4. determinism gate: fig7 and the seeded chaos smoke run twice; traces
 #      must be byte-identical and reports identical after canonicalization
 #      (wall-clock phase timings are the only sanctioned difference —
-#      tools/determinism/canonicalize_report.py). Both workloads also run
-#      with --threads 4 and must match the serial traces byte-for-byte.
+#      tools/determinism/canonicalize_report.py).
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
 #      envelope fail; and one scenario (regional-outage) replays seeded —
-#      double-run and --threads 4 traces byte-identical, reports identical
-#      after canonicalization
-#   6. binary trace gate: both workloads re-run with --trace-format=binary
-#      (serial and --threads 4); tools/trace/tracecat must reproduce the
-#      JSONL byte-for-byte
+#      double-run traces byte-identical, reports identical after
+#      canonicalization
+#   6. binary trace gate: both workloads re-run with --trace-format=binary;
+#      tools/trace/tracecat must reproduce the JSONL byte-for-byte
 #   7. run-store gate: two seeded fig7 runs append to a scratch run-store;
 #      tools/runstore_query and the scripts/bench_trend.py reader must
 #      agree, and the identical runs must have appended identical values
 #   8. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached
 #   9. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
-#      ctest with CLOUDFOG_THREADS=2 (races in the parallel QoS pass fail
-#      here), a TSan 4-thread fig7 cross-checked against the plain trace,
-#      the chaos smoke re-run under ASan, and a standalone UBSan build
+#      ctest, a TSan fig7 cross-checked against the plain trace, the chaos
+#      smoke re-run under ASan, and a standalone UBSan build
 #      (with the probed float-divide-by-zero / implicit-integer-sign-change
 #      checks) driving fig7, the seeded chaos replay and the full scenario
 #      smoke — all cross-checked byte-for-byte against the plain traces
@@ -83,19 +80,6 @@ python3 tools/determinism/canonicalize_report.py --check \
   echo "determinism gate FAILED: fig7 report differs beyond phase timings" >&2; exit 1; }
 echo "fig7: trace byte-identical, stdout identical, canonical report identical"
 
-echo "== determinism gate: serial vs parallel (fig7 --threads 4) =="
-./build/bench/bench_fig7_latency --quick --threads 4 \
-  --trace "$SMOKE_DIR/fig7_trace_mt.jsonl" >"$SMOKE_DIR/fig7_stdout_mt.txt"
-cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_mt.jsonl" || {
-  echo "determinism gate FAILED: fig7 trace differs between --threads 1 and 4" >&2
-  diff <(head -c 2000 "$SMOKE_DIR/fig7_trace_a.jsonl") \
-       <(head -c 2000 "$SMOKE_DIR/fig7_trace_mt.jsonl") | head -10 >&2 || true
-  exit 1
-}
-cmp -s "$SMOKE_DIR/fig7_stdout_a.txt" "$SMOKE_DIR/fig7_stdout_mt.txt" || {
-  echo "determinism gate FAILED: fig7 stdout differs between --threads 1 and 4" >&2; exit 1; }
-echo "fig7: 4-thread run byte-identical to serial"
-
 echo "== determinism gate: double-run seeded chaos =="
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \
   --report-json "$SMOKE_DIR/chaos_report_a.json" \
@@ -110,11 +94,7 @@ cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_b.jsonl" || {
 python3 tools/determinism/canonicalize_report.py --check \
   "$SMOKE_DIR/chaos_report_a.json" "$SMOKE_DIR/chaos_report_b.json" || {
   echo "determinism gate FAILED: chaos report differs beyond phase timings" >&2; exit 1; }
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick --threads 4 \
-  --trace "$SMOKE_DIR/chaos_trace_mt.jsonl" >/dev/null
-cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_mt.jsonl" || {
-  echo "determinism gate FAILED: chaos trace differs between --threads 1 and 4" >&2; exit 1; }
-echo "chaos: seeded replay byte-identical (including --threads 4), canonical report identical"
+echo "chaos: seeded replay byte-identical, canonical report identical"
 
 echo "== scenario gate: bundled suite, envelopes enforced =="
 ./build/bench/bench_scenarios --all --smoke --obs-off >"$SMOKE_DIR/scenario_suite.txt" || {
@@ -145,39 +125,23 @@ cmp -s "$SMOKE_DIR/scen_stdout_a.txt" "$SMOKE_DIR/scen_stdout_b.txt" || {
 python3 tools/determinism/canonicalize_report.py --check \
   "$SMOKE_DIR/scen_report_a.json" "$SMOKE_DIR/scen_report_b.json" || {
   echo "determinism gate FAILED: scenario report differs beyond phase timings" >&2; exit 1; }
-./build/bench/bench_scenarios --scenario regional-outage --smoke --threads 4 \
-  --trace "$SMOKE_DIR/scen_trace_mt.jsonl" >"$SMOKE_DIR/scen_stdout_mt.txt"
-cmp -s "$SMOKE_DIR/scen_trace_a.jsonl" "$SMOKE_DIR/scen_trace_mt.jsonl" || {
-  echo "determinism gate FAILED: scenario trace differs between --threads 1 and 4" >&2; exit 1; }
-cmp -s "$SMOKE_DIR/scen_stdout_a.txt" "$SMOKE_DIR/scen_stdout_mt.txt" || {
-  echo "determinism gate FAILED: scenario stdout differs between --threads 1 and 4" >&2; exit 1; }
-echo "scenario: seeded replay byte-identical (including --threads 4), canonical report identical"
+echo "scenario: seeded replay byte-identical, canonical report identical"
 
 echo "== binary trace gate: tracecat round-trip vs JSONL =="
 # The binary format is a pure transport: converting a binary trace back
 # with tools/trace/tracecat must reproduce the JSONL byte-for-byte, for
-# both workloads, serial and 4-thread.
+# both workloads.
 ./build/bench/bench_fig7_latency --quick --trace-format=binary \
   --trace "$SMOKE_DIR/fig7_trace.bin" >/dev/null
 ./build/tools/tracecat "$SMOKE_DIR/fig7_trace.bin" -o "$SMOKE_DIR/fig7_trace_conv.jsonl"
 cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_conv.jsonl" || {
   echo "binary trace gate FAILED: fig7 tracecat output differs from JSONL" >&2; exit 1; }
-./build/bench/bench_fig7_latency --quick --threads 4 --trace-format=binary \
-  --trace "$SMOKE_DIR/fig7_trace_mt.bin" >/dev/null
-./build/tools/tracecat "$SMOKE_DIR/fig7_trace_mt.bin" -o "$SMOKE_DIR/fig7_trace_mt_conv.jsonl"
-cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_mt_conv.jsonl" || {
-  echo "binary trace gate FAILED: fig7 4-thread binary trace differs" >&2; exit 1; }
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick --trace-format=binary \
   --trace "$SMOKE_DIR/chaos_trace.bin" >/dev/null
 ./build/tools/tracecat "$SMOKE_DIR/chaos_trace.bin" -o "$SMOKE_DIR/chaos_trace_conv.jsonl"
 cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_conv.jsonl" || {
   echo "binary trace gate FAILED: chaos tracecat output differs from JSONL" >&2; exit 1; }
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick --threads 4 \
-  --trace-format=binary --trace "$SMOKE_DIR/chaos_trace_mt.bin" >/dev/null
-./build/tools/tracecat "$SMOKE_DIR/chaos_trace_mt.bin" -o "$SMOKE_DIR/chaos_trace_mt_conv.jsonl"
-cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_mt_conv.jsonl" || {
-  echo "binary trace gate FAILED: chaos 4-thread binary trace differs" >&2; exit 1; }
-echo "tracecat: fig7 + chaos binary traces byte-identical to JSONL at 1 and 4 threads"
+echo "tracecat: fig7 + chaos binary traces byte-identical to JSONL"
 
 echo "== run-store gate: C++ writer vs C++ and python readers =="
 ./build/bench/bench_fig7_latency --quick --runstore "$SMOKE_DIR/runstore" \
@@ -270,17 +234,17 @@ if [ "$QUICK" -eq 0 ]; then
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-  echo "== sanitizer matrix: TSan build (2-thread QoS pass under every test) =="
+  echo "== sanitizer matrix: TSan build =="
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
-  CLOUDFOG_THREADS=2 ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+  ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
-  echo "== TSan parallel leg: fig7 --threads 4 race check + trace cross-check =="
-  ./build-tsan/bench/bench_fig7_latency --quick --threads 4 \
-    --trace "$SMOKE_DIR/fig7_tsan_mt.jsonl" >/dev/null
-  cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_tsan_mt.jsonl" || {
-    echo "fig7 --threads 4 trace diverged between plain and TSan builds" >&2; exit 1; }
-  echo "TSan 4-thread fig7 race-free and byte-identical to the plain serial run"
+  echo "== TSan leg: fig7 race check + trace cross-check =="
+  ./build-tsan/bench/bench_fig7_latency --quick \
+    --trace "$SMOKE_DIR/fig7_tsan.jsonl" >/dev/null
+  cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_tsan.jsonl" || {
+    echo "fig7 trace diverged between plain and TSan builds" >&2; exit 1; }
+  echo "TSan fig7 race-free and byte-identical to the plain run"
 
   echo "== chaos smoke under ASan (lifetime bugs hide in fault paths) =="
   CLOUDFOG_FAULT_SEED=424242 ./build-asan/bench/bench_ext_chaos --quick \
@@ -298,7 +262,7 @@ if [ "$QUICK" -eq 0 ]; then
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 
   echo "== UBSan pipeline leg: fig7 + seeded chaos + scenario smoke =="
-  ./build-ubsan/bench/bench_fig7_latency --quick --threads 4 \
+  ./build-ubsan/bench/bench_fig7_latency --quick \
     --trace "$SMOKE_DIR/fig7_ubsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_ubsan.jsonl" || {
     echo "fig7 trace diverged between plain and UBSan builds" >&2; exit 1; }

@@ -479,12 +479,9 @@ util::Table malicious_supernode_sweep(TestbedProfile profile,
   for (double fraction : malicious_fractions) {
     SystemConfig with_cfg =
         cloudfog_basic_config(testbed, default_supernode_count(testbed));
-    // Fixed-delay adversary via the scenario engine's AdversaryModel — the
-    // same rng stream as the legacy MaliciousConfig path (a regression test
-    // asserts the two stay metric-identical on this workload).
+    // Fixed-delay adversary at the default 80 ms hold-back.
     with_cfg.adversary.kind = scenario::AdversaryKind::kFixedDelay;
     with_cfg.adversary.fraction = fraction;
-    with_cfg.adversary.delay_ms = with_cfg.malicious.delay_ms;
     with_cfg.strategies.reputation = true;
     SystemConfig without_cfg = with_cfg;
     without_cfg.strategies.reputation = false;

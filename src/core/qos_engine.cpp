@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -10,32 +9,13 @@
 
 namespace cloudfog::core {
 
-namespace {
-
-// Worker count: explicit config wins, else the CLOUDFOG_THREADS
-// environment override (bench_common's --threads sets it), else serial.
-int resolve_threads(int configured) {
-  if (configured > 0) return std::min(configured, 64);
-  const char* env = std::getenv("CLOUDFOG_THREADS");
-  if (env != nullptr) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<int>(std::min(parsed, 64L));
-  }
-  return 1;
-}
-
-}  // namespace
-
 QosEngine::QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
                      const game::GameCatalog& catalog)
-    : cfg_(cfg), latency_(latency), catalog_(catalog), threads_(resolve_threads(cfg.threads)) {
+    : cfg_(cfg), latency_(latency), catalog_(catalog) {
   CLOUDFOG_REQUIRE(cfg.substeps >= 1, "need at least one substep");
   CLOUDFOG_REQUIRE(cfg.substep_seconds > 0.0, "substep length must be positive");
   CLOUDFOG_REQUIRE(cfg.burst_headroom >= 1.0, "burst headroom below 1");
   CLOUDFOG_REQUIRE(cfg.base_jitter_ms > 0.0, "jitter mean must be positive");
-  // Intern the one metric site reachable from parallel shards on this
-  // (main) thread, so no worker is ever the first to touch the registry.
-  video::warm_rate_adapter_obs();
 }
 
 double QosEngine::EntityLoad::utilization() const {
@@ -329,8 +309,6 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
   double egress_sum_mbps = 0.0;
   double server_latency_sum = 0.0;
   std::size_t server_latency_samples = 0;
-  const bool parallel = threads_ > 1 && !work_.empty();
-  if (parallel && pool_ == nullptr) pool_ = std::make_unique<util::ShardPool>(threads_);
 
   for (int step = 0; step < cfg_.substeps; ++step) {
     // Pass 1: demand tallies (bitrates may have adapted last substep).
@@ -370,9 +348,7 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     egress_kbps += feed_kbps;
     egress_sum_mbps += egress_kbps / 1000.0;
 
-    // The inter-server latency term depends only on pass-2-invariant
-    // state, so it accumulates serially regardless of the thread count —
-    // identical addition order to an all-serial run.
+    // The inter-server latency term reads only state pass 2 never changes.
     for (const std::uint32_t i : work_) {
       const PlayerState& player = players[i];
       if (player.serving.kind != ServingKind::kCdn) {
@@ -381,33 +357,10 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
       }
     }
 
-    // Pass 2: per-session path observation. Parallel shards partition the
-    // work list into fixed contiguous ranges; each worker mutates only its
-    // players' state and buffers obs emissions in a per-shard capture,
-    // replayed in shard order below — byte-identical to the serial loop.
+    // Pass 2: per-session path observation and rate adaptation.
     CLOUDFOG_TIMED_SCOPE("qos.rate_adapt");
-    if (!parallel) {
-      for (const std::uint32_t i : work_)
-        evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
-    } else {
-      const std::size_t shards = static_cast<std::size_t>(threads_);
-      if (captures_.size() < shards) captures_.resize(shards);
-      pool_->run(static_cast<int>(shards), CF_PARALLEL_REGION [&](int s) {
-        struct CaptureGuard {
-          explicit CaptureGuard(obs::ObsCapture* cap) { obs::Recorder::set_thread_capture(cap); }
-          ~CaptureGuard() { obs::Recorder::set_thread_capture(nullptr); }
-        };
-        const CaptureGuard guard(&captures_[static_cast<std::size_t>(s)]);
-        const std::size_t lo = work_.size() * static_cast<std::size_t>(s) / shards;
-        const std::size_t hi = work_.size() * (static_cast<std::size_t>(s) + 1) / shards;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::uint32_t i = work_[k];
-          evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
-        }
-      });
-      auto& rec = obs::Recorder::global();
-      for (std::size_t s = 0; s < shards; ++s) rec.replay(captures_[s]);
-    }
+    for (const std::uint32_t i : work_)
+      evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
   }
 
   // Aggregate across players.

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -33,8 +32,6 @@
 #include "fault/fault_state.hpp"
 #include "game/game_catalog.hpp"
 #include "net/latency_model.hpp"
-#include "obs/recorder.hpp"
-#include "util/shard_pool.hpp"
 #include "video/qoe.hpp"
 
 namespace cloudfog::core {
@@ -62,10 +59,6 @@ struct QosEngineConfig {
   /// engine of record for the memo equality test and the tracked bench
   /// baseline. Both modes produce byte-identical results.
   bool memoize = true;
-  /// Worker threads for the per-player pass. 0 = read CLOUDFOG_THREADS
-  /// (default 1); 1 = serial. Results and trace bytes are identical at
-  /// every thread count (fixed sharding + shard-order obs replay).
-  int threads = 0;
 };
 
 /// Aggregate results of one subcycle (averaged over substeps & sessions).
@@ -108,9 +101,6 @@ class QosEngine {
                                       const Cloud& cloud,
                                       const std::vector<CdnServerState>& cdn,
                                       double bitrate_kbps) const;
-
-  /// Resolved worker-thread count (config > CLOUDFOG_THREADS > 1).
-  int threads() const { return threads_; }
 
  private:
   struct EntityLoad {
@@ -170,9 +160,8 @@ class QosEngine {
   };
 
   /// One player's substep: path computation (through the memo tiers) and
-  /// session update into `acc`. Touches only `player`, `memo`, `acc` and
-  /// shared *immutable* state — safe to run on parallel shards.
-  CF_PARALLEL_REGION void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
+  /// session update into `acc`.
+  void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
                        const std::vector<SupernodeState>& fleet, const Cloud& cloud,
                        const std::vector<CdnServerState>& cdn) const;
 
@@ -191,19 +180,13 @@ class QosEngine {
   const game::GameCatalog& catalog_;
   video::QoeModel qoe_;
   const fault::FaultState* faults_ = nullptr;
-  int threads_ = 1;
 
-  // Subcycle scratch + memo state, reused across calls. The engine's
-  // driver is single-threaded (run_subcycle is not reentrant); while the
-  // parallel pass is in flight, shards write only their own slots of the
-  // CF_SHARD_LOCAL containers (indexed through the work list) and read
-  // the CF_SHARD_SHARED_READONLY work list, which pass 2 never mutates.
-  CF_SHARD_LOCAL mutable std::vector<Acc> acc_;
-  CF_SHARD_SHARED_READONLY mutable std::vector<std::uint32_t> work_;
-  CF_SHARD_LOCAL mutable std::vector<PlayerMemo> memo_;
+  // Subcycle scratch + memo state, reused across calls (run_subcycle is
+  // not reentrant).
+  mutable std::vector<Acc> acc_;
+  mutable std::vector<std::uint32_t> work_;
+  mutable std::vector<PlayerMemo> memo_;
   mutable const PlayerState* memo_players_ = nullptr;
-  CF_SHARD_LOCAL mutable std::vector<obs::ObsCapture> captures_;
-  mutable std::unique_ptr<util::ShardPool> pool_;
 };
 
 }  // namespace cloudfog::core

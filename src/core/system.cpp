@@ -122,19 +122,11 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
       }
     }
 
-    // §3.6 extension: adversarial supernodes. The legacy MaliciousConfig
-    // is a fixed-delay adversary; the translation preserves its exact
-    // "malicious" fork + per-slot Bernoulli stream, so historical runs
-    // replay byte-identically.
-    scenario::AdversaryConfig adv = cfg_.adversary;
-    if (adv.kind == scenario::AdversaryKind::kNone && cfg_.malicious.fraction > 0.0) {
-      adv.kind = scenario::AdversaryKind::kFixedDelay;
-      adv.fraction = cfg_.malicious.fraction;
-      adv.delay_ms = cfg_.malicious.delay_ms;
-    }
-    if (adv.active()) {
-      adversary_ =
-          std::make_unique<scenario::AdversaryModel>(adv, fleet_, rng_.fork("malicious"));
+    // §3.6 extension: adversarial supernodes, recruited on the
+    // "malicious" fork.
+    if (cfg_.adversary.active()) {
+      adversary_ = std::make_unique<scenario::AdversaryModel>(cfg_.adversary, fleet_,
+                                                              rng_.fork("malicious"));
     }
 
     if (!fleet_.empty()) {

@@ -63,16 +63,6 @@ struct ThrottlingConfig {
   double throttle_probability = 0.5;   ///< chance a designee throttles, per cycle
 };
 
-/// §3.6 extension: adversarial supernodes that deliberately delay video.
-/// Legacy alias for a fixed-delay adversary — a non-zero fraction here is
-/// translated into scenario::AdversaryConfig{kFixedDelay} at construction
-/// (same rng stream, byte-identical runs). New code should configure
-/// SystemConfig::adversary directly.
-struct MaliciousConfig {
-  double fraction = 0.0;       ///< share of the fleet that is malicious
-  double delay_ms = 80.0;      ///< deliberate per-packet hold-back
-};
-
 struct SystemConfig {
   Architecture architecture = Architecture::kCloudFog;
   StrategyToggles strategies;
@@ -82,9 +72,8 @@ struct SystemConfig {
   QosEngineConfig qos;
   ProvisionerConfig provisioning;
   ThrottlingConfig throttling;
-  MaliciousConfig malicious;
-  /// Adversarial supernode behaviour (whitewashing, collusion, on-off…).
-  /// Takes precedence over `malicious` when its kind is not kNone.
+  /// §3.6 extension: adversarial supernodes that deliberately delay video
+  /// (fixed delay, whitewashing, collusion, on-off…).
   scenario::AdversaryConfig adversary;
   video::RateAdapterConfig adapter;  ///< `enabled` is overwritten from strategies
 
@@ -248,8 +237,7 @@ class System {
   util::Rng fault_rng_;
   int current_day_ = 1;  ///< day seen by the crash hooks for rating decay
 
-  // Adversary (legacy MaliciousConfig is translated into one at
-  // construction; null when neither is configured).
+  // Adversary (null when none is configured).
   std::unique_ptr<scenario::AdversaryModel> adversary_;
 
   // Arrival-rate workload state.

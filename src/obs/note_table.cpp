@@ -11,10 +11,9 @@ namespace {
 
 // std::map (not unordered) keeps lookups deterministic-friendly and the
 // table is never iterated on a hot path; std::deque gives stable storage
-// so note_text() views stay valid across later interning. Interning is the
-// one place parallel shards may write shared state directly (it is
-// idempotent and id assignment is racing-free under mu), which is why the
-// table carries real capability annotations instead of shard markers.
+// so note_text() views stay valid across later interning. Interning is
+// idempotent and id assignment is race-free under mu, which the capability
+// annotations let clang check.
 struct NoteTable {
   util::Mutex mu;
   std::map<std::string, std::uint32_t, std::less<>> ids CF_GUARDED_BY(mu);

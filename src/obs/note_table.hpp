@@ -7,9 +7,8 @@
 // NoteId; events carry the id (plus an optional integer argument appended
 // at serialization time), so pushing a trace event never allocates.
 //
-// Interning is thread-safe (call sites in parallel QoS shards intern
-// through function-local statics), but is expected to be cold: hot call
-// sites intern once and reuse the id.
+// Interning is thread-safe, but is expected to be cold: hot call sites
+// intern once (through function-local statics) and reuse the id.
 #pragma once
 
 #include <cstdint>

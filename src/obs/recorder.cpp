@@ -2,29 +2,7 @@
 
 #include <algorithm>
 
-#include "util/require.hpp"
-#include "util/shard_pool.hpp"
-
 namespace cloudfog::obs {
-
-namespace {
-// Per-thread obs sink for deterministic parallel shards. The main thread
-// never installs one, so serial code paths are unaffected.
-thread_local ObsCapture* t_capture = nullptr;
-
-// ShardPool hygiene probe: a shard body that returns with its capture
-// still installed would silently swallow the next region's emissions on
-// this worker — reject it from ShardPool::run.
-const char* capture_still_installed() {
-  return t_capture != nullptr ? "shard returned with its obs capture still installed"
-                              : nullptr;
-}
-
-[[maybe_unused]] const bool hygiene_registered = [] {
-  util::ShardPool::set_worker_hygiene_check(&capture_still_installed);
-  return true;
-}();
-}  // namespace
 
 Recorder& Recorder::global() {
   // The process-wide recorder: mutability is its whole point (every run
@@ -42,38 +20,7 @@ double Recorder::now() const {
 void Recorder::trace(EventKind kind, std::int64_t subject, std::int64_t object,
                      double value, Note note) {
   if (!enabled_) return;
-  if (t_capture != nullptr) {
-    t_capture->ops_.push_back(
-        ObsCapture::Op{true, CounterId{}, 0, kind, subject, object, value, note});
-    return;
-  }
   trace_.push(TraceEvent{now(), kind, subject, object, value, note});
-}
-
-void Recorder::count(CounterId id, std::uint64_t n) {
-  if (t_capture != nullptr) {
-    t_capture->ops_.push_back(ObsCapture::Op{false, id, n, EventKind::kRunStart, -1, -1, 0.0, {}});
-    return;
-  }
-  registry_.add(id, n);
-}
-
-void Recorder::set_thread_capture(ObsCapture* cap) {
-  CLOUDFOG_REQUIRE(cap == nullptr || cap->empty(),
-                   "capture buffer still holds un-replayed ops from a previous "
-                   "parallel region; replay it (Recorder::replay) before reuse");
-  t_capture = cap;
-}
-
-void Recorder::replay(ObsCapture& cap) {
-  for (const ObsCapture::Op& op : cap.ops_) {
-    if (op.is_trace) {
-      trace(op.kind, op.subject, op.object, op.value, op.note);
-    } else {
-      registry_.add(op.counter, op.n);
-    }
-  }
-  cap.ops_.clear();
 }
 
 void Recorder::trace_at(double t_seconds, EventKind kind, std::int64_t subject,

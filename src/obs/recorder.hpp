@@ -23,7 +23,6 @@
 #include "obs/phase_profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/annotations.hpp"
 
 namespace cloudfog::obs {
 
@@ -47,34 +46,6 @@ struct RunSummary {
   std::string label;
   std::uint64_t measured_subcycles = 0;
   std::vector<StatSummary> stats;
-};
-
-/// Buffered obs operations from one deterministic shard of a parallel
-/// section (DESIGN.md §10). Workers install a capture thread-locally via
-/// Recorder::set_thread_capture; counter adds and trace events land in the
-/// buffer instead of the shared registry/trace. The owner replays the
-/// buffers in shard order afterwards, reproducing the exact emission
-/// sequence (and therefore the exact trace bytes) of a serial run.
-class ObsCapture {
- public:
-  void clear() { ops_.clear(); }
-  bool empty() const { return ops_.empty(); }
-
- private:
-  friend class Recorder;
-  /// Trivially copyable: replay is a flat memcpy-friendly scan and the
-  /// capture path never allocates per event.
-  struct Op {
-    bool is_trace = false;
-    CounterId counter{};
-    std::uint64_t n = 0;
-    EventKind kind = EventKind::kRunStart;
-    std::int64_t subject = -1;
-    std::int64_t object = -1;
-    double value = 0.0;
-    Note note{};
-  };
-  std::vector<Op> ops_;
 };
 
 class Recorder {
@@ -106,26 +77,8 @@ class Recorder {
 
   /// Like trace(), but with an explicit domain timestamp in seconds
   /// (event-driven overlay components own their own sim clock).
-  /// Not capture-aware: must not be called from parallel shards.
   void trace_at(double t_seconds, EventKind kind, std::int64_t subject = -1,
                 std::int64_t object = -1, double value = 0.0, Note note = {});
-
-  /// Counter add that honours a thread-installed capture. Code reachable
-  /// from parallel shards must count through this instead of
-  /// registry().add() (which is main-thread only).
-  void count(CounterId id, std::uint64_t n = 1);
-
-  /// Installs `cap` as the calling thread's obs sink (nullptr uninstalls).
-  /// `cap` must be empty: installing a capture that still holds buffered
-  /// ops means the previous region was never replayed, and its emissions
-  /// would interleave into the new shard's stream — that is a ConfigError
-  /// (surfaced through ShardPool::run, which also rejects a worker that
-  /// returns with a capture still installed).
-  static void set_thread_capture(ObsCapture* cap);
-
-  /// Replays a capture's buffered operations into the live registry/trace
-  /// on the calling (main) thread, then clears it (keeping capacity).
-  void replay(ObsCapture& cap);
 
   /// Marks the start of a run: re-bases the trace clock past everything
   /// emitted so far and (when enabled) emits a kRunStart event.
@@ -140,17 +93,14 @@ class Recorder {
  private:
   Recorder() = default;
 
-  // Parallel shards never touch these directly: trace()/count() divert to
-  // the thread's installed ObsCapture, and the owner replays buffers in
-  // shard order back on the main thread (DESIGN.md §13).
   bool enabled_ = false;
-  CF_MAIN_THREAD_ONLY Registry registry_;
-  CF_MAIN_THREAD_ONLY PhaseProfiler profiler_;
-  CF_MAIN_THREAD_ONLY TraceBuffer trace_;
-  CF_MAIN_THREAD_ONLY std::vector<RunSummary> runs_;
+  Registry registry_;
+  PhaseProfiler profiler_;
+  TraceBuffer trace_;
+  std::vector<RunSummary> runs_;
   double sim_time_ = 0.0;
   double base_time_ = 0.0;
-  CF_MAIN_THREAD_ONLY mutable double last_emitted_ = 0.0;
+  mutable double last_emitted_ = 0.0;
 };
 
 /// RAII wall-clock timer for a profiled phase. Reads the clock only while

@@ -15,8 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/annotations.hpp"
-
 namespace cloudfog::obs {
 
 struct CounterId {
@@ -42,10 +40,7 @@ struct RegistrySnapshot {
   RegistrySnapshot delta_since(const RegistrySnapshot& earlier) const;
 };
 
-// Main-thread only, like the recorder that owns it: code reachable from
-// parallel shards must count through Recorder::count() (capture-aware),
-// never registry().add() directly.
-class CF_MAIN_THREAD_ONLY Registry {
+class Registry {
  public:
   /// Registration is idempotent: the same name always returns the same
   /// handle. A histogram re-registered with different bounds keeps the

@@ -14,8 +14,8 @@
 //   * kFull       — every event (the default);
 //   * kSampled    — every Nth non-structural event, decided by a counter
 //                   over the deterministic arrival sequence (never wall
-//                   clock or RNG), so the sampled trace is identical at
-//                   any thread count; kRunStart/kSubcycle always pass;
+//                   clock or RNG), so the sampled trace is identical on
+//                   every run; kRunStart/kSubcycle always pass;
 //   * kAggregated — non-structural events fold into per-window, per-kind
 //                   {count, value-sum} accumulators; each kSubcycle /
 //                   kRunStart boundary emits one summary event per kind
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "obs/note_table.hpp"
-#include "util/annotations.hpp"
 
 namespace cloudfog::obs {
 
@@ -100,10 +99,7 @@ class JsonlTraceSink final : public TraceSink {
 
 enum class TraceRetention : std::uint8_t { kFull, kSampled, kAggregated };
 
-// Owned by the recorder and mutated on the owning thread only: parallel
-// shards reach it exclusively through Recorder::trace(), which diverts to
-// the thread's ObsCapture (replayed in shard order afterwards).
-class CF_MAIN_THREAD_ONLY TraceBuffer {
+class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity = 1 << 16);
 

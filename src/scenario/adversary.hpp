@@ -4,8 +4,8 @@
 // "deliberately delay the transmission of game videos". AdversaryModel
 // generalises that single fixed-delay attacker into the classic
 // reputation-attack repertoire:
-//   * kFixedDelay — every member sabotages constantly (the legacy
-//     MaliciousConfig behaviour, bit-for-bit);
+//   * kFixedDelay — every member sabotages constantly (the paper's
+//     attacker);
 //   * kOnOff     — members alternate between honest and sabotaging
 //     cycles, farming good ratings while off to spend while on;
 //   * kWhitewash — members sabotage constantly but periodically shed
@@ -16,9 +16,8 @@
 //     coalition's average standing high.
 //
 // Membership is drawn on the owning System's "malicious" fork with one
-// Bernoulli trial per fleet slot — exactly the legacy stream — so a
-// kFixedDelay adversary replays the historical MaliciousConfig runs
-// byte-identically.
+// Bernoulli trial per fleet slot, so a kFixedDelay adversary replays the
+// historical fixed-delay runs byte-identically.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +67,7 @@ struct AdversaryConfig {
 class AdversaryModel {
  public:
   /// Recruits members from `fleet` (one `rng.chance(fraction)` per slot,
-  /// the legacy MaliciousConfig stream) and applies the baseline sabotage
+  /// the historical membership stream) and applies the baseline sabotage
   /// of always-on kinds.
   AdversaryModel(const AdversaryConfig& cfg, std::vector<core::SupernodeState>& fleet,
                  util::Rng rng);

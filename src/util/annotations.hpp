@@ -1,21 +1,10 @@
-// Concurrency & determinism annotation vocabulary (DESIGN.md §13).
+// Clang thread-safety capability vocabulary (DESIGN.md §13).
 //
-// Two families live here:
-//
-//  1. Clang thread-safety capability macros (CF_CAPABILITY, CF_GUARDED_BY,
-//     CF_REQUIRES, CF_ACQUIRE/CF_RELEASE, ...). Under clang these expand to
-//     the `-Wthread-safety` attributes, so a write to a guarded member
-//     without its mutex held is a *compile error* (ENABLE_WERROR). Under
-//     GCC they expand to nothing — the reference CI image still builds, and
-//     the dedicated clang job enforces the analysis.
-//
-//  2. Shard-discipline markers for deterministic parallel regions
-//     (CF_PARALLEL_REGION, CF_SHARD_LOCAL, CF_SHARD_SHARED_READONLY,
-//     CF_MAIN_THREAD_ONLY). These expand to nothing for every compiler;
-//     they are machine-checked by tools/lint/cloudfog_lint.py
-//     (cloudfog-parallel-shared-write, cloudfog-float-reduce), which keys
-//     on the marker tokens to know which lambdas run on pool shards and
-//     which state is legitimately written from them.
+// CF_CAPABILITY, CF_GUARDED_BY, CF_REQUIRES, CF_ACQUIRE/CF_RELEASE, ...
+// expand to the `-Wthread-safety` attributes under clang, so a write to a
+// guarded member without its mutex held is a *compile error*
+// (ENABLE_WERROR). Under GCC they expand to nothing — the reference CI
+// image still builds, and the dedicated clang job enforces the analysis.
 //
 // The annotated util::Mutex / util::MutexLock wrappers exist because
 // libstdc++'s std::mutex carries no capability attributes, so clang's
@@ -66,37 +55,6 @@
 /// Escape hatch: disables the analysis for one function. Every use needs
 /// a comment saying why the function is safe.
 #define CF_NO_THREAD_SAFETY_ANALYSIS CF_THREAD_ANNOTATION(no_thread_safety_analysis)
-
-// ---------------------------------------------------------------------------
-// Shard-discipline markers (lint-enforced, zero codegen).
-//
-// The deterministic parallel pattern (DESIGN.md §10): a CF_PARALLEL_REGION
-// lambda runs once per shard on util::ShardPool workers. Inside it, code
-// may write only (a) state reached through the shard's own parameters,
-// (b) disjoint slots of containers marked CF_SHARD_LOCAL (indexed by the
-// shard id / the shard's slice of the work list), and (c) the thread's
-// installed obs::ObsCapture (via Recorder::trace / Recorder::count).
-// Everything else it touches must be marked CF_SHARD_SHARED_READONLY and
-// stay bit-identical while the region runs. Metrics, traces and any
-// order-sensitive float accumulation go through the capture buffers and
-// are replayed in shard order on the owning thread afterwards.
-// ---------------------------------------------------------------------------
-
-/// Marks a lambda/function whose body executes on ShardPool workers.
-/// The lint applies the parallel-region write rules to the marked body.
-#define CF_PARALLEL_REGION
-
-/// Marks a container whose elements are partitioned one-per-shard (or
-/// per work item): parallel writes through disjoint indices are safe.
-#define CF_SHARD_LOCAL
-
-/// Marks state a parallel region reads but never writes; it must not be
-/// mutated by anyone while a region is in flight.
-#define CF_SHARD_SHARED_READONLY
-
-/// Marks state only the owning (main) thread may touch directly; shard
-/// code goes through the capture/replay path instead.
-#define CF_MAIN_THREAD_ONLY
 
 namespace cloudfog::util {
 

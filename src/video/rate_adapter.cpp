@@ -30,16 +30,12 @@ void note_switch(game::GameId game, int new_level, bool up) {
   auto& rec = obs::Recorder::global();
   if (!rec.enabled()) return;
   const RateObs& handles = rate_obs();
-  // count()/trace() honour a thread-installed ObsCapture — note_switch is
-  // the one emission site reachable from the QoS engine's parallel pass.
-  rec.count(up ? handles.up : handles.down);
+  rec.registry().add(up ? handles.up : handles.down);
   rec.trace(obs::EventKind::kRateSwitch, static_cast<std::int64_t>(game), new_level,
             up ? 1.0 : -1.0);
 }
 
 }  // namespace
-
-void warm_rate_adapter_obs() { rate_obs(); }
 
 RateAdapter::RateAdapter(const game::GameCatalog& catalog, game::GameId game,
                          RateAdapterConfig cfg, util::Rng rng)

@@ -44,12 +44,6 @@ struct RateAdapterConfig {
 
 enum class RateDecision { kHold, kUp, kDown };
 
-/// Interns the rate-switch metric handles on the calling thread. The QoS
-/// engine calls this before spawning parallel shards so no worker is the
-/// first to touch the registry (registration mutates shared state; counting
-/// through a capture does not).
-void warm_rate_adapter_obs();
-
 class RateAdapter {
  public:
   /// Streams `game` starting at its default quality level; the adapter

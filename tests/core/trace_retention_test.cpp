@@ -1,7 +1,7 @@
 // Trace retention determinism (DESIGN.md §11): sampling decisions are a
 // pure function of the deterministic event arrival sequence — never wall
 // clock or RNG — so a sampled (or aggregated) trace must be byte-identical
-// across runs and across QoS thread counts, exactly like the full trace.
+// across repeat runs, exactly like the full trace.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -21,9 +21,9 @@ struct RetentionSpec {
   std::uint64_t sample_every = 1;
 };
 
-/// Runs one day under a fresh recorder with the given retention and QoS
-/// thread count; returns the JSONL trace bytes.
-std::string run_traced(const core::Testbed& testbed, int threads, RetentionSpec spec) {
+/// Runs one day under a fresh recorder with the given retention; returns
+/// the JSONL trace bytes.
+std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
   auto& rec = obs::Recorder::global();
   rec.reset();
   rec.set_enabled(true);
@@ -35,7 +35,6 @@ std::string run_traced(const core::Testbed& testbed, int threads, RetentionSpec 
     core::SystemConfig cfg;
     cfg.architecture = core::Architecture::kCloudFog;
     cfg.supernode_count = 80;
-    cfg.qos.threads = threads;
     core::System system(testbed, cfg, 97);
     const int per_day = testbed.activity().config().subcycles_per_day;
     system.begin_cycle(1);
@@ -58,20 +57,17 @@ class TraceRetention : public ::testing::Test {
   core::Testbed testbed_;
 };
 
-TEST_F(TraceRetention, SampledTraceIsIdenticalAcrossThreadCounts) {
+TEST_F(TraceRetention, SampledTraceIsIdenticalAcrossRuns) {
   const RetentionSpec sampled{obs::TraceRetention::kSampled, 16};
-  const std::string serial = run_traced(testbed_, 1, sampled);
-  const std::string parallel = run_traced(testbed_, 4, sampled);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
+  const std::string first = run_traced(testbed_, sampled);
+  ASSERT_FALSE(first.empty());
   // Repeat run: same seed, same bytes.
-  EXPECT_EQ(serial, run_traced(testbed_, 2, sampled));
+  EXPECT_EQ(first, run_traced(testbed_, sampled));
 }
 
 TEST_F(TraceRetention, SampledTraceIsASubsetKeepingStructure) {
-  const std::string full = run_traced(testbed_, 1, {});
-  const std::string sampled =
-      run_traced(testbed_, 1, {obs::TraceRetention::kSampled, 16});
+  const std::string full = run_traced(testbed_, {});
+  const std::string sampled = run_traced(testbed_, {obs::TraceRetention::kSampled, 16});
   ASSERT_LT(sampled.size(), full.size() / 4);
   // Every sampled line exists verbatim in the full trace, in order.
   std::istringstream lines(sampled);
@@ -93,13 +89,12 @@ TEST_F(TraceRetention, SampledTraceIsASubsetKeepingStructure) {
   }
 }
 
-TEST_F(TraceRetention, AggregatedTraceIsIdenticalAcrossThreadCounts) {
+TEST_F(TraceRetention, AggregatedTraceIsIdenticalAcrossRuns) {
   const RetentionSpec agg{obs::TraceRetention::kAggregated, 1};
-  const std::string serial = run_traced(testbed_, 1, agg);
-  const std::string parallel = run_traced(testbed_, 4, agg);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("\"note\":\"agg\""), std::string::npos);
+  const std::string first = run_traced(testbed_, agg);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, run_traced(testbed_, agg));
+  EXPECT_NE(first.find("\"note\":\"agg\""), std::string::npos);
 }
 
 }  // namespace

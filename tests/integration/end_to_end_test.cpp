@@ -129,8 +129,7 @@ TEST(EndToEnd, MaliciousSupernodesHurtAndReputationMitigates) {
   // private reputation system steers players away from the saboteurs.
   SystemConfig clean = cloudfog_basic_config(testbed(), default_supernode_count(testbed()));
   SystemConfig attacked = clean;
-  attacked.malicious.fraction = 0.3;
-  attacked.malicious.delay_ms = 120.0;
+  attacked.adversary = {scenario::AdversaryKind::kFixedDelay, 0.3, 120.0};
   SystemConfig defended = attacked;
   defended.strategies.reputation = true;
 

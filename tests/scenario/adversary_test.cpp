@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/baselines.hpp"
-#include "core/experiment.hpp"
-#include "core/system.hpp"
-#include "core/testbed.hpp"
 #include "util/rng.hpp"
 
 namespace cloudfog::scenario {
@@ -38,7 +34,7 @@ TEST(AdversaryModel, KindNamesRoundTrip) {
 }
 
 TEST(AdversaryModel, MembershipMatchesLegacyStream) {
-  // The model must draw membership exactly like the legacy MaliciousConfig
+  // The model must draw membership exactly like the historical fixed-delay
   // loop did: one Bernoulli per fleet slot, in fleet order, on the same
   // fork — that is what keeps pre-scenario runs byte-identical.
   auto fleet = make_fleet(200);
@@ -129,34 +125,6 @@ TEST(AdversaryModel, CollusionRotatesOneRingPerCycle) {
     EXPECT_LT(sabotaging, members.size());
     EXPECT_GT(sabotaging, 0u);
   }
-}
-
-TEST(AdversaryModel, LegacyMaliciousConfigAndAdversaryConfigAgree) {
-  // Satellite check for the ext_malicious rewire: the legacy
-  // MaliciousConfig path and an explicit fixed-delay AdversaryConfig must
-  // produce identical runs on the seed workload.
-  const core::Testbed testbed(core::TestbedConfig::peersim(600), 42);
-  const core::ExperimentScale scale = core::ExperimentScale::quick();
-  const auto cycles = core::to_cycle_config(scale);
-
-  core::SystemConfig legacy_cfg = core::cloudfog_basic_config(testbed, 40);
-  legacy_cfg.strategies.reputation = true;
-  legacy_cfg.malicious.fraction = 0.3;
-
-  core::SystemConfig adv_cfg = core::cloudfog_basic_config(testbed, 40);
-  adv_cfg.strategies.reputation = true;
-  adv_cfg.adversary.kind = AdversaryKind::kFixedDelay;
-  adv_cfg.adversary.fraction = 0.3;
-  adv_cfg.adversary.delay_ms = legacy_cfg.malicious.delay_ms;
-
-  core::System legacy_sys(testbed, legacy_cfg, scale.seed + 41);
-  core::System adv_sys(testbed, adv_cfg, scale.seed + 41);
-  const core::RunMetrics& a = legacy_sys.run(cycles);
-  const core::RunMetrics& b = adv_sys.run(cycles);
-  EXPECT_EQ(a.satisfied_fraction.mean(), b.satisfied_fraction.mean());
-  EXPECT_EQ(a.continuity.mean(), b.continuity.mean());
-  EXPECT_EQ(a.response_latency_ms.mean(), b.response_latency_ms.mean());
-  EXPECT_EQ(a.player_join_latency_ms.count(), b.player_join_latency_ms.count());
 }
 
 }  // namespace

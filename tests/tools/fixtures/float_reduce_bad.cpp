@@ -1,18 +1,12 @@
-// Lint fixture: order-sensitive floating accumulation — over an unordered
-// container, and into shared state from a parallel region.
+// Lint fixture: order-sensitive floating accumulation over an unordered
+// container.
 // Exercised by tests/tools/lint_test.py; never compiled.
-#define CF_PARALLEL_REGION
-#define CF_SHARD_LOCAL
-
 #include <unordered_map>
-#include <vector>
 
 namespace fixture {
 
 struct Stats {
   std::unordered_map<int, double> samples_;
-  double mean_ = 0.0;
-  CF_SHARD_LOCAL std::vector<double> partial_;
 
   double order_sensitive_sum() {
     double total = 0.0;
@@ -21,14 +15,6 @@ struct Stats {
       (void)key;
     }
     return total;
-  }
-
-  void parallel_reduce(int shards) {
-    auto body = CF_PARALLEL_REGION [&](int shard) {
-      mean_ += static_cast<double>(shard);  // BAD: shared float accumulator
-    };
-    (void)body;
-    (void)shards;
   }
 };
 

@@ -1,10 +1,6 @@
 // Lint fixture: deterministic accumulation idioms — ordered iteration for
-// float sums, integer counts over unordered state (with a justified
-// suppression for the traversal itself), and per-shard partials reduced by
-// the caller in fixed shard order. Must stay fully lint-clean.
-#define CF_PARALLEL_REGION
-#define CF_SHARD_LOCAL
-
+// float sums, and integer counts over unordered state (with a justified
+// suppression for the traversal itself). Must stay fully lint-clean.
 #include <unordered_map>
 #include <vector>
 
@@ -12,7 +8,6 @@ namespace fixture {
 
 struct Stats {
   std::unordered_map<int, double> samples_;
-  CF_SHARD_LOCAL std::vector<double> partial_;
 
   double ordered_sum(const std::vector<double>& values) {
     double total = 0.0;
@@ -30,16 +25,6 @@ struct Stats {
       (void)value;
     }
     return n;
-  }
-
-  void parallel_reduce(int shards) {
-    auto body = CF_PARALLEL_REGION [&](int shard) {
-      double local = 0.0;
-      local += static_cast<double>(shard);
-      partial_[shard] = local;
-    };
-    (void)body;
-    (void)shards;
   }
 };
 

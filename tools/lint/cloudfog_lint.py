@@ -28,34 +28,24 @@ Enforces project-specific invariants that the compiler cannot:
                            registration is idempotent, so two subsystems
                            silently aliasing one name is a reporting bug.
 
-Concurrency & determinism rules (DESIGN.md §13) — these key on the shard
-discipline markers of src/util/annotations.hpp:
+Determinism rules for stochastic and numeric code (DESIGN.md §13):
 
-  cloudfog-parallel-shared-write
-                           inside a CF_PARALLEL_REGION lambda/function,
-                           writes to reference-captured (or member) state
-                           that is not marked CF_SHARD_LOCAL. Shards may
-                           mutate only their own disjoint slots; metrics
-                           and trace events go through the thread's
-                           ObsCapture (Recorder::trace / Recorder::count).
   cloudfog-raw-rng         construction of std::mt19937 & friends,
                            std::random_device or rand()/srand() anywhere
                            outside src/util/rng: every stochastic decision
                            must flow from the seeded util::Rng (PCG32) so
                            runs replay bit-exactly across platforms.
   cloudfog-float-reduce    accumulation into a floating scalar across an
-                           unordered container or from inside a parallel
-                           region: float addition is not associative, so
-                           any order-instability changes the result bytes.
-                           Accumulate per shard (CF_SHARD_LOCAL slots) and
-                           reduce in fixed shard order instead.
+                           unordered container: float addition is not
+                           associative, so bucket order changes the result
+                           bytes. Iterate a sorted copy instead.
   cloudfog-static-mutable  non-const static at namespace or function scope
                            under src/ (outside the whitelisted note-table
                            interner): hidden mutable process state breaks
                            run-to-run isolation and is a shared-write
-                           hazard the moment a parallel region can reach
-                           it. Make it const, pass it explicitly, or
-                           suppress with a justification.
+                           hazard the moment two threads can reach it.
+                           Make it const, pass it explicitly, or suppress
+                           with a justification.
 
 Suppression: append `// NOLINT(cloudfog-<rule>): <justification>` to the
 offending line, or put `// NOLINTNEXTLINE(cloudfog-<rule>): <justification>`
@@ -91,7 +81,6 @@ RULES = {
     "cloudfog-pointer-key": "pointer-keyed associative container or pointer-order comparator",
     "cloudfog-uninit-pod": "uninitialized POD member in a struct under src/",
     "cloudfog-metric-once": "obs metric name registered at more than one site",
-    "cloudfog-parallel-shared-write": "shared-state write inside a CF_PARALLEL_REGION",
     "cloudfog-raw-rng": "raw RNG engine / entropy source outside src/util/rng",
     "cloudfog-float-reduce": "order-sensitive floating accumulation",
     "cloudfog-static-mutable": "non-const namespace/function-scope static under src/",
@@ -522,7 +511,7 @@ def check_metric_once(per_file_sites: dict[str, list[tuple[str, int, str]]],
 
 
 # --------------------------------------------------------------------------
-# Shared machinery for region-scoped rules (parallel-region / loop bodies)
+# Shared machinery for loop-body-scoped rules
 # --------------------------------------------------------------------------
 
 class FlatText:
@@ -555,99 +544,6 @@ def match_brace(text: str, open_pos: int) -> int:
     return -1
 
 
-@dataclass
-class ParallelRegion:
-    marker_line: int           # 1-based line of the CF_PARALLEL_REGION marker
-    body_start: int            # offset of the opening `{`
-    body_end: int              # offset of the matching `}`
-    capture: str | None        # lambda capture list text, None for functions
-    params: set[str]           # parameter names
-
-
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on `sep` outside (), [], <> and {}."""
-    parts, depth, cur = [], 0, []
-    for c in text:
-        if c in "([<{":
-            depth += 1
-        elif c in ")]>}":
-            depth -= 1
-        elif c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(c)
-    parts.append("".join(cur))
-    return parts
-
-
-def param_names(params_text: str) -> set[str]:
-    names = set()
-    for piece in split_top_level(params_text):
-        piece = piece.split("=")[0]
-        ids = IDENT_RE.findall(piece)
-        if ids:
-            names.add(ids[-1])
-    return names
-
-
-def find_parallel_regions(tx: FlatText) -> list[ParallelRegion]:
-    """CF_PARALLEL_REGION-marked lambda/function bodies in sanitized text.
-
-    The marker prefixes either a lambda (`CF_PARALLEL_REGION [&](int s) {`)
-    or a function definition (`CF_PARALLEL_REGION void f(...) { ... }`).
-    A marker on a pure declaration (no body before the `;`) documents the
-    contract but scopes nothing.
-    """
-    regions = []
-    for m in re.finditer(r"\bCF_PARALLEL_REGION\b", tx.text):
-        # Not a marker use when it appears on a preprocessor line (the
-        # macro's own definition in annotations.hpp).
-        line_start = tx.starts[tx.line_of(m.start()) - 1]
-        if tx.text[line_start:m.start()].lstrip().startswith("#"):
-            continue
-        i = m.end()
-        n = len(tx.text)
-        while i < n and tx.text[i].isspace():
-            i += 1
-        capture = None
-        if i < n and tx.text[i] == "[":
-            close = tx.text.find("]", i)
-            if close == -1:
-                continue
-            capture = tx.text[i + 1:close]
-            i = close + 1
-        # Parameter list: first balanced (...) before the body opens.
-        params: set[str] = set()
-        depth = 0
-        body_open = -1
-        paren_open = -1
-        while i < n:
-            c = tx.text[i]
-            if c == "(":
-                if depth == 0 and paren_open == -1:
-                    paren_open = i
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0 and paren_open != -1 and not params:
-                    params = param_names(tx.text[paren_open + 1:i])
-            elif depth == 0 and c == "{":
-                body_open = i
-                break
-            elif depth == 0 and c == ";":
-                break  # declaration only
-            i += 1
-        if body_open == -1:
-            continue
-        body_close = match_brace(tx.text, body_open)
-        if body_close == -1:
-            continue
-        regions.append(ParallelRegion(tx.line_of(m.start()), body_open, body_close,
-                                      capture, params))
-    return regions
-
-
 # Declaration on one line: optional qualifiers, a type token (possibly
 # templated / qualified), then the declared name followed by an
 # initializer, call, brace-init, subscript or `;`. Heuristic — one name
@@ -658,40 +554,8 @@ DECL_RE = re.compile(
     r"[A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?(?:\s*[&*])*\s+"
     r"[&*]?\s*([A-Za-z_]\w*)\s*(?:[=;({\[]|$)")
 
-ASSIGN_RE = re.compile(
-    r"\b([A-Za-z_]\w*)"
-    r"((?:\s*(?:\.|->)\s*[A-Za-z_]\w*|\s*\[[^\]]*\])*)"
-    r"\s*(?:[+\-*/%&|^]|<<|>>)?=(?!=)")
-CREMENT_RE = re.compile(
-    r"(?:\+\+|--)\s*([A-Za-z_]\w*)|"
-    r"\b([A-Za-z_]\w*)((?:\s*(?:\.|->)\s*[A-Za-z_]\w*|\s*\[[^\]]*\])*)\s*(?:\+\+|--)")
-MUTATING_CALL_RE = re.compile(
-    r"\b([A-Za-z_]\w*)((?:\s*(?:\.|->)\s*[A-Za-z_]\w*|\s*\[[^\]]*\])*)"
-    r"\s*(?:\.|->)\s*(?:push_back|pop_back|emplace_back|emplace|insert|erase|"
-    r"clear|resize|assign|reserve|swap)\s*\(")
 FLOAT_COMPOUND_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*[+\-*/]=(?!=)")
-
-CONTROL_KEYWORDS = {"if", "while", "for", "switch", "return", "case", "else",
-                    "do", "sizeof", "catch", "this", "std", "operator"}
-
-
-def marker_names(code_lines: list[str], marker: str) -> set[str]:
-    """Names declared on lines carrying `marker` (e.g. CF_SHARD_LOCAL)."""
-    names = set()
-    for line in code_lines:
-        if marker not in line:
-            continue
-        decl = line.split(marker, 1)[1]
-        stop = len(decl)
-        for ch in ("=", ";", "{"):
-            p = decl.find(ch)
-            if p != -1:
-                stop = min(stop, p)
-        ids = IDENT_RE.findall(decl[:stop])
-        if ids:
-            names.add(ids[-1])
-    return names
 
 
 def sibling_header_lines(abs_path: str) -> list[str]:
@@ -715,107 +579,6 @@ def float_var_names(code_lines: list[str]) -> set[str]:
         for m in pat.finditer(line):
             names.add(m.group(1))
     return names
-
-
-def captured_by_ref(name: str, capture: str | None) -> bool:
-    """Whether `name` is reachable by reference inside the region.
-
-    Functions (capture None) see everything by reference. For lambdas the
-    capture list decides; members (trailing `_`) ride on `this`/default
-    captures, which always give reference semantics to members.
-    """
-    if capture is None:
-        return True
-    items = [c.strip() for c in capture.split(",") if c.strip()]
-    default_ref = "&" in items
-    default_val = "=" in items
-    if name.endswith("_"):
-        return default_ref or default_val or "this" in items or "*this" in items
-    if f"&{name}" in items:
-        return True
-    if name in items:
-        return False  # explicit by-value copy
-    return default_ref
-
-
-# --------------------------------------------------------------------------
-# Rule: cloudfog-parallel-shared-write (+ the region half of float-reduce)
-# --------------------------------------------------------------------------
-
-def region_writes(sf: SourceFile, region: ParallelRegion, tx: FlatText,
-                  shard_local: set[str], float_vars: set[str],
-                  active: set[str]) -> list[Finding]:
-    findings = []
-    first_line = tx.line_of(region.body_start)
-    last_line = tx.line_of(region.body_end)
-    locals_seen: set[str] = set(region.params)
-
-    for idx in range(first_line, last_line + 1):
-        line = sf.code_lines[idx - 1]
-        # Range-for loop variables count as locals.
-        head = range_for_expr(line)
-        if head is not None:
-            before = line[:line.find(":", line.find("for"))]
-            ids = IDENT_RE.findall(before.split("(", 1)[-1])
-            if ids:
-                locals_seen.add(ids[-1])
-        dm = DECL_RE.match(line)
-        if dm:
-            locals_seen.add(dm.group(1))
-
-        writes: list[tuple[str, str]] = []  # (base, why)
-        if not dm:  # a matched declaration's `=` is an initializer
-            for m in ASSIGN_RE.finditer(line):
-                writes.append((m.group(1), "assignment"))
-        for m in CREMENT_RE.finditer(line):
-            writes.append((m.group(1) or m.group(2), "increment"))
-        for m in MUTATING_CALL_RE.finditer(line):
-            writes.append((m.group(1), "mutating container call"))
-
-        for base, why in writes:
-            if base in locals_seen or base in shard_local:
-                continue
-            if base in CONTROL_KEYWORDS:
-                continue
-            if not captured_by_ref(base, region.capture):
-                continue
-            if "cloudfog-parallel-shared-write" in active:
-                findings.append(Finding(
-                    sf.path, idx, "cloudfog-parallel-shared-write",
-                    f"{why} to '{base}' inside a CF_PARALLEL_REGION: shards may "
-                    "write only CF_SHARD_LOCAL slots and their own locals; "
-                    "metrics/trace go through the thread's ObsCapture"))
-        if "cloudfog-float-reduce" in active:
-            for m in FLOAT_COMPOUND_RE.finditer(line):
-                base = m.group(1)
-                if base in locals_seen or base in shard_local:
-                    continue
-                if base not in float_vars:
-                    continue
-                if not captured_by_ref(base, region.capture):
-                    continue
-                findings.append(Finding(
-                    sf.path, idx, "cloudfog-float-reduce",
-                    f"floating accumulation into shared '{base}' inside a "
-                    "CF_PARALLEL_REGION: float addition is not associative — "
-                    "accumulate per shard and reduce in fixed shard order"))
-    return findings
-
-
-def check_parallel_regions(sf: SourceFile, abs_path: str,
-                           active: set[str]) -> list[Finding]:
-    if "CF_PARALLEL_REGION" not in sf.code_lines and \
-            not any("CF_PARALLEL_REGION" in l for l in sf.code_lines):
-        return []
-    tx = FlatText(sf.code_lines)
-    header = sibling_header_lines(abs_path)
-    shard_local = marker_names(sf.code_lines, "CF_SHARD_LOCAL") | \
-        marker_names(header, "CF_SHARD_LOCAL")
-    float_vars = float_var_names(sf.code_lines) | float_var_names(header)
-    findings = []
-    for region in find_parallel_regions(tx):
-        findings += region_writes(sf, region, tx, shard_local, float_vars, active)
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -853,7 +616,7 @@ def check_raw_rng(sf: SourceFile) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Rule: cloudfog-float-reduce (unordered-loop half)
+# Rule: cloudfog-float-reduce
 # --------------------------------------------------------------------------
 
 def check_float_reduce_loops(sf: SourceFile, abs_path: str) -> list[Finding]:
@@ -1099,9 +862,6 @@ def scan_file(abs_path: str, rel_path: str, active: frozenset,
                 file_findings += check_pointer_key(sf)
     if "cloudfog-uninit-pod" in active:
         file_findings += check_uninit_pod(sf)
-    if "cloudfog-parallel-shared-write" in active or \
-            "cloudfog-float-reduce" in active:
-        file_findings += check_parallel_regions(sf, abs_path, active)
     if "cloudfog-float-reduce" in active:
         file_findings += check_float_reduce_loops(sf, abs_path)
     if "cloudfog-raw-rng" in active:
