@@ -6,6 +6,8 @@
 //   --quick              minimal scale for smoke-testing;
 //   --csv                emit CSV instead of aligned tables (for plotting);
 //   --seed <n>           override the experiment seed;
+//   --jobs <n>           run each sweep's cells on n worker threads
+//                        (default: every CPU); outputs do not depend on it;
 //   --trace <file>       stream the structured event trace;
 //   --trace-format <f>   trace encoding: jsonl (default) or binary (the
 //                        fixed-width format tools/trace/tracecat decodes);
@@ -175,17 +177,27 @@ inline core::ExperimentScale scale_from_args(int argc, char** argv,
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     if (std::strcmp(argv[i], "--paper") == 0) {
-      const auto seed = scale.seed;
+      const core::ExperimentScale given = scale;
       scale = core::ExperimentScale::paper();
-      scale.seed = seed;
+      scale.seed = given.seed;
+      scale.jobs = given.jobs;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
-      const auto seed = scale.seed;
+      const core::ExperimentScale given = scale;
       scale = core::ExperimentScale::quick();
-      scale.seed = seed;
+      scale.seed = given.seed;
+      scale.jobs = given.jobs;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv_mode() = true;
     } else if (flag_value(argc, argv, &i, "--seed", &value)) {
       scale.seed = std::strtoull(value, nullptr, 10);
+    } else if (flag_value(argc, argv, &i, "--jobs", &value)) {
+      char* end = nullptr;
+      const long jobs = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || jobs < 1 || jobs > 1024) {
+        std::cerr << "error: --jobs needs a positive thread count, got '" << value << "'\n";
+        std::exit(2);
+      }
+      scale.jobs = static_cast<int>(jobs);
     } else if (flag_value(argc, argv, &i, "--trace-format", &value)) {
       opts.trace_format = value;
       if (opts.trace_format != "jsonl" && opts.trace_format != "binary") {

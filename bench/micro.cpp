@@ -302,7 +302,7 @@ void BM_ObsScopedTimer(benchmark::State& state) {
   const bool was = rec.enabled();
   rec.set_enabled(true);
   for (auto _ : state) {
-    CLOUDFOG_TIMED_SCOPE("bench.obs.scope");
+    CLOUDFOG_TIMED_SCOPE(rec, "bench.obs.scope");
     benchmark::DoNotOptimize(&rec);
   }
   rec.set_enabled(was);

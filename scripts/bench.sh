@@ -23,10 +23,17 @@
 #   scripts/bench.sh --no-runstore   skip the run-store append
 #   scripts/bench.sh --allow-debug   permit tracked writes from a
 #                                      non-release build
+#
+# The context records `jobs`, the worker count a figure sweep's default
+# resolves to (std::thread::hardware_concurrency(): the online CPUs), and
+# `nproc`, the CPUs this process may run on. A run with jobs > nproc is
+# refused: no scaling number is taken on fewer CPUs than threads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
+NPROC=$JOBS
+SWEEP_JOBS=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo "$NPROC")
 QUICK=0
 OUT=BENCH_PR6.json
 RUNSTORE=data/runstore
@@ -42,6 +49,12 @@ while [ $# -gt 0 ]; do
   esac
   shift
 done
+
+if [ "$SWEEP_JOBS" -gt "$NPROC" ]; then
+  echo "error: sweeps would run $SWEEP_JOBS workers on nproc=$NPROC CPUs; refusing" >&2
+  echo "       a run measured on fewer CPUs than threads." >&2
+  exit 2
+fi
 
 echo "== build (RelWithDebInfo) =="
 cmake -B build -S . >/dev/null
@@ -90,8 +103,8 @@ fi
 echo "== scale harness (bench_scale) =="
 GIT_SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 RUN_ID="bench-$(date -u +%Y%m%dT%H%M%SZ)-$$"
-CONFIG_HASH=$(printf 'quick=%s build=%s' "$QUICK" "$BUILD_TYPE" \
-  | sha256sum | cut -c1-12)
+CONFIG_HASH=$(printf 'quick=%s build=%s jobs=%s nproc=%s' "$QUICK" "$BUILD_TYPE" \
+  "$SWEEP_JOBS" "$NPROC" | sha256sum | cut -c1-12)
 SCALE_ARGS=(--json "$WORK_DIR/scale.json")
 if [ "$QUICK" -eq 1 ]; then SCALE_ARGS+=(--quick); fi
 if [ -n "$RUNSTORE" ]; then
@@ -103,12 +116,13 @@ fi
 echo "== merge -> $OUT =="
 python3 - "$WORK_DIR/micro.json" "$WORK_DIR/scale.json" "$OUT" "$QUICK" \
   "$BUILD_TYPE" "$COMPILER" "$ALLOW_DEBUG" "$GIT_SHA" "$RUN_ID" "$CONFIG_HASH" \
-  "$RUNSTORE" <<'EOF'
+  "$RUNSTORE" "$SWEEP_JOBS" "$NPROC" <<'EOF'
 import json, re, sys
 sys.path.insert(0, "scripts")
 import bench_trend
 (micro_path, scale_path, out_path, quick, build_type, compiler,
- allow_debug, git_sha, run_id, config_hash, runstore) = sys.argv[1:12]
+ allow_debug, git_sha, run_id, config_hash, runstore, jobs,
+ nproc) = sys.argv[1:14]
 micro = json.load(open(micro_path))
 NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 scale = json.load(open(scale_path))
@@ -121,6 +135,8 @@ context.update({
     "git_sha": git_sha,
     "run_id": run_id,
     "config_hash": config_hash,
+    "jobs": int(jobs),
+    "nproc": int(nproc),
 })
 doc = {
     "schema": "cloudfog.bench/1",

@@ -7,7 +7,8 @@
 #   4. determinism gate: fig7 and the seeded chaos smoke run twice; traces
 #      must be byte-identical and reports identical after canonicalization
 #      (wall-clock phase timings are the only sanctioned difference —
-#      tools/determinism/canonicalize_report.py).
+#      tools/determinism/canonicalize_report.py); fig7 at --jobs 1 and
+#      --jobs 4 must print the same tables and canonical report.
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -22,7 +23,8 @@
 #   8. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached
 #   9. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
-#      ctest, a TSan fig7 cross-checked against the plain trace, the chaos
+#      ctest (the sweep-pool test included), a traced and a 4-worker TSan
+#      fig7 cross-checked against the plain run, the chaos
 #      smoke re-run under ASan, and a standalone UBSan build
 #      (with the probed float-divide-by-zero / implicit-integer-sign-change
 #      checks) driving fig7, the seeded chaos replay and the full scenario
@@ -79,6 +81,20 @@ python3 tools/determinism/canonicalize_report.py --check \
   "$SMOKE_DIR/fig7_report_a.json" "$SMOKE_DIR/fig7_report_b.json" || {
   echo "determinism gate FAILED: fig7 report differs beyond phase timings" >&2; exit 1; }
 echo "fig7: trace byte-identical, stdout identical, canonical report identical"
+
+echo "== determinism gate: fig7 sweep pool at --jobs 1 vs --jobs 4 =="
+./build/bench/bench_fig7_latency --quick --jobs 1 \
+  --report-json "$SMOKE_DIR/fig7_report_j1.json" >"$SMOKE_DIR/fig7_stdout_j1.txt"
+./build/bench/bench_fig7_latency --quick --jobs 4 \
+  --report-json "$SMOKE_DIR/fig7_report_j4.json" >"$SMOKE_DIR/fig7_stdout_j4.txt"
+cmp -s "$SMOKE_DIR/fig7_stdout_j1.txt" "$SMOKE_DIR/fig7_stdout_j4.txt" || {
+  echo "determinism gate FAILED: fig7 tables differ between --jobs 1 and --jobs 4" >&2; exit 1; }
+cmp -s "$SMOKE_DIR/fig7_stdout_a.txt" "$SMOKE_DIR/fig7_stdout_j4.txt" || {
+  echo "determinism gate FAILED: pooled fig7 tables differ from the traced run" >&2; exit 1; }
+python3 tools/determinism/canonicalize_report.py --check \
+  "$SMOKE_DIR/fig7_report_j1.json" "$SMOKE_DIR/fig7_report_j4.json" || {
+  echo "determinism gate FAILED: fig7 report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+echo "fig7: --jobs 1 and --jobs 4 give identical tables and canonical reports"
 
 echo "== determinism gate: double-run seeded chaos =="
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \
@@ -244,7 +260,11 @@ if [ "$QUICK" -eq 0 ]; then
     --trace "$SMOKE_DIR/fig7_tsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_tsan.jsonl" || {
     echo "fig7 trace diverged between plain and TSan builds" >&2; exit 1; }
-  echo "TSan fig7 race-free and byte-identical to the plain run"
+  ./build-tsan/bench/bench_fig7_latency --quick --jobs 4 \
+    >"$SMOKE_DIR/fig7_tsan_j4.txt"
+  cmp -s "$SMOKE_DIR/fig7_stdout_j4.txt" "$SMOKE_DIR/fig7_tsan_j4.txt" || {
+    echo "pooled fig7 tables diverged between plain and TSan builds" >&2; exit 1; }
+  echo "TSan fig7 race-free (serial traced and 4-worker pooled) and byte-identical"
 
   echo "== chaos smoke under ASan (lifetime bugs hide in fault paths) =="
   CLOUDFOG_FAULT_SEED=424242 ./build-asan/bench/bench_ext_chaos --quick \

@@ -45,28 +45,29 @@ SystemConfig cloudfog_advanced_config(const Testbed& testbed, std::size_t supern
   return cfg;
 }
 
-System make_cloud_system(const Testbed& testbed, std::uint64_t seed) {
-  return System(testbed, cloud_config(testbed), seed);
+System make_cloud_system(const Testbed& testbed, std::uint64_t seed, obs::Recorder& rec) {
+  return System(testbed, cloud_config(testbed), seed, rec);
 }
 
-System make_cdn_system(const Testbed& testbed, std::uint64_t seed) {
+System make_cdn_system(const Testbed& testbed, std::uint64_t seed, obs::Recorder& rec) {
   // Equal-budget CDN: half as many edge servers as CloudFog supernodes
   // (a CDN server costs about twice a supernode reward, §4.1/Fig. 6b).
-  return System(testbed, cdn_config(testbed, default_supernode_count(testbed) / 2), seed);
+  return System(testbed, cdn_config(testbed, default_supernode_count(testbed) / 2), seed,
+                rec);
 }
 
-System make_small_cdn_system(const Testbed& testbed, std::uint64_t seed) {
-  return System(testbed, cdn_config(testbed, small_cdn_count(testbed)), seed);
+System make_small_cdn_system(const Testbed& testbed, std::uint64_t seed, obs::Recorder& rec) {
+  return System(testbed, cdn_config(testbed, small_cdn_count(testbed)), seed, rec);
 }
 
-System make_cloudfog_basic(const Testbed& testbed, std::uint64_t seed) {
+System make_cloudfog_basic(const Testbed& testbed, std::uint64_t seed, obs::Recorder& rec) {
   return System(testbed, cloudfog_basic_config(testbed, default_supernode_count(testbed)),
-                seed);
+                seed, rec);
 }
 
-System make_cloudfog_advanced(const Testbed& testbed, std::uint64_t seed) {
+System make_cloudfog_advanced(const Testbed& testbed, std::uint64_t seed, obs::Recorder& rec) {
   return System(testbed, cloudfog_advanced_config(testbed, default_supernode_count(testbed)),
-                seed);
+                seed, rec);
 }
 
 }  // namespace cloudfog::core

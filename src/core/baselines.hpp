@@ -27,10 +27,16 @@ SystemConfig cdn_config(const Testbed& testbed, std::size_t servers);
 SystemConfig cloudfog_basic_config(const Testbed& testbed, std::size_t supernodes);
 SystemConfig cloudfog_advanced_config(const Testbed& testbed, std::size_t supernodes);
 
-System make_cloud_system(const Testbed& testbed, std::uint64_t seed);
-System make_cdn_system(const Testbed& testbed, std::uint64_t seed);
-System make_small_cdn_system(const Testbed& testbed, std::uint64_t seed);
-System make_cloudfog_basic(const Testbed& testbed, std::uint64_t seed);
-System make_cloudfog_advanced(const Testbed& testbed, std::uint64_t seed);
+/// The arms as Systems reporting into `rec`.
+System make_cloud_system(const Testbed& testbed, std::uint64_t seed,
+                         obs::Recorder& rec = obs::Recorder::global());
+System make_cdn_system(const Testbed& testbed, std::uint64_t seed,
+                       obs::Recorder& rec = obs::Recorder::global());
+System make_small_cdn_system(const Testbed& testbed, std::uint64_t seed,
+                             obs::Recorder& rec = obs::Recorder::global());
+System make_cloudfog_basic(const Testbed& testbed, std::uint64_t seed,
+                           obs::Recorder& rec = obs::Recorder::global());
+System make_cloudfog_advanced(const Testbed& testbed, std::uint64_t seed,
+                              obs::Recorder& rec = obs::Recorder::global());
 
 }  // namespace cloudfog::core

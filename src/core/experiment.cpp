@@ -1,8 +1,16 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <exception>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "economics/cost_model.hpp"
+#include "util/annotations.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::core {
@@ -107,9 +115,142 @@ util::Table coverage_vs_supernodes(TestbedProfile profile,
   return table;
 }
 
+namespace {
+
+/// What a sweep table prints of one run: a cell keeps this, not its System.
+struct RunMeans {
+  double egress_mbps = 0.0;
+  double latency_ms = 0.0;
+  double server_latency_ms = 0.0;
+  double continuity = 0.0;
+  double satisfied = 0.0;
+  double fog_served = 0.0;
+  double join_ms = 0.0;
+  double migration_ms = 0.0;
+  std::size_t migrations = 0;
+};
+
+RunMeans means_of(const RunMetrics& m) {
+  return {m.cloud_egress_mbps.mean(),
+          m.response_latency_ms.mean(),
+          m.server_latency_ms.mean(),
+          m.continuity.mean(),
+          m.satisfied_fraction.mean(),
+          m.fog_served_fraction.mean(),
+          m.player_join_latency_ms.mean(),
+          m.migration_latency_ms.mean(),
+          m.migration_latency_ms.count()};
+}
+
+RunMeans run_means(const Testbed& testbed, const SystemConfig& cfg, std::uint64_t seed,
+                   const sim::CycleConfig& cycles, obs::Recorder& rec) {
+  System sys(testbed, cfg, seed, rec);
+  return means_of(sys.run(cycles));
+}
+
+/// The testbeds of a sweep whose rows each run several cells (arms) on one
+/// world. The first cell of a row to start builds the row's testbed and
+/// the last to finish frees it, so a row's arms share one build, and only
+/// the rows in flight hold a testbed. Cells of a row may run concurrently:
+/// a Testbed is immutable once built.
+class RowTestbeds {
+ public:
+  using Build = std::function<std::unique_ptr<const Testbed>(std::size_t row)>;
+
+  RowTestbeds(std::size_t rows, std::size_t cells_per_row, Build build)
+      : rows_(rows), build_(std::move(build)) {
+    for (Row& r : rows_) {
+      const util::MutexLock lock(r.mu);
+      r.pending = cells_per_row;
+    }
+  }
+
+  /// Runs `f(testbed)` as one cell of `row`.
+  template <typename F>
+  auto with(std::size_t row, F&& f) {
+    Row& r = rows_[row];
+    const Testbed* testbed = nullptr;
+    {
+      const util::MutexLock lock(r.mu);
+      if (!r.testbed) r.testbed = build_(row);
+      testbed = r.testbed.get();
+    }
+    const CellDone done{r};
+    return f(*testbed);
+  }
+
+ private:
+  struct Row {
+    util::Mutex mu;
+    std::unique_ptr<const Testbed> testbed CF_GUARDED_BY(mu);
+    std::size_t pending CF_GUARDED_BY(mu) = 0;
+  };
+  /// Counts a cell out of its row when it returns or throws.
+  struct CellDone {
+    Row& r;
+    ~CellDone() {
+      const util::MutexLock lock(r.mu);
+      if (--r.pending == 0) r.testbed.reset();
+    }
+  };
+
+  std::vector<Row> rows_;
+  Build build_;
+};
+
+}  // namespace
+
+void run_cells(std::size_t count, int jobs, obs::Recorder& rec, const SweepCell& cell) {
+  const obs::TraceBuffer& trace = rec.trace_buffer();
+  if (trace.has_sink() || trace.retention() != obs::TraceRetention::kFull) {
+    for (std::size_t i = 0; i < count; ++i) cell(i, rec);
+    return;
+  }
+  const std::size_t wanted =
+      jobs > 0 ? static_cast<std::size_t>(jobs) : std::thread::hardware_concurrency();
+  const std::size_t workers = std::clamp<std::size_t>(wanted, 1, std::max<std::size_t>(count, 1));
+
+  std::vector<std::unique_ptr<obs::Recorder>> children(count);
+  std::vector<std::exception_ptr> errors(count);
+  // Cells are claimed from the last one down: sweeps list their rows by
+  // growing size, so the costliest cells start first and the pool's tail
+  // is short. Which worker runs a cell never affects its result.
+  std::atomic<std::size_t> claimed{0};
+  std::atomic<std::size_t> first_failed{count};
+  const auto work = [&] {
+    for (std::size_t k = claimed++; k < count; k = claimed++) {
+      const std::size_t i = count - 1 - k;
+      if (i > first_failed.load()) continue;  // a lower cell already failed
+      try {
+        auto child = std::make_unique<obs::Recorder>(0);
+        child->set_enabled(rec.enabled());
+        cell(i, *child);
+        children[i] = std::move(child);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        std::size_t seen = first_failed.load();
+        while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+        }
+      }
+    }
+  };
+  {
+    // jthreads join on every exit path, a failed thread launch included.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(work);
+    work();
+  }
+
+  for (std::size_t i = 0; i < count; ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    rec.merge_from(*children[i]);
+  }
+}
+
 PopulationSweepResult population_sweep(TestbedProfile profile,
                                        const std::vector<std::size_t>& player_counts,
-                                       const ExperimentScale& scale) {
+                                       const ExperimentScale& scale, obs::Recorder& rec) {
   const char* suffix = profile == TestbedProfile::kPeerSim ? " (PeerSim)" : " (PlanetLab)";
   const std::string cdn_small_name =
       profile == TestbedProfile::kPeerSim ? "CDN-45" : "CDN-8";
@@ -125,39 +266,41 @@ PopulationSweepResult population_sweep(TestbedProfile profile,
   out.continuity.set_header(
       {"# players", "Cloud", cdn_small_name, "CDN", "CloudFog/B", "CloudFog/A"});
 
+  // Cloud, CDN-small, CDN, CloudFog/B, CloudFog/A; arm a runs on seed + 1 + a.
+  using MakeArm = System (*)(const Testbed&, std::uint64_t, obs::Recorder&);
+  constexpr std::array<MakeArm, 5> kArms{make_cloud_system, make_small_cdn_system,
+                                         make_cdn_system, make_cloudfog_basic,
+                                         make_cloudfog_advanced};
   const auto cycles = to_cycle_config(scale);
-  for (std::size_t n : player_counts) {
-    const Testbed testbed(profile_config(profile, n), scale.seed + n);
+  RowTestbeds testbeds(player_counts.size(), kArms.size(), [&](std::size_t row) {
+    const std::size_t n = player_counts[row];
+    return std::make_unique<const Testbed>(profile_config(profile, n), scale.seed + n);
+  });
+  const auto means = map_cells(
+      player_counts.size() * kArms.size(), scale.jobs, rec,
+      [&](std::size_t i, obs::Recorder& cell_rec) {
+        const std::size_t arm = i % kArms.size();
+        return testbeds.with(i / kArms.size(), [&](const Testbed& testbed) {
+          System sys = kArms[arm](testbed, scale.seed + 1 + arm, cell_rec);
+          return means_of(sys.run(cycles));
+        });
+      });
 
-    System cloud_sys = make_cloud_system(testbed, scale.seed + 1);
-    System cdn_small = make_small_cdn_system(testbed, scale.seed + 2);
-    System cdn_sys = make_cdn_system(testbed, scale.seed + 3);
-    System fog_b = make_cloudfog_basic(testbed, scale.seed + 4);
-    System fog_a = make_cloudfog_advanced(testbed, scale.seed + 5);
-
-    const RunMetrics& m_cloud = cloud_sys.run(cycles);
-    const RunMetrics& m_cdn_small = cdn_small.run(cycles);
-    const RunMetrics& m_cdn = cdn_sys.run(cycles);
-    const RunMetrics& m_b = fog_b.run(cycles);
-    const RunMetrics& m_a = fog_a.run(cycles);
-
-    out.bandwidth.add_row({std::to_string(n),
-                           util::format_double(m_cloud.cloud_egress_mbps.mean(), 1),
-                           util::format_double(m_cdn_small.cloud_egress_mbps.mean(), 1),
-                           util::format_double(m_cdn.cloud_egress_mbps.mean(), 1),
-                           util::format_double(m_b.cloud_egress_mbps.mean(), 1)});
-    out.latency.add_row({std::to_string(n),
-                         util::format_double(m_cloud.response_latency_ms.mean(), 1),
-                         util::format_double(m_cdn_small.response_latency_ms.mean(), 1),
-                         util::format_double(m_cdn.response_latency_ms.mean(), 1),
-                         util::format_double(m_b.response_latency_ms.mean(), 1),
-                         util::format_double(m_a.response_latency_ms.mean(), 1)});
-    out.continuity.add_row({std::to_string(n),
-                            util::format_double(m_cloud.continuity.mean(), 3),
-                            util::format_double(m_cdn_small.continuity.mean(), 3),
-                            util::format_double(m_cdn.continuity.mean(), 3),
-                            util::format_double(m_b.continuity.mean(), 3),
-                            util::format_double(m_a.continuity.mean(), 3)});
+  for (std::size_t row = 0; row < player_counts.size(); ++row) {
+    const RunMeans* m = &means[row * kArms.size()];
+    const std::string n = std::to_string(player_counts[row]);
+    out.bandwidth.add_row({n, util::format_double(m[0].egress_mbps, 1),
+                           util::format_double(m[1].egress_mbps, 1),
+                           util::format_double(m[2].egress_mbps, 1),
+                           util::format_double(m[3].egress_mbps, 1)});
+    std::vector<std::string> latency{n};
+    std::vector<std::string> continuity{n};
+    for (std::size_t arm = 0; arm < kArms.size(); ++arm) {
+      latency.push_back(util::format_double(m[arm].latency_ms, 1));
+      continuity.push_back(util::format_double(m[arm].continuity, 3));
+    }
+    out.latency.add_row(std::move(latency));
+    out.continuity.add_row(std::move(continuity));
   }
   return out;
 }
@@ -167,9 +310,9 @@ namespace {
 /// Shared Fig. 9 row computation for one configured CloudFog system.
 std::vector<std::string> setup_latency_row(const Testbed& testbed, std::size_t supernodes,
                                            std::size_t failures, const std::string& x_label,
-                                           const ExperimentScale& scale) {
+                                           const ExperimentScale& scale, obs::Recorder& rec) {
   SystemConfig cfg = cloudfog_advanced_config(testbed, supernodes);
-  System sys(testbed, cfg, scale.seed + supernodes);
+  System sys(testbed, cfg, scale.seed + supernodes, rec);
 
   const auto cycles = to_cycle_config(scale);
   for (int day = 1; day <= cycles.total_cycles; ++day) {
@@ -193,57 +336,60 @@ std::vector<std::string> setup_latency_row(const Testbed& testbed, std::size_t s
   for (double ms : sys.supernode_join_latencies()) sn_join.add(ms);
 
   const RunMetrics& m = sys.metrics();
-  const double player_join_s =
-      m.player_join_latency_ms.empty() ? 0.0 : m.player_join_latency_ms.mean() / 1000.0;
-  const double migration_s =
-      m.migration_latency_ms.empty() ? 0.0 : m.migration_latency_ms.mean() / 1000.0;
-
   return {x_label, util::format_double(sn_join.mean() / 1000.0, 3),
-          util::format_double(player_join_s, 3), util::format_double(assignment_s, 3),
-          util::format_double(migration_s, 3)};
+          util::format_double(m.player_join_latency_ms.mean() / 1000.0, 3),
+          util::format_double(assignment_s, 3),
+          util::format_double(m.migration_latency_ms.mean() / 1000.0, 3)};
+}
+
+util::Table setup_latency_table(std::vector<std::vector<std::string>> rows,
+                                const std::string& title, const std::string& x_name) {
+  util::Table table(title);
+  table.set_header({x_name, "supernode join", "player join", "server assignment", "migration"});
+  for (auto& row : rows) table.add_row(std::move(row));
+  return table;
 }
 
 }  // namespace
 
 util::Table setup_latency_vs_players(TestbedProfile profile,
                                      const std::vector<std::size_t>& player_counts,
-                                     const ExperimentScale& scale) {
-  util::Table table("Fig 9(a) — setup latencies (s) vs # players");
-  table.set_header({"# players", "supernode join", "player join", "server assignment",
-                    "migration"});
-  for (std::size_t n : player_counts) {
-    TestbedConfig cfg = profile_config(profile, n);
-    // §4.1: "set the numbers of supernodes to 6/100 of players".
-    cfg.supernode_capable_fraction = 0.10;
-    const Testbed testbed(cfg, scale.seed + n);
-    const std::size_t supernodes =
-        std::min(testbed.supernode_capable().size(), n * 6 / 100);
-    const std::size_t failures = profile == TestbedProfile::kPeerSim ? 100 : 10;
-    table.add_row(
-        setup_latency_row(testbed, supernodes, failures, std::to_string(n), scale));
-  }
-  return table;
+                                     const ExperimentScale& scale, obs::Recorder& rec) {
+  auto rows = map_cells(
+      player_counts.size(), scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        const std::size_t n = player_counts[i];
+        TestbedConfig cfg = profile_config(profile, n);
+        // §4.1: "set the numbers of supernodes to 6/100 of players".
+        cfg.supernode_capable_fraction = 0.10;
+        const Testbed testbed(cfg, scale.seed + n);
+        const std::size_t supernodes =
+            std::min(testbed.supernode_capable().size(), n * 6 / 100);
+        const std::size_t failures = profile == TestbedProfile::kPeerSim ? 100 : 10;
+        return setup_latency_row(testbed, supernodes, failures, std::to_string(n), scale,
+                                 cell_rec);
+      });
+  return setup_latency_table(std::move(rows), "Fig 9(a) — setup latencies (s) vs # players",
+                             "# players");
 }
 
 util::Table setup_latency_vs_supernodes(TestbedProfile profile,
                                         const std::vector<std::size_t>& sn_counts,
-                                        const ExperimentScale& scale) {
-  util::Table table("Fig 9(b) — setup latencies (s) vs # supernodes");
-  table.set_header({"# supernodes", "supernode join", "player join", "server assignment",
-                    "migration"});
+                                        const ExperimentScale& scale, obs::Recorder& rec) {
   const Testbed testbed(profile_config(profile), scale.seed);
-  for (std::size_t count : sn_counts) {
-    const std::size_t supernodes = std::min(count, testbed.supernode_capable().size());
-    const std::size_t failures = profile == TestbedProfile::kPeerSim ? 100 : 10;
-    table.add_row(
-        setup_latency_row(testbed, supernodes, failures, std::to_string(count), scale));
-  }
-  return table;
+  auto rows = map_cells(
+      sn_counts.size(), scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        const std::size_t supernodes = std::min(sn_counts[i], testbed.supernode_capable().size());
+        const std::size_t failures = profile == TestbedProfile::kPeerSim ? 100 : 10;
+        return setup_latency_row(testbed, supernodes, failures, std::to_string(sn_counts[i]),
+                                 scale, cell_rec);
+      });
+  return setup_latency_table(std::move(rows),
+                             "Fig 9(b) — setup latencies (s) vs # supernodes", "# supernodes");
 }
 
 util::Table satisfaction_sweep(TestbedProfile profile, SatisfactionStrategy strategy,
                                const std::vector<int>& supernode_capacities,
-                               const ExperimentScale& scale) {
+                               const ExperimentScale& scale, obs::Recorder& rec) {
   const bool reputation = strategy == SatisfactionStrategy::kReputation;
   util::Table table(reputation
                         ? "Fig 10 — % satisfied players, reputation-based selection"
@@ -251,75 +397,90 @@ util::Table satisfaction_sweep(TestbedProfile profile, SatisfactionStrategy stra
   const std::string on_name = reputation ? "CloudFog-reputation" : "CloudFog-adapt";
   table.set_header({"supernode capacity", on_name, "CloudFog/B"});
 
+  // Cells: (capacity, strategy on/off).
   const auto cycles = to_cycle_config(scale);
-  for (int capacity : supernode_capacities) {
+  RowTestbeds testbeds(supernode_capacities.size(), 2, [&](std::size_t row) {
+    const int capacity = supernode_capacities[row];
     TestbedConfig tb_cfg = profile_config(profile);
     tb_cfg.forced_supernode_capacity = capacity;
-    const Testbed testbed(tb_cfg, scale.seed + static_cast<std::uint64_t>(capacity));
+    return std::make_unique<const Testbed>(tb_cfg,
+                                           scale.seed + static_cast<std::uint64_t>(capacity));
+  });
+  const auto means = map_cells(
+      supernode_capacities.size() * 2, scale.jobs, rec,
+      [&](std::size_t i, obs::Recorder& cell_rec) {
+        return testbeds.with(i / 2, [&](const Testbed& testbed) {
+          const int capacity = supernode_capacities[i / 2];
+          const bool on = i % 2 == 0;
 
-    // The sweep varies "the number of supporting players of a supernode":
-    // fewer, fuller supernodes as capacity grows, so each supernode really
-    // carries ≈ `capacity` players (its hardware/uplink stays what the
-    // machine naturally provides — that is the stress being studied).
-    const std::size_t peak_online = testbed.players().size() / 2;
-    const std::size_t fleet = std::clamp<std::size_t>(
-        peak_online / static_cast<std::size_t>(capacity), 20,
-        testbed.supernode_capable().size());
+          // The sweep varies "the number of supporting players of a
+          // supernode": fewer, fuller supernodes as capacity grows, so each
+          // supernode really carries ≈ `capacity` players (its hardware/uplink
+          // stays what the machine naturally provides — that is the stress
+          // being studied).
+          const std::size_t peak_online = testbed.players().size() / 2;
+          const std::size_t fleet = std::clamp<std::size_t>(
+              peak_online / static_cast<std::size_t>(capacity), 20,
+              testbed.supernode_capable().size());
 
-    SystemConfig on_cfg = cloudfog_basic_config(testbed, fleet);
-    if (reputation) {
-      on_cfg.strategies.reputation = true;
-    } else {
-      on_cfg.strategies.rate_adaptation = true;
-    }
-    System on_sys(testbed, on_cfg, scale.seed + 11);
-    System off_sys(testbed, cloudfog_basic_config(testbed, fleet), scale.seed + 12);
-
-    const RunMetrics& m_on = on_sys.run(cycles);
-    const RunMetrics& m_off = off_sys.run(cycles);
-    table.add_row({std::to_string(capacity),
-                   util::format_double(m_on.satisfied_fraction.mean() * 100.0, 1),
-                   util::format_double(m_off.satisfied_fraction.mean() * 100.0, 1)});
+          SystemConfig cfg = cloudfog_basic_config(testbed, fleet);
+          if (on) {
+            if (reputation) {
+              cfg.strategies.reputation = true;
+            } else {
+              cfg.strategies.rate_adaptation = true;
+            }
+          }
+          return run_means(testbed, cfg, scale.seed + (on ? 11 : 12), cycles, cell_rec);
+        });
+      });
+  for (std::size_t row = 0; row < supernode_capacities.size(); ++row) {
+    table.add_row({std::to_string(supernode_capacities[row]),
+                   util::format_double(means[2 * row].satisfied * 100.0, 1),
+                   util::format_double(means[2 * row + 1].satisfied * 100.0, 1)});
   }
   return table;
 }
 
 util::Table server_assignment_sweep(TestbedProfile profile,
                                     const std::vector<int>& servers_per_dc,
-                                    const ExperimentScale& scale) {
+                                    const ExperimentScale& scale, obs::Recorder& rec) {
   util::Table table("Fig 12 — response latency split by server communication");
   table.set_header({"servers per DC", "w/ server lat", "w/ other lat", "w/o server lat",
                     "w/o other lat"});
+  // Cells: (servers per DC, social assignment on/off).
   const auto cycles = to_cycle_config(scale);
-  for (int servers : servers_per_dc) {
+  RowTestbeds testbeds(servers_per_dc.size(), 2, [&](std::size_t row) {
+    const int servers = servers_per_dc[row];
     TestbedConfig tb_cfg = profile_config(profile);
     tb_cfg.servers_per_datacenter = servers;
-    const Testbed testbed(tb_cfg, scale.seed + static_cast<std::uint64_t>(servers));
-
-    SystemConfig with_cfg =
-        cloudfog_basic_config(testbed, default_supernode_count(testbed));
-    with_cfg.strategies.social_assignment = true;
-    System with_sys(testbed, with_cfg, scale.seed + 21);
-    System without_sys(testbed,
-                       cloudfog_basic_config(testbed, default_supernode_count(testbed)),
-                       scale.seed + 22);
-
-    const RunMetrics& m_with = with_sys.run(cycles);
-    const RunMetrics& m_without = without_sys.run(cycles);
-    const double with_server = m_with.server_latency_ms.mean();
-    const double with_other = m_with.response_latency_ms.mean() - with_server;
-    const double wo_server = m_without.server_latency_ms.mean();
-    const double wo_other = m_without.response_latency_ms.mean() - wo_server;
-    table.add_row({std::to_string(servers), util::format_double(with_server, 1),
-                   util::format_double(with_other, 1), util::format_double(wo_server, 1),
-                   util::format_double(wo_other, 1)});
+    return std::make_unique<const Testbed>(tb_cfg,
+                                           scale.seed + static_cast<std::uint64_t>(servers));
+  });
+  const auto means = map_cells(
+      servers_per_dc.size() * 2, scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        const bool with = i % 2 == 0;
+        return testbeds.with(i / 2, [&](const Testbed& testbed) {
+          SystemConfig cfg = cloudfog_basic_config(testbed, default_supernode_count(testbed));
+          cfg.strategies.social_assignment = with;
+          return run_means(testbed, cfg, scale.seed + (with ? 21 : 22), cycles, cell_rec);
+        });
+      });
+  for (std::size_t row = 0; row < servers_per_dc.size(); ++row) {
+    const RunMeans& with = means[2 * row];
+    const RunMeans& without = means[2 * row + 1];
+    table.add_row({std::to_string(servers_per_dc[row]),
+                   util::format_double(with.server_latency_ms, 1),
+                   util::format_double(with.latency_ms - with.server_latency_ms, 1),
+                   util::format_double(without.server_latency_ms, 1),
+                   util::format_double(without.latency_ms - without.server_latency_ms, 1)});
   }
   return table;
 }
 
 ProvisioningSweepResult provisioning_sweep(TestbedProfile profile,
                                            const std::vector<double>& peak_rates_per_min,
-                                           const ExperimentScale& scale) {
+                                           const ExperimentScale& scale, obs::Recorder& rec) {
   const char* suffix = profile == TestbedProfile::kPeerSim ? " (PeerSim)" : " (PlanetLab)";
   ProvisioningSweepResult out{
       util::Table(std::string("Fig 13 — cloud bandwidth (Mbps) vs peak arrival rate") +
@@ -340,36 +501,37 @@ ProvisioningSweepResult provisioning_sweep(TestbedProfile profile,
   const double offpeak =
       profile == TestbedProfile::kPeerSim ? 5.0 : 1.0;  // players per minute
 
+  // Cells: (peak rate, fixed pool / provisioning).
   const auto cycles = to_cycle_config(scale);
-  for (double peak : peak_rates_per_min) {
-    SystemConfig base = cloudfog_basic_config(testbed, fleet_size);
-    base.workload = WorkloadMode::kArrivalRates;
-    base.arrivals = ArrivalWorkload{offpeak, peak};
-    base.fixed_deployment = fixed_pool;
-    System fixed_sys(testbed, base, scale.seed + 31);
-
-    SystemConfig prov = base;
-    prov.strategies.provisioning = true;
-    prov.fixed_deployment = fixed_pool;  // starting pool; provisioning rescales
-    System prov_sys(testbed, prov, scale.seed + 32);
-
-    const RunMetrics& m_fixed = fixed_sys.run(cycles);
-    const RunMetrics& m_prov = prov_sys.run(cycles);
-
-    const std::string x = util::format_double(peak, 0);
-    out.bandwidth.add_row({x, util::format_double(m_fixed.cloud_egress_mbps.mean(), 1),
-                           util::format_double(m_prov.cloud_egress_mbps.mean(), 1)});
-    out.latency.add_row({x, util::format_double(m_fixed.response_latency_ms.mean(), 1),
-                         util::format_double(m_prov.response_latency_ms.mean(), 1)});
-    out.continuity.add_row({x, util::format_double(m_fixed.continuity.mean(), 3),
-                            util::format_double(m_prov.continuity.mean(), 3)});
+  const auto means = map_cells(
+      peak_rates_per_min.size() * 2, scale.jobs, rec,
+      [&](std::size_t i, obs::Recorder& cell_rec) {
+        const bool provisioning = i % 2 == 1;
+        SystemConfig cfg = cloudfog_basic_config(testbed, fleet_size);
+        cfg.workload = WorkloadMode::kArrivalRates;
+        cfg.arrivals = ArrivalWorkload{offpeak, peak_rates_per_min[i / 2]};
+        // The fixed pool is also provisioning's starting pool; it rescales.
+        cfg.fixed_deployment = fixed_pool;
+        cfg.strategies.provisioning = provisioning;
+        return run_means(testbed, cfg, scale.seed + (provisioning ? 32 : 31), cycles, cell_rec);
+      });
+  for (std::size_t row = 0; row < peak_rates_per_min.size(); ++row) {
+    const RunMeans& fixed = means[2 * row];
+    const RunMeans& prov = means[2 * row + 1];
+    const std::string x = util::format_double(peak_rates_per_min[row], 0);
+    out.bandwidth.add_row({x, util::format_double(fixed.egress_mbps, 1),
+                           util::format_double(prov.egress_mbps, 1)});
+    out.latency.add_row({x, util::format_double(fixed.latency_ms, 1),
+                         util::format_double(prov.latency_ms, 1)});
+    out.continuity.add_row({x, util::format_double(fixed.continuity, 3),
+                            util::format_double(prov.continuity, 3)});
   }
   return out;
 }
 
 util::Table failure_rate_sweep(TestbedProfile profile,
                                const std::vector<double>& failure_fractions,
-                               const ExperimentScale& scale) {
+                               const ExperimentScale& scale, obs::Recorder& rec) {
   util::Table table("Resilience — QoS under per-cycle supernode failures");
   table.set_header({"failure fraction/cycle", "continuity", "satisfied (%)",
                     "avg migration (s)", "migrations"});
@@ -377,120 +539,127 @@ util::Table failure_rate_sweep(TestbedProfile profile,
   const auto cycles = to_cycle_config(scale);
   const std::size_t fleet = default_supernode_count(testbed);
 
-  // Reference arm with the fault subsystem not even constructed. The
-  // 0.0-fraction row must reproduce it exactly — arming an empty plan may
-  // not perturb the simulation.
-  const double unfaulted_continuity = [&] {
-    System sys(testbed, cloudfog_advanced_config(testbed, fleet), scale.seed + 61);
-    return sys.run(cycles).continuity.mean();
-  }();
+  // Cell 0 is a reference arm with the fault subsystem not even
+  // constructed; cell 1 + k runs failure fraction k. The 0.0-fraction row
+  // must reproduce the reference exactly — arming an empty plan may not
+  // perturb the simulation.
+  const auto means = map_cells(
+      failure_fractions.size() + 1, scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        SystemConfig cfg = cloudfog_advanced_config(testbed, fleet);
+        if (i > 0) {
+          cfg.faults.enabled = true;
+          // The legacy churn schedule as a fault plan: a crash burst right
+          // after the first peak subcycle of every cycle (when it hurts the
+          // most), every victim rebooted by the next day. kAnyTarget
+          // victims resolve to serving supernodes at fire time.
+          const auto failures_per_cycle =
+              static_cast<std::size_t>(failure_fractions[i - 1] * static_cast<double>(fleet));
+          const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
+          for (int day = 1; day <= cycles.total_cycles; ++day) {
+            const double burst_s = static_cast<double>(day - 1) * day_s +
+                                   static_cast<double>(cycles.peak_start_subcycle) * 3600.0 +
+                                   1.0;
+            const double reboot_s = static_cast<double>(day) * day_s + 0.5;
+            for (std::size_t k = 0; k < failures_per_cycle; ++k) {
+              fault::FaultSpec spec;
+              spec.kind = fault::FaultKind::kSupernodeCrash;
+              spec.at_s = burst_s + static_cast<double>(k) * 1e-3;
+              spec.duration_s = reboot_s - spec.at_s;
+              cfg.faults.extra_specs.push_back(spec);
+            }
+          }
+        }
+        return run_means(testbed, cfg, scale.seed + 61, cycles, cell_rec);
+      });
 
-  for (double fraction : failure_fractions) {
-    SystemConfig cfg = cloudfog_advanced_config(testbed, fleet);
-    cfg.faults.enabled = true;
-    // The legacy churn schedule as a fault plan: a crash burst right after
-    // the first peak subcycle of every cycle (when it hurts the most),
-    // every victim rebooted by the next day. kAnyTarget victims resolve to
-    // serving supernodes at fire time.
-    const auto failures_per_cycle =
-        static_cast<std::size_t>(fraction * static_cast<double>(fleet));
-    const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
-    for (int day = 1; day <= cycles.total_cycles; ++day) {
-      const double burst_s = static_cast<double>(day - 1) * day_s +
-                             static_cast<double>(cycles.peak_start_subcycle) * 3600.0 + 1.0;
-      const double reboot_s = static_cast<double>(day) * day_s + 0.5;
-      for (std::size_t i = 0; i < failures_per_cycle; ++i) {
-        fault::FaultSpec spec;
-        spec.kind = fault::FaultKind::kSupernodeCrash;
-        spec.at_s = burst_s + static_cast<double>(i) * 1e-3;
-        spec.duration_s = reboot_s - spec.at_s;
-        cfg.faults.extra_specs.push_back(spec);
-      }
-    }
-    System sys(testbed, cfg, scale.seed + 61);
-    const RunMetrics& m = sys.run(cycles);
-    if (fraction == 0.0) {
-      CLOUDFOG_REQUIRE(m.continuity.mean() == unfaulted_continuity,
+  for (std::size_t row = 0; row < failure_fractions.size(); ++row) {
+    const RunMeans& m = means[row + 1];
+    if (failure_fractions[row] == 0.0) {
+      CLOUDFOG_REQUIRE(m.continuity == means[0].continuity,
                        "armed-but-empty fault plan perturbed the run");
     }
-    const double migration_s =
-        m.migration_latency_ms.empty() ? 0.0 : m.migration_latency_ms.mean() / 1000.0;
-    table.add_row({util::format_double(fraction, 2),
-                   util::format_double(m.continuity.mean(), 3),
-                   util::format_double(m.satisfied_fraction.mean() * 100.0, 1),
-                   util::format_double(migration_s, 3),
-                   std::to_string(m.migration_latency_ms.count())});
+    table.add_row({util::format_double(failure_fractions[row], 2),
+                   util::format_double(m.continuity, 3),
+                   util::format_double(m.satisfied * 100.0, 1),
+                   util::format_double(m.migration_ms / 1000.0, 3),
+                   std::to_string(m.migrations)});
   }
   return table;
 }
 
 util::Table candidate_count_ablation(TestbedProfile profile,
                                      const std::vector<std::size_t>& candidate_counts,
-                                     const ExperimentScale& scale) {
+                                     const ExperimentScale& scale, obs::Recorder& rec) {
   util::Table table("Ablation — cloud candidate-list size k (§3.2.1)");
   table.set_header({"k", "fog served (%)", "continuity", "avg join (ms)"});
   const Testbed testbed(profile_config(profile), scale.seed);
   const auto cycles = to_cycle_config(scale);
-  for (std::size_t k : candidate_counts) {
-    SystemConfig cfg = cloudfog_basic_config(testbed, default_supernode_count(testbed));
-    cfg.fog.candidate_count = k;
-    System sys(testbed, cfg, scale.seed + 71);
-    const RunMetrics& m = sys.run(cycles);
-    table.add_row({std::to_string(k),
-                   util::format_double(m.fog_served_fraction.mean() * 100.0, 1),
-                   util::format_double(m.continuity.mean(), 3),
-                   util::format_double(m.player_join_latency_ms.mean(), 0)});
+  const auto means = map_cells(
+      candidate_counts.size(), scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        SystemConfig cfg = cloudfog_basic_config(testbed, default_supernode_count(testbed));
+        cfg.fog.candidate_count = candidate_counts[i];
+        return run_means(testbed, cfg, scale.seed + 71, cycles, cell_rec);
+      });
+  for (std::size_t row = 0; row < candidate_counts.size(); ++row) {
+    const RunMeans& m = means[row];
+    table.add_row({std::to_string(candidate_counts[row]),
+                   util::format_double(m.fog_served * 100.0, 1),
+                   util::format_double(m.continuity, 3), util::format_double(m.join_ms, 0)});
   }
   return table;
 }
 
 util::Table epsilon_ablation(TestbedProfile profile, const std::vector<double>& epsilons,
-                             double peak_rate_per_min, const ExperimentScale& scale) {
+                             double peak_rate_per_min, const ExperimentScale& scale,
+                             obs::Recorder& rec) {
   util::Table table("Ablation — Eq. 15 over-provisioning factor ε");
   table.set_header({"epsilon", "cloud egress (Mbps)", "continuity", "fog served (%)"});
   const Testbed testbed(profile_config(profile), scale.seed);
   const std::size_t fleet = default_supernode_count(testbed);
   const auto cycles = to_cycle_config(scale);
-  for (double eps : epsilons) {
-    SystemConfig cfg = cloudfog_basic_config(testbed, fleet);
-    cfg.workload = WorkloadMode::kArrivalRates;
-    cfg.arrivals = ArrivalWorkload{5.0, peak_rate_per_min};
-    cfg.strategies.provisioning = true;
-    // A small base pool, so the provisioner's sizing rule does the work.
-    cfg.fixed_deployment = std::max<std::size_t>(1, fleet / 10);
-    cfg.provisioning.epsilon = eps;
-    System sys(testbed, cfg, scale.seed + 51);
-    const RunMetrics& m = sys.run(cycles);
-    table.add_row({util::format_double(eps, 2),
-                   util::format_double(m.cloud_egress_mbps.mean(), 1),
-                   util::format_double(m.continuity.mean(), 3),
-                   util::format_double(m.fog_served_fraction.mean() * 100.0, 1)});
+  const auto means = map_cells(
+      epsilons.size(), scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        SystemConfig cfg = cloudfog_basic_config(testbed, fleet);
+        cfg.workload = WorkloadMode::kArrivalRates;
+        cfg.arrivals = ArrivalWorkload{5.0, peak_rate_per_min};
+        cfg.strategies.provisioning = true;
+        // A small base pool, so the provisioner's sizing rule does the work.
+        cfg.fixed_deployment = std::max<std::size_t>(1, fleet / 10);
+        cfg.provisioning.epsilon = epsilons[i];
+        return run_means(testbed, cfg, scale.seed + 51, cycles, cell_rec);
+      });
+  for (std::size_t row = 0; row < epsilons.size(); ++row) {
+    const RunMeans& m = means[row];
+    table.add_row({util::format_double(epsilons[row], 2), util::format_double(m.egress_mbps, 1),
+                   util::format_double(m.continuity, 3),
+                   util::format_double(m.fog_served * 100.0, 1)});
   }
   return table;
 }
 
 util::Table malicious_supernode_sweep(TestbedProfile profile,
                                       const std::vector<double>& malicious_fractions,
-                                      const ExperimentScale& scale) {
+                                      const ExperimentScale& scale, obs::Recorder& rec) {
   util::Table table("Extension — % satisfied players under malicious supernodes");
   table.set_header({"malicious fraction", "with reputation", "without reputation"});
   const Testbed testbed(profile_config(profile), scale.seed);
   const auto cycles = to_cycle_config(scale);
-  for (double fraction : malicious_fractions) {
-    SystemConfig with_cfg =
-        cloudfog_basic_config(testbed, default_supernode_count(testbed));
-    // Fixed-delay adversary at the default 80 ms hold-back.
-    with_cfg.adversary.kind = scenario::AdversaryKind::kFixedDelay;
-    with_cfg.adversary.fraction = fraction;
-    with_cfg.strategies.reputation = true;
-    SystemConfig without_cfg = with_cfg;
-    without_cfg.strategies.reputation = false;
-    System with_sys(testbed, with_cfg, scale.seed + 41);
-    System without_sys(testbed, without_cfg, scale.seed + 42);
-    table.add_row({util::format_double(fraction, 2),
-                   util::format_double(with_sys.run(cycles).satisfied_fraction.mean() * 100, 1),
-                   util::format_double(
-                       without_sys.run(cycles).satisfied_fraction.mean() * 100, 1)});
+  // Cells: (fraction, reputation on/off).
+  const auto means = map_cells(
+      malicious_fractions.size() * 2, scale.jobs, rec,
+      [&](std::size_t i, obs::Recorder& cell_rec) {
+        const bool with = i % 2 == 0;
+        SystemConfig cfg = cloudfog_basic_config(testbed, default_supernode_count(testbed));
+        // Fixed-delay adversary at the default 80 ms hold-back.
+        cfg.adversary.kind = scenario::AdversaryKind::kFixedDelay;
+        cfg.adversary.fraction = malicious_fractions[i / 2];
+        cfg.strategies.reputation = with;
+        return run_means(testbed, cfg, scale.seed + (with ? 41 : 42), cycles, cell_rec);
+      });
+  for (std::size_t row = 0; row < malicious_fractions.size(); ++row) {
+    table.add_row({util::format_double(malicious_fractions[row], 2),
+                   util::format_double(means[2 * row].satisfied * 100, 1),
+                   util::format_double(means[2 * row + 1].satisfied * 100, 1)});
   }
   return table;
 }

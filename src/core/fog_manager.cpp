@@ -10,7 +10,8 @@ namespace cloudfog::core {
 
 namespace {
 
-/// Interned metric handles for the §3.2 selection protocol.
+/// Interned metric handles for the §3.2 selection protocol (valid in every
+/// recorder; resolved once, through whichever reports first).
 struct FogObs {
   obs::CounterId probes_sent;
   obs::CounterId probes_qualified;
@@ -18,8 +19,7 @@ struct FogObs {
   obs::CounterId claims_granted;
   obs::CounterId cloud_fallbacks;
   obs::HistogramId probe_rtt_ms;
-  FogObs() {
-    auto& reg = obs::Recorder::global().registry();
+  explicit FogObs(obs::Registry& reg) {
     probes_sent = reg.counter("fog.probes_sent");
     probes_qualified = reg.counter("fog.probes_qualified");
     capacity_asks = reg.counter("fog.capacity_asks");
@@ -29,8 +29,8 @@ struct FogObs {
   }
 };
 
-const FogObs& fog_obs() {
-  static const FogObs handles;
+const FogObs& fog_obs(obs::Recorder& rec) {
+  static const FogObs handles(rec.registry());
   return handles;
 }
 
@@ -53,8 +53,8 @@ const FogNotes& fog_notes() {
 }  // namespace
 
 FogManager::FogManager(FogManagerConfig cfg, const Cloud& cloud,
-                       const net::LatencyModel& latency)
-    : cfg_(cfg), cloud_(cloud), latency_(latency) {
+                       const net::LatencyModel& latency, obs::Recorder& rec)
+    : cfg_(cfg), cloud_(cloud), latency_(latency), rec_(rec) {
   CLOUDFOG_REQUIRE(cfg.candidate_count >= 1, "need at least one candidate");
   CLOUDFOG_REQUIRE(cfg.lmax_fraction_of_requirement > 0.0, "L_max fraction must be positive");
   cfg.detection.validate();
@@ -79,9 +79,8 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
   auto& qualified = qualified_;
   qualified.clear();
   double slowest_probe = 0.0;
-  auto& rec = obs::Recorder::global();
   {
-    CLOUDFOG_TIMED_SCOPE("fog.probe");
+    CLOUDFOG_TIMED_SCOPE(rec_, "fog.probe");
     for (std::size_t idx : candidates) {
       const SupernodeState& sn = fleet[idx];
       if (!sn.deployed) continue;
@@ -93,13 +92,13 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
                        faults_->partitioned_from_supernode(player.state_dc, idx))) {
         ++out.probes;
         slowest_probe = std::max(slowest_probe, cfg_.selection.attempt_timeout_ms);
-        if (rec.enabled()) {
-          rec.registry().add(fog_obs().probes_sent);
-          rec.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
-                    static_cast<std::int64_t>(idx), 0.0,
-                    sn.failed ? fog_notes().crashed
-                              : (faults_->blackholed(idx) ? fog_notes().blackholed
-                                                          : fog_notes().partitioned));
+        if (rec_.enabled()) {
+          rec_.registry().add(fog_obs(rec_).probes_sent);
+          rec_.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
+                     static_cast<std::int64_t>(idx), 0.0,
+                     sn.failed ? fog_notes().crashed
+                               : (faults_->blackholed(idx) ? fog_notes().blackholed
+                                                           : fog_notes().partitioned));
         }
         continue;
       }
@@ -111,15 +110,15 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
       if (within_lmax) {
         qualified.push_back(Probed{idx, rtt, player.reputation.score(idx, current_day)});
       }
-      if (rec.enabled()) {
-        rec.registry().add(fog_obs().probes_sent);
-        rec.registry().observe(fog_obs().probe_rtt_ms, rtt);
-        rec.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
-                  static_cast<std::int64_t>(idx));
-        rec.trace(obs::EventKind::kProbeAnswered, static_cast<std::int64_t>(player.info.id),
-                  static_cast<std::int64_t>(idx), rtt,
-                  within_lmax ? fog_notes().within_lmax : fog_notes().over_lmax);
-        if (within_lmax) rec.registry().add(fog_obs().probes_qualified);
+      if (rec_.enabled()) {
+        rec_.registry().add(fog_obs(rec_).probes_sent);
+        rec_.registry().observe(fog_obs(rec_).probe_rtt_ms, rtt);
+        rec_.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
+                   static_cast<std::int64_t>(idx));
+        rec_.trace(obs::EventKind::kProbeAnswered, static_cast<std::int64_t>(player.info.id),
+                   static_cast<std::int64_t>(idx), rtt,
+                   within_lmax ? fog_notes().within_lmax : fog_notes().over_lmax);
+        if (within_lmax) rec_.registry().add(fog_obs(rec_).probes_qualified);
       }
     }
   }
@@ -146,18 +145,18 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
     out.join_latency_ms += cand.rtt_ms;
     if (budget != nullptr) budget->charge_ms(cand.rtt_ms);
     const bool granted = sn.accepting();
-    if (rec.enabled()) {
-      rec.registry().add(fog_obs().capacity_asks);
-      rec.trace(obs::EventKind::kCapacityClaim, static_cast<std::int64_t>(player.info.id),
-                static_cast<std::int64_t>(cand.index), granted ? 1.0 : 0.0,
-                granted ? fog_notes().granted : fog_notes().denied);
+    if (rec_.enabled()) {
+      rec_.registry().add(fog_obs(rec_).capacity_asks);
+      rec_.trace(obs::EventKind::kCapacityClaim, static_cast<std::int64_t>(player.info.id),
+                 static_cast<std::int64_t>(cand.index), granted ? 1.0 : 0.0,
+                 granted ? fog_notes().granted : fog_notes().denied);
     }
     if (granted) {
       ++sn.served;
       player.serving = ServingRef{ServingKind::kSupernode, cand.index};
       out.serving = player.serving;
       out.join_latency_ms += cfg_.connect_setup_ms;
-      if (rec.enabled()) rec.registry().add(fog_obs().claims_granted);
+      if (rec_.enabled()) rec_.registry().add(fog_obs(rec_).claims_granted);
       return out;
     }
   }
@@ -187,7 +186,7 @@ SelectionOutcome FogManager::select_with_budget(PlayerState& player,
   budget.charge_ms(cloud_rtt);
 
   {
-    CLOUDFOG_TIMED_SCOPE("fog.discovery");
+    CLOUDFOG_TIMED_SCOPE(rec_, "fog.discovery");
     cloud_.candidate_supernodes_into(player.info.endpoint, fleet, cfg_.candidate_count,
                                      player.candidate_supernodes);
   }
@@ -203,8 +202,7 @@ SelectionOutcome FogManager::select_with_budget(PlayerState& player,
     player.serving = ServingRef{ServingKind::kCloud, dc};
     out.serving = player.serving;
     out.join_latency_ms += cfg_.connect_setup_ms;
-    auto& rec = obs::Recorder::global();
-    if (rec.enabled()) rec.registry().add(fog_obs().cloud_fallbacks);
+    if (rec_.enabled()) rec_.registry().add(fog_obs(rec_).cloud_fallbacks);
   }
   return out;
 }
@@ -214,7 +212,7 @@ SelectionOutcome FogManager::select_supernode(PlayerState& player,
                                               const game::GameCatalog& catalog,
                                               int current_day, bool reputation_enabled,
                                               util::Rng& rng) const {
-  fault::RetryBudget budget(cfg_.selection, "fog.select");
+  fault::RetryBudget budget(cfg_.selection, rec_, "fog.select");
   return select_with_budget(player, fleet, catalog, current_day, reputation_enabled, rng,
                             budget);
 }
@@ -227,7 +225,7 @@ SelectionOutcome FogManager::migrate(PlayerState& player, std::vector<SupernodeS
 
   // Failure detection: the periodic probes have to run out first; the
   // detection time also counts against the selection deadline.
-  fault::RetryBudget budget(cfg_.selection, "fog.migrate");
+  fault::RetryBudget budget(cfg_.selection, rec_, "fog.migrate");
   budget.charge_ms(cfg_.detection.detection_ms());
   SelectionOutcome out = try_candidates(player, fleet, player.candidate_supernodes, lmax_ms,
                                         current_day, reputation_enabled, rng, &budget);
@@ -241,8 +239,7 @@ SelectionOutcome FogManager::migrate(PlayerState& player, std::vector<SupernodeS
       player.serving = ServingRef{ServingKind::kCloud, dc};
       out.serving = player.serving;
       out.join_latency_ms += cfg_.connect_setup_ms;
-      auto& rec = obs::Recorder::global();
-      if (rec.enabled()) rec.registry().add(fog_obs().cloud_fallbacks);
+      if (rec_.enabled()) rec_.registry().add(fog_obs(rec_).cloud_fallbacks);
       return out;
     }
     // Candidate cache exhausted — run the full protocol via the cloud,

@@ -24,6 +24,7 @@
 #include "core/entities.hpp"
 #include "fault/fault_state.hpp"
 #include "fault/retry_policy.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
 
 namespace cloudfog::core {
@@ -64,7 +65,9 @@ struct SelectionOutcome {
 
 class FogManager {
  public:
-  FogManager(FogManagerConfig cfg, const Cloud& cloud, const net::LatencyModel& latency);
+  /// Reports probes, claims and fallbacks into `rec`.
+  FogManager(FogManagerConfig cfg, const Cloud& cloud, const net::LatencyModel& latency,
+             obs::Recorder& rec);
 
   const FogManagerConfig& config() const { return cfg_; }
 
@@ -118,6 +121,7 @@ class FogManager {
   FogManagerConfig cfg_;
   const Cloud& cloud_;
   const net::LatencyModel& latency_;
+  obs::Recorder& rec_;
   const fault::FaultState* faults_ = nullptr;
   /// Probe-qualification scratch, reused across selections (the manager's
   /// callers are single-threaded; try_candidates never nests).

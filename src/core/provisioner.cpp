@@ -8,7 +8,8 @@
 
 namespace cloudfog::core {
 
-Provisioner::Provisioner(ProvisionerConfig cfg) : cfg_(cfg), model_(cfg.sarima) {
+Provisioner::Provisioner(ProvisionerConfig cfg, obs::Recorder& rec)
+    : cfg_(cfg), rec_(rec), model_(cfg.sarima) {
   CLOUDFOG_REQUIRE(cfg.window_hours >= 1 && cfg.window_hours <= 24,
                    "window must be between 1 and 24 hours");
   CLOUDFOG_REQUIRE(cfg.epsilon >= 0.0, "ε must be non-negative");
@@ -16,10 +17,9 @@ Provisioner::Provisioner(ProvisionerConfig cfg) : cfg_(cfg), model_(cfg.sarima) 
 
 void Provisioner::observe_window(double online_players) {
   CLOUDFOG_REQUIRE(online_players >= 0.0, "negative player count");
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    static const obs::CounterId windows = rec.registry().counter("provision.windows");
-    rec.registry().add(windows);
+  if (rec_.enabled()) {
+    static const obs::CounterId windows = rec_.registry().counter("provision.windows");
+    rec_.registry().add(windows);
   }
   // Log-space models need positive values; an empty system still counts
   // as (almost) nobody online.
@@ -27,7 +27,7 @@ void Provisioner::observe_window(double online_players) {
 }
 
 double Provisioner::forecast_players() const {
-  CLOUDFOG_TIMED_SCOPE("provision.forecast");
+  CLOUDFOG_TIMED_SCOPE(rec_, "provision.forecast");
   return model_.forecast_next().value_or(0.0);
 }
 
@@ -39,7 +39,7 @@ std::size_t Provisioner::supernodes_needed(double mean_capacity) const {
 
 std::size_t Provisioner::deploy(std::vector<SupernodeState>& fleet, std::size_t wanted,
                                 util::Rng& rng) const {
-  CLOUDFOG_TIMED_SCOPE("provision.deploy");
+  CLOUDFOG_TIMED_SCOPE(rec_, "provision.deploy");
   // Rank candidates by last window's supported players, descending
   // (stable on id for determinism).
   std::vector<std::size_t> ranked;

@@ -15,6 +15,7 @@
 
 #include "core/entities.hpp"
 #include "forecast/sarima.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
 
 namespace cloudfog::core {
@@ -32,7 +33,8 @@ struct ProvisionerConfig {
 
 class Provisioner {
  public:
-  explicit Provisioner(ProvisionerConfig cfg);
+  /// Reports windows and forecast/deploy time into `rec`.
+  Provisioner(ProvisionerConfig cfg, obs::Recorder& rec);
 
   const ProvisionerConfig& config() const { return cfg_; }
 
@@ -58,6 +60,7 @@ class Provisioner {
 
  private:
   ProvisionerConfig cfg_;
+  obs::Recorder& rec_;
   forecast::SeasonalArima model_;
 };
 

@@ -9,9 +9,24 @@
 
 namespace cloudfog::core {
 
+namespace {
+
+struct RateObs {
+  obs::CounterId up{};
+  obs::CounterId down{};
+};
+
+const RateObs& rate_obs(obs::Recorder& rec) {
+  static const RateObs handles{rec.registry().counter("rate.switch_up"),
+                               rec.registry().counter("rate.switch_down")};
+  return handles;
+}
+
+}  // namespace
+
 QosEngine::QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
-                     const game::GameCatalog& catalog)
-    : cfg_(cfg), latency_(latency), catalog_(catalog) {
+                     const game::GameCatalog& catalog, obs::Recorder& rec)
+    : cfg_(cfg), latency_(latency), catalog_(catalog), rec_(rec) {
   CLOUDFOG_REQUIRE(cfg.substeps >= 1, "need at least one substep");
   CLOUDFOG_REQUIRE(cfg.substep_seconds > 0.0, "substep length must be positive");
   CLOUDFOG_REQUIRE(cfg.burst_headroom >= 1.0, "burst headroom below 1");
@@ -264,6 +279,13 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
   }
 
   const auto sample = player.session->apply(path, continuity);
+  if (sample.decision != video::RateDecision::kHold && rec_.enabled()) {
+    const bool up = sample.decision == video::RateDecision::kUp;
+    rec_.registry().add(up ? rate_obs(rec_).up : rate_obs(rec_).down);
+    rec_.trace(obs::EventKind::kRateSwitch,
+               static_cast<std::int64_t>(player.session->game_id()),
+               player.session->current_quality_level(), up ? 1.0 : -1.0);
+  }
 
   acc.latency_sum += sample.response_latency_ms;
   acc.continuity_sum += sample.continuity;
@@ -274,7 +296,7 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
 SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
                                     std::vector<SupernodeState>& fleet, Cloud& cloud,
                                     std::vector<CdnServerState>& cdn) const {
-  CLOUDFOG_TIMED_SCOPE("qos.subcycle");
+  CLOUDFOG_TIMED_SCOPE(rec_, "qos.subcycle");
   SubcycleQos out;
 
   // Per-player accumulators across substeps (scratch reused across calls).
@@ -358,7 +380,7 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     }
 
     // Pass 2: per-session path observation and rate adaptation.
-    CLOUDFOG_TIMED_SCOPE("qos.rate_adapt");
+    CLOUDFOG_TIMED_SCOPE(rec_, "qos.rate_adapt");
     for (const std::uint32_t i : work_)
       evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
   }

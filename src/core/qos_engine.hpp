@@ -32,6 +32,7 @@
 #include "fault/fault_state.hpp"
 #include "game/game_catalog.hpp"
 #include "net/latency_model.hpp"
+#include "obs/recorder.hpp"
 #include "video/qoe.hpp"
 
 namespace cloudfog::core {
@@ -77,8 +78,9 @@ struct SubcycleQos {
 
 class QosEngine {
  public:
+  /// Reports subcycle/adaptation time and rate switches into `rec`.
   QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
-            const game::GameCatalog& catalog);
+            const game::GameCatalog& catalog, obs::Recorder& rec);
 
   const QosEngineConfig& config() const { return cfg_; }
 
@@ -178,6 +180,7 @@ class QosEngine {
   QosEngineConfig cfg_;
   const net::LatencyModel& latency_;
   const game::GameCatalog& catalog_;
+  obs::Recorder& rec_;
   video::QoeModel qoe_;
   const fault::FaultState* faults_ = nullptr;
 

@@ -24,7 +24,8 @@ social::PartitionerConfig partitioner_config(const SystemConfig& cfg, int total_
   return pc;
 }
 
-/// Interned metric handles for the system layer; resolved once per process.
+/// Interned metric handles for the system layer; resolved once per process
+/// (valid in every recorder).
 struct SystemObs {
   obs::CounterId player_joins;
   obs::CounterId player_leaves;
@@ -32,18 +33,19 @@ struct SystemObs {
   obs::CounterId supernode_failures;
   obs::CounterId cloud_rescues;
   obs::CounterId provisioning_rounds;
+  obs::CounterId ratings;
   obs::GaugeId online;
   obs::GaugeId deployed;
   obs::HistogramId join_ms;
   obs::HistogramId migration_ms;
-  SystemObs() {
-    auto& reg = obs::Recorder::global().registry();
+  explicit SystemObs(obs::Registry& reg) {
     player_joins = reg.counter("system.player_joins");
     player_leaves = reg.counter("system.player_leaves");
     migrations = reg.counter("system.migrations");
     supernode_failures = reg.counter("system.supernode_failures");
     cloud_rescues = reg.counter("system.cloud_rescues");
     provisioning_rounds = reg.counter("system.provisioning_rounds");
+    ratings = reg.counter("reputation.ratings");
     online = reg.gauge("system.online_sessions");
     deployed = reg.gauge("system.deployed_supernodes");
     join_ms = reg.histogram("system.player_join_ms", 0.0, 2000.0, 40);
@@ -51,8 +53,8 @@ struct SystemObs {
   }
 };
 
-const SystemObs& sys_obs() {
-  static const SystemObs handles;
+const SystemObs& sys_obs(obs::Recorder& rec) {
+  static const SystemObs handles(rec.registry());
   return handles;
 }
 
@@ -70,18 +72,20 @@ const char* arm_label(const SystemConfig& cfg) {
 
 }  // namespace
 
-System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
+System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
+               obs::Recorder& rec)
     : testbed_(testbed),
+      rec_(rec),
       cfg_(cfg),
       rng_(util::splitmix64(seed), util::splitmix64(seed ^ 0x5e57e11aULL)),
       cloud_(testbed.make_datacenters(), testbed.latency(), net::IpLocator{}),
-      fog_(cfg.fog, cloud_, testbed.latency()),
+      fog_(cfg.fog, cloud_, testbed.latency(), rec),
       qos_([&] {
         QosEngineConfig qc = cfg.qos;
         qc.base_jitter_ms = testbed.trace().base_jitter_ms();
         return qc;
-      }(), testbed.latency(), testbed.catalog()),
-      provisioner_(cfg.provisioning),
+      }(), testbed.latency(), testbed.catalog(), rec),
+      provisioner_(cfg.provisioning, rec),
       coplay_(testbed.players().size()),
       partition_(testbed.players().size(), 0) {
   cfg_.adapter.enabled = cfg_.strategies.rate_adaptation;
@@ -182,7 +186,8 @@ void System::setup_fault_injection(std::uint64_t seed) {
       [this](const fault::FaultSpec& spec) { return on_crash(spec); },
       [this](const fault::FaultSpec& spec, std::size_t target) {
         on_crash_cleared(spec, target);
-      });
+      },
+      rec_);
   injector_->arm();
   qos_.set_fault_state(&fault_state_);
   fog_.set_fault_state(&fault_state_);
@@ -211,11 +216,10 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
   fleet_[target].failed = true;
   fallback_.note_fleet_change(fault_sim_.now());
 
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(sys_obs().supernode_failures);
-    rec.trace(obs::EventKind::kSupernodeChurn, static_cast<std::int64_t>(target),
-              static_cast<std::int64_t>(current_day_));
+  if (rec_.enabled()) {
+    rec_.registry().add(sys_obs(rec_).supernode_failures);
+    rec_.trace(obs::EventKind::kSupernodeChurn, static_cast<std::int64_t>(target),
+               static_cast<std::int64_t>(current_day_));
   }
 
   // Displace every session the node was serving. The restore gap charges
@@ -233,7 +237,7 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
     --sn.served;
     p.serving = ServingRef{};
-    p.reputation.add_rating(target, 0.0, current_day_);
+    rate(p, target, 0.0, current_day_);
 
     util::Rng mig_rng = rng_.fork("migrate");
     const auto outcome = fog_.migrate(p, fleet_, testbed_.catalog(), current_day_,
@@ -246,21 +250,21 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
     } else if (p.serving.kind == ServingKind::kCloud) {
       fallback_.enter(idx, fault_sim_.now());
       collector_.record_fallback();
-      if (rec.enabled()) {
-        rec.trace(obs::EventKind::kCloudFallback, static_cast<std::int64_t>(p.info.id),
-                  static_cast<std::int64_t>(target), outcome.join_latency_ms);
+      if (rec_.enabled()) {
+        rec_.trace(obs::EventKind::kCloudFallback, static_cast<std::int64_t>(p.info.id),
+                   static_cast<std::int64_t>(target), outcome.join_latency_ms);
       }
     }
     if (p.session.has_value()) p.session->charge_outage(outcome.join_latency_ms / 1000.0);
     worst_restore_ms = std::max(worst_restore_ms, outcome.join_latency_ms);
     ++displaced;
     collector_.record_migration(outcome.join_latency_ms);
-    if (rec.enabled()) {
-      rec.registry().add(sys_obs().migrations);
-      rec.registry().observe(sys_obs().migration_ms, outcome.join_latency_ms);
-      rec.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
-                p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1,
-                outcome.join_latency_ms);
+    if (rec_.enabled()) {
+      rec_.registry().add(sys_obs(rec_).migrations);
+      rec_.registry().observe(sys_obs(rec_).migration_ms, outcome.join_latency_ms);
+      rec_.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
+                 p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1,
+                 outcome.join_latency_ms);
     }
   }
   if (displaced > 0) {
@@ -276,6 +280,14 @@ void System::on_crash_cleared(const fault::FaultSpec& spec, std::size_t target) 
   (void)spec;
   if (target < fleet_.size()) fleet_[target].failed = false;
   fallback_.note_fleet_change(fault_sim_.now());
+}
+
+void System::rate(PlayerState& p, std::size_t sn, double value, int day) {
+  p.reputation.add_rating(sn, value, day);
+  if (rec_.enabled()) {
+    rec_.registry().add(sys_obs(rec_).ratings);
+    rec_.trace(obs::EventKind::kRating, static_cast<std::int64_t>(sn), day, value);
+  }
 }
 
 void System::roll_daily_sessions(int day) {
@@ -390,12 +402,11 @@ void System::attach_player(PlayerState& p, int day) {
     }
   }
 
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(sys_obs().player_joins);
-    rec.registry().observe(sys_obs().join_ms, join_ms);
-    rec.trace(obs::EventKind::kPlayerJoin, static_cast<std::int64_t>(p.info.id),
-              p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1, join_ms);
+  if (rec_.enabled()) {
+    rec_.registry().add(sys_obs(rec_).player_joins);
+    rec_.registry().observe(sys_obs(rec_).join_ms, join_ms);
+    rec_.trace(obs::EventKind::kPlayerJoin, static_cast<std::int64_t>(p.info.id),
+               p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1, join_ms);
   }
 
   p.session.emplace(testbed_.catalog(), p.game, cfg_.adapter, rng_.fork("adapter"));
@@ -415,10 +426,9 @@ void System::detach_player(PlayerState& p) {
   p.online = false;
   fallback_.exit(static_cast<std::size_t>(&p - players_.data()));
 
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(sys_obs().player_leaves);
-    rec.trace(obs::EventKind::kPlayerLeave, static_cast<std::int64_t>(p.info.id));
+  if (rec_.enabled()) {
+    rec_.registry().add(sys_obs(rec_).player_leaves);
+    rec_.trace(obs::EventKind::kPlayerLeave, static_cast<std::int64_t>(p.info.id));
   }
 }
 
@@ -539,14 +549,13 @@ void System::retry_cloud_fallback(PlayerState& p, int day) {
                                              cfg_.strategies.reputation, retry_rng);
   if (outcome.serving.kind == ServingKind::kSupernode) {
     p.rated_supernode_this_cycle = outcome.serving.index;
-    auto& rec = obs::Recorder::global();
-    if (rec.enabled()) rec.registry().add(sys_obs().cloud_rescues);
+    if (rec_.enabled()) rec_.registry().add(sys_obs(rec_).cloud_rescues);
     if (fallback_.in_fallback(idx)) {
       fallback_.exit(idx);
       collector_.record_fog_return();
-      if (rec.enabled()) {
-        rec.trace(obs::EventKind::kFogReturn, static_cast<std::int64_t>(p.info.id),
-                  static_cast<std::int64_t>(outcome.serving.index));
+      if (rec_.enabled()) {
+        rec_.trace(obs::EventKind::kFogReturn, static_cast<std::int64_t>(p.info.id),
+                   static_cast<std::int64_t>(outcome.serving.index));
       }
     }
   }
@@ -590,7 +599,7 @@ void System::maybe_run_provisioning(int day, int subcycle) {
       (day - 1) * testbed_.activity().config().subcycles_per_day + (subcycle - 1);
   if ((global_subcycle + 1) % window != 0) return;
 
-  CLOUDFOG_TIMED_SCOPE("provisioning");
+  CLOUDFOG_TIMED_SCOPE(rec_, "provisioning");
 
   // Window closed: feed the mean online population, refresh supernode
   // popularity ranks, and redeploy for the forecast next window.
@@ -608,18 +617,17 @@ void System::maybe_run_provisioning(int day, int subcycle) {
   provisioner_.deploy(fleet_, wanted, deploy_rng);
   migrate_players_off_undeployed(day);
 
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
+  if (rec_.enabled()) {
     std::size_t deployed_count = 0;
     for (const auto& sn : fleet_) {
       if (sn.deployed) ++deployed_count;
     }
-    rec.registry().add(sys_obs().provisioning_rounds);
-    rec.registry().set(sys_obs().deployed, static_cast<double>(deployed_count));
+    rec_.registry().add(sys_obs(rec_).provisioning_rounds);
+    rec_.registry().set(sys_obs(rec_).deployed, static_cast<double>(deployed_count));
     static const obs::NoteId kWantedNote = obs::intern_note("wanted=");
-    rec.trace(obs::EventKind::kProvisioning, day, subcycle,
-              static_cast<double>(deployed_count),
-              obs::Note{kWantedNote, static_cast<std::int64_t>(wanted)});
+    rec_.trace(obs::EventKind::kProvisioning, day, subcycle,
+               static_cast<double>(deployed_count),
+               obs::Note{kWantedNote, static_cast<std::int64_t>(wanted)});
   }
 }
 
@@ -637,20 +645,18 @@ void System::migrate_players_off_undeployed(int day) {
     if (p.serving.kind == ServingKind::kSupernode) {
       p.rated_supernode_this_cycle = p.serving.index;
     }
-    auto& rec = obs::Recorder::global();
-    if (rec.enabled()) {
-      rec.registry().add(sys_obs().migrations);
-      rec.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
-                p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1);
+    if (rec_.enabled()) {
+      rec_.registry().add(sys_obs(rec_).migrations);
+      rec_.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
+                 p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1);
     }
   }
 }
 
 SubcycleQos System::run_subcycle(int day, int subcycle, bool warmup, bool peak) {
-  auto& rec = obs::Recorder::global();
   const int per_day = testbed_.activity().config().subcycles_per_day;
-  if (rec.enabled()) {
-    rec.set_sim_time(((day - 1) * per_day + (subcycle - 1)) * 3600.0);
+  if (rec_.enabled()) {
+    rec_.set_sim_time(((day - 1) * per_day + (subcycle - 1)) * 3600.0);
   }
   current_day_ = day;
   if (injector_ != nullptr) {
@@ -659,12 +665,12 @@ SubcycleQos System::run_subcycle(int day, int subcycle, bool warmup, bool peak) 
     fault_sim_.run_until(((day - 1) * per_day + subcycle) * 3600.0);
   }
   {
-    CLOUDFOG_TIMED_SCOPE("population");
+    CLOUDFOG_TIMED_SCOPE(rec_, "population");
     process_population(day, subcycle, peak);
   }
   maybe_run_provisioning(day, subcycle);
   {
-    CLOUDFOG_TIMED_SCOPE("social.cross_server");
+    CLOUDFOG_TIMED_SCOPE(rec_, "social.cross_server");
     update_cross_server_latency();
   }
   const SubcycleQos qos = qos_.run_subcycle(players_, fleet_, cloud_, cdn_);
@@ -673,10 +679,10 @@ SubcycleQos System::run_subcycle(int day, int subcycle, bool warmup, bool peak) 
     collector_.record_fallback_residency(static_cast<double>(fallback_.active_count()) /
                                          static_cast<double>(qos.online_sessions));
   }
-  if (rec.enabled()) {
-    rec.registry().set(sys_obs().online, static_cast<double>(qos.online_sessions));
-    rec.trace(obs::EventKind::kSubcycle, day, subcycle,
-              static_cast<double>(qos.online_sessions));
+  if (rec_.enabled()) {
+    rec_.registry().set(sys_obs(rec_).online, static_cast<double>(qos.online_sessions));
+    rec_.trace(obs::EventKind::kSubcycle, day, subcycle,
+               static_cast<double>(qos.online_sessions));
   }
   return qos;
 }
@@ -688,7 +694,7 @@ void System::end_cycle(int day) {
     if (p.rated_supernode_this_cycle.has_value() && p.cycle_continuity_samples > 0.0) {
       const double continuity =
           std::clamp(p.cycle_continuity_sum / p.cycle_continuity_samples, 0.0, 1.0);
-      p.reputation.add_rating(*p.rated_supernode_this_cycle, continuity, day);
+      rate(p, *p.rated_supernode_this_cycle, continuity, day);
     }
     p.cycle_continuity_sum = 0.0;
     p.cycle_continuity_samples = 0.0;
@@ -713,9 +719,8 @@ void System::end_cycle(int day) {
 }
 
 const RunMetrics& System::run(const sim::CycleConfig& cycles) {
-  auto& rec = obs::Recorder::global();
   const char* label = arm_label(cfg_);
-  if (rec.enabled()) rec.begin_run(label);
+  if (rec_.enabled()) rec_.begin_run(label);
   for (int day = 1; day <= cycles.total_cycles; ++day) {
     const bool warmup = day <= cycles.warmup_cycles;
     begin_cycle(day);
@@ -725,8 +730,8 @@ const RunMetrics& System::run(const sim::CycleConfig& cycles) {
     }
     end_cycle(day);
   }
-  if (rec.enabled()) {
-    rec.add_run_summary(
+  if (rec_.enabled()) {
+    rec_.add_run_summary(
         summarize_run(collector_.metrics(), label, collector_.recorded_subcycles()));
   }
   return collector_.metrics();
@@ -743,13 +748,12 @@ std::vector<double> System::inject_supernode_failures(std::size_t count, int day
   util::Rng fail_rng = rng_.fork("failures");
   std::shuffle(candidates.begin(), candidates.end(), fail_rng);
   candidates.resize(std::min(count, candidates.size()));
-  auto& rec = obs::Recorder::global();
   for (std::size_t idx : candidates) {
     fleet_[idx].failed = true;
-    if (rec.enabled()) {
-      rec.registry().add(sys_obs().supernode_failures);
-      rec.trace(obs::EventKind::kSupernodeChurn, static_cast<std::int64_t>(idx),
-                static_cast<std::int64_t>(day));
+    if (rec_.enabled()) {
+      rec_.registry().add(sys_obs(rec_).supernode_failures);
+      rec_.trace(obs::EventKind::kSupernodeChurn, static_cast<std::int64_t>(idx),
+                 static_cast<std::int64_t>(day));
     }
   }
 
@@ -773,12 +777,12 @@ std::vector<double> System::inject_supernode_failures(std::size_t count, int day
     }
     migration_latencies.push_back(outcome.join_latency_ms);
     collector_.record_migration(outcome.join_latency_ms);
-    if (rec.enabled()) {
-      rec.registry().add(sys_obs().migrations);
-      rec.registry().observe(sys_obs().migration_ms, outcome.join_latency_ms);
-      rec.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
-                p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1,
-                outcome.join_latency_ms);
+    if (rec_.enabled()) {
+      rec_.registry().add(sys_obs(rec_).migrations);
+      rec_.registry().observe(sys_obs(rec_).migration_ms, outcome.join_latency_ms);
+      rec_.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
+                 p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1,
+                 outcome.join_latency_ms);
     }
   }
   return migration_latencies;

@@ -24,6 +24,7 @@
 #include "core/qos_engine.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault.hpp"
+#include "obs/recorder.hpp"
 #include "scenario/adversary.hpp"
 #include "sim/cycle_driver.hpp"
 #include "sim/simulator.hpp"
@@ -115,7 +116,10 @@ struct SystemConfig {
 
 class System {
  public:
-  System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed);
+  /// Every counter, phase, trace event and run summary of this System and
+  /// its components goes to `rec`.
+  System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
+         obs::Recorder& rec = obs::Recorder::global());
 
   const SystemConfig& config() const { return cfg_; }
   const std::vector<PlayerState>& players() const { return players_; }
@@ -190,6 +194,8 @@ class System {
   void process_population(int day, int subcycle, bool peak);
   void attach_player(PlayerState& p, int day);
   void retry_cloud_fallback(PlayerState& p, int day);
+  /// Records `p`'s rating of supernode `sn` (§3.2.1) and reports it.
+  void rate(PlayerState& p, std::size_t sn, double value, int day);
   void detach_player(PlayerState& p);
   void update_cross_server_latency();
   void maybe_run_provisioning(int day, int subcycle);
@@ -204,6 +210,7 @@ class System {
   void on_crash_cleared(const fault::FaultSpec& spec, std::size_t target);
 
   const Testbed& testbed_;
+  obs::Recorder& rec_;
   SystemConfig cfg_;
   util::Rng rng_;
   Cloud cloud_;

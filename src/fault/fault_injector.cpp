@@ -12,27 +12,28 @@ namespace {
 struct InjectorObs {
   obs::CounterId injected;
   obs::CounterId cleared;
-  InjectorObs() {
-    auto& reg = obs::Recorder::global().registry();
+  explicit InjectorObs(obs::Registry& reg) {
     injected = reg.counter("fault.injected");
     cleared = reg.counter("fault.cleared");
   }
 };
 
-const InjectorObs& injector_obs() {
-  static const InjectorObs handles;
+const InjectorObs& injector_obs(obs::Recorder& rec) {
+  static const InjectorObs handles(rec.registry());
   return handles;
 }
 
 }  // namespace
 
 FaultInjector::FaultInjector(sim::Simulator& sim, FaultState& state, FaultPlan plan,
-                             ApplyHook on_crash, ClearHook on_crash_cleared)
+                             ApplyHook on_crash, ClearHook on_crash_cleared,
+                             obs::Recorder& rec)
     : sim_(sim),
       state_(state),
       plan_(std::move(plan)),
       on_crash_(std::move(on_crash)),
-      on_crash_cleared_(std::move(on_crash_cleared)) {
+      on_crash_cleared_(std::move(on_crash_cleared)),
+      rec_(rec) {
   CLOUDFOG_REQUIRE(static_cast<bool>(on_crash_), "null crash apply hook");
   CLOUDFOG_REQUIRE(static_cast<bool>(on_crash_cleared_), "null crash clear hook");
 }
@@ -117,17 +118,16 @@ void FaultInjector::rebuild_state() {
 }
 
 void FaultInjector::emit(bool injected, const FaultSpec& spec, std::size_t target) {
-  auto& rec = obs::Recorder::global();
-  if (!rec.enabled()) return;
-  rec.registry().add(injected ? injector_obs().injected : injector_obs().cleared);
+  if (!rec_.enabled()) return;
+  rec_.registry().add(injected ? injector_obs(rec_).injected : injector_obs(rec_).cleared);
   const auto subject = target == kAnyTarget ? std::int64_t{-1}
                                             : static_cast<std::int64_t>(target);
   const auto object = spec.target_b == kAnyTarget
                           ? std::int64_t{-1}
                           : static_cast<std::int64_t>(spec.target_b);
-  rec.trace_at(sim_.now(),
-               injected ? obs::EventKind::kFaultInjected : obs::EventKind::kFaultCleared,
-               subject, object, spec.magnitude, fault_kind_note(spec.kind));
+  rec_.trace_at(sim_.now(),
+                injected ? obs::EventKind::kFaultInjected : obs::EventKind::kFaultCleared,
+                subject, object, spec.magnitude, fault_kind_note(spec.kind));
 }
 
 }  // namespace cloudfog::fault

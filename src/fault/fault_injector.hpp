@@ -21,6 +21,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "fault/fault_state.hpp"
+#include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace cloudfog::fault {
@@ -35,8 +36,9 @@ class FaultInjector {
   /// Called when a timed crash fault clears, with the resolved victim.
   using ClearHook = std::function<void(const FaultSpec&, std::size_t target)>;
 
+  /// Reports injected/cleared faults into `rec`.
   FaultInjector(sim::Simulator& sim, FaultState& state, FaultPlan plan,
-                ApplyHook on_crash, ClearHook on_crash_cleared);
+                ApplyHook on_crash, ClearHook on_crash_cleared, obs::Recorder& rec);
 
   /// Schedules every spec in the plan. Call once, before running the sim.
   void arm();
@@ -65,6 +67,7 @@ class FaultInjector {
   FaultPlan plan_;
   ApplyHook on_crash_;
   ClearHook on_crash_cleared_;
+  obs::Recorder& rec_;
   std::vector<ActiveFault> active_;
   std::uint64_t next_id_ = 1;
   std::uint64_t injected_ = 0;

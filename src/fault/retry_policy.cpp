@@ -16,16 +16,15 @@ struct RetryObs {
   obs::CounterId attempts;
   obs::CounterId retries;
   obs::CounterId exhaustions;
-  RetryObs() {
-    auto& reg = obs::Recorder::global().registry();
+  explicit RetryObs(obs::Registry& reg) {
     attempts = reg.counter("fault.attempts");
     retries = reg.counter("fault.retries");
     exhaustions = reg.counter("fault.exhaustions");
   }
 };
 
-const RetryObs& retry_obs() {
-  static const RetryObs handles;
+const RetryObs& retry_obs(obs::Recorder& rec) {
+  static const RetryObs handles(rec.registry());
   return handles;
 }
 
@@ -69,8 +68,8 @@ void RetryPolicy::validate() const {
   CLOUDFOG_REQUIRE(deadline_budget_ms > 0.0, "deadline budget must be positive");
 }
 
-RetryBudget::RetryBudget(const RetryPolicy& policy, std::string_view site)
-    : policy_(policy), site_(site) {
+RetryBudget::RetryBudget(const RetryPolicy& policy, obs::Recorder& rec, std::string_view site)
+    : policy_(policy), rec_(rec), site_(site) {
   policy_.validate();
 }
 
@@ -89,11 +88,10 @@ bool RetryBudget::next_attempt(util::Rng& rng, double* backoff_ms) {
   if (!can_attempt()) {
     if (!exhausted_) {
       exhausted_ = true;
-      auto& rec = obs::Recorder::global();
-      if (rec.enabled()) {
-        rec.registry().add(retry_obs().exhaustions);
-        rec.trace(obs::EventKind::kRetryExhausted, attempts_, -1, elapsed_ms_,
-                  site_note());
+      if (rec_.enabled()) {
+        rec_.registry().add(retry_obs(rec_).exhaustions);
+        rec_.trace(obs::EventKind::kRetryExhausted, attempts_, -1, elapsed_ms_,
+                   site_note());
       }
     }
     return false;
@@ -102,12 +100,11 @@ bool RetryBudget::next_attempt(util::Rng& rng, double* backoff_ms) {
   const double wait = policy_.backoff_before_attempt(attempts_, rng);
   elapsed_ms_ += wait;
   if (backoff_ms != nullptr) *backoff_ms = wait;
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(retry_obs().attempts);
+  if (rec_.enabled()) {
+    rec_.registry().add(retry_obs(rec_).attempts);
     if (attempts_ >= 2) {
-      rec.registry().add(retry_obs().retries);
-      rec.trace(obs::EventKind::kRetryAttempt, attempts_, -1, wait, site_note());
+      rec_.registry().add(retry_obs(rec_).retries);
+      rec_.trace(obs::EventKind::kRetryAttempt, attempts_, -1, wait, site_note());
     }
   }
   return true;

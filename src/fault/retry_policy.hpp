@@ -11,15 +11,15 @@
 //
 // RetryBudget tracks one operation's consumption of a policy — attempts
 // started and simulated milliseconds spent — and emits the shared obs
-// counters (attempts / retries / exhaustions) plus a trace event when a
-// retry fires or a budget runs dry, so chaos runs show exactly where
-// recovery time went.
+// counters (attempts / retries / exhaustions) plus a trace event into the
+// owner's recorder when a retry fires or a budget runs dry, so chaos runs
+// show exactly where recovery time went.
 #pragma once
 
 #include <limits>
 #include <string_view>
 
-#include "obs/note_table.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
 
 namespace cloudfog::fault {
@@ -63,11 +63,12 @@ struct RetryPolicy {
   void validate() const;
 };
 
-/// Consumption tracker for one operation under a RetryPolicy. `site` names
-/// the call-site in obs output ("fog.claim", "join.candidates", ...).
+/// Consumption tracker for one operation under a RetryPolicy, reporting
+/// into `rec`. `site` names the call-site in obs output ("fog.claim",
+/// "join.candidates", ...).
 class RetryBudget {
  public:
-  explicit RetryBudget(const RetryPolicy& policy, std::string_view site = {});
+  RetryBudget(const RetryPolicy& policy, obs::Recorder& rec, std::string_view site = {});
 
   /// True while another attempt is permitted (attempts and deadline).
   bool can_attempt() const;
@@ -93,6 +94,7 @@ class RetryBudget {
   obs::NoteId site_note();
 
   RetryPolicy policy_;
+  obs::Recorder& rec_;
   std::string_view site_;
   obs::NoteId site_note_{};
   int attempts_ = 0;

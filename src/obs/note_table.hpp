@@ -1,4 +1,4 @@
-// Interned trace-note vocabulary.
+// Interned observability vocabularies.
 //
 // TraceEvent used to carry a std::string note built per event at the call
 // site ("granted", "within_lmax", "wanted=" + std::to_string(n), ...),
@@ -6,6 +6,10 @@
 // interns each distinct note text once, process-wide, behind a small
 // NoteId; events carry the id (plus an optional integer argument appended
 // at serialization time), so pushing a trace event never allocates.
+//
+// Counter, gauge, histogram and phase names are interned the same way
+// (obs/intern_table.hpp), so a handle resolved once through any recorder
+// indexes the same metric in every recorder.
 //
 // Interning is thread-safe, but is expected to be cold: hot call sites
 // intern once (through function-local statics) and reuse the id.

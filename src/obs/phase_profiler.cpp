@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "obs/intern_table.hpp"
+
 namespace cloudfog::obs {
 
 double PhaseProfiler::PhaseStats::mean_us() const {
@@ -15,14 +17,28 @@ double PhaseProfiler::PhaseStats::per_second() const {
                        : static_cast<double>(count) / (static_cast<double>(total_ns) / 1e9);
 }
 
-PhaseId PhaseProfiler::phase(std::string_view name) {
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    if (phases_[i].name == name) return PhaseId{static_cast<std::uint32_t>(i)};
+namespace {
+
+// Leaked like the note table: reports read phase names at static
+// destruction.
+InternTable<>& phase_names() {
+  // NOLINTNEXTLINE(cloudfog-static-mutable): immortal name table, mutex-guarded
+  static auto* t = new InternTable<>();
+  return *t;
+}
+
+}  // namespace
+
+PhaseId PhaseProfiler::intern(std::string_view name) {
+  return PhaseId{phase_names().intern(name)};
+}
+
+void PhaseProfiler::grow(std::size_t size) {
+  while (phases_.size() < size) {
+    PhaseStats stats;
+    stats.name = std::string(phase_names().text(static_cast<std::uint32_t>(phases_.size())));
+    phases_.push_back(std::move(stats));
   }
-  PhaseStats stats;
-  stats.name = std::string(name);
-  phases_.push_back(std::move(stats));
-  return PhaseId{static_cast<std::uint32_t>(phases_.size() - 1)};
 }
 
 std::size_t PhaseProfiler::bucket_for(std::uint64_t ns) {
@@ -32,6 +48,7 @@ std::size_t PhaseProfiler::bucket_for(std::uint64_t ns) {
 }
 
 void PhaseProfiler::record(PhaseId id, std::uint64_t ns) {
+  if (id.index >= phases_.size()) grow(id.index + 1);
   PhaseStats& s = phases_[id.index];
   if (s.count == 0) {
     s.min_ns = s.max_ns = ns;
@@ -58,6 +75,20 @@ void PhaseProfiler::reset_values() {
     s.min_ns = 0;
     s.max_ns = 0;
     std::fill(s.log2_ns_buckets.begin(), s.log2_ns_buckets.end(), 0);
+  }
+}
+
+void PhaseProfiler::merge_from(const PhaseProfiler& other) {
+  grow(other.phases_.size());
+  for (std::size_t i = 0; i < other.phases_.size(); ++i) {
+    const PhaseStats& src = other.phases_[i];
+    if (src.count == 0) continue;
+    PhaseStats& dst = phases_[i];
+    dst.min_ns = dst.count == 0 ? src.min_ns : std::min(dst.min_ns, src.min_ns);
+    dst.max_ns = std::max(dst.max_ns, src.max_ns);
+    dst.count += src.count;
+    dst.total_ns += src.total_ns;
+    for (std::size_t b = 0; b < kBuckets; ++b) dst.log2_ns_buckets[b] += src.log2_ns_buckets[b];
   }
 }
 

@@ -1,12 +1,12 @@
 // Wall-clock profiling of named simulator phases (candidate discovery,
 // probing, QoS evaluation, provisioning, ...).
 //
-// A phase is registered once (name → PhaseId) and then recorded with raw
-// steady_clock durations by ScopedTimer (see recorder.hpp for the
-// CLOUDFOG_TIMED_SCOPE macro). Per phase the profiler keeps count, total /
-// min / max, and a log2-bucketed duration histogram — timings span six
-// orders of magnitude, so fixed-width linear buckets would waste most of
-// their resolution.
+// A phase name is interned once, process-wide (name → PhaseId, valid in
+// every profiler), and then recorded with raw steady_clock durations by
+// ScopedTimer (see recorder.hpp for the CLOUDFOG_TIMED_SCOPE macro). Per
+// phase the profiler keeps count, total / min / max, and a log2-bucketed
+// duration histogram — timings span six orders of magnitude, so
+// fixed-width linear buckets would waste most of their resolution.
 #pragma once
 
 #include <cstddef>
@@ -41,11 +41,16 @@ class PhaseProfiler {
     double per_second() const;
   };
 
-  /// Idempotent: the same name always yields the same id.
-  PhaseId phase(std::string_view name);
+  /// Process-wide and idempotent: the same name always yields the same
+  /// id, in every profiler.
+  static PhaseId intern(std::string_view name);
 
+  /// Records one scope of `ns` nanoseconds (the profiler grows the
+  /// phase's slot on first use).
   void record(PhaseId id, std::uint64_t ns);
 
+  /// This profiler's slots, indexed by PhaseId (phases it never recorded
+  /// may sit between with a zero count).
   const std::vector<PhaseStats>& phases() const { return phases_; }
 
   /// Stats by name; nullptr if the phase was never registered.
@@ -56,7 +61,12 @@ class PhaseProfiler {
 
   static std::size_t bucket_for(std::uint64_t ns);
 
+  /// Folds `other` in: counts, totals and buckets summed, min/max combined.
+  void merge_from(const PhaseProfiler& other);
+
  private:
+  void grow(std::size_t size);
+
   std::vector<PhaseStats> phases_;
 };
 

@@ -5,9 +5,10 @@
 namespace cloudfog::obs {
 
 Recorder& Recorder::global() {
-  // The process-wide recorder: mutability is its whole point (every run
-  // resets and repopulates it), and tests swap sinks on it freely.
-  static Recorder instance;  // NOLINT(cloudfog-static-mutable): sanctioned process-wide observability root, reset per run via reset_all()
+  // The harnesses' root: library code never reaches for it, it is only
+  // the default recorder of the public entry points.
+  // NOLINTNEXTLINE(cloudfog-static-mutable): the harnesses' observability root
+  static Recorder instance;
   return instance;
 }
 
@@ -54,6 +55,13 @@ void Recorder::reset() {
   sim_time_ = 0.0;
   base_time_ = 0.0;
   last_emitted_ = 0.0;
+}
+
+void Recorder::merge_from(const Recorder& child) {
+  runs_.insert(runs_.end(), child.runs_.begin(), child.runs_.end());
+  registry_.merge_from(child.registry_);
+  profiler_.merge_from(child.profiler_);
+  trace_.add_pushed(child.trace_.total_pushed(), child.trace_.dropped());
 }
 
 }  // namespace cloudfog::obs

@@ -1,16 +1,22 @@
-// The process-wide observability context: one Registry, one TraceBuffer,
-// one PhaseProfiler, plus the run-summary list that the report exporter
+// An observability context: one Registry, one TraceBuffer, one
+// PhaseProfiler, plus the run-summary list that the report exporter
 // serializes.
+//
+// Every System reports into the recorder it was constructed with, and
+// passes it on to its components. The static global() is only the root the
+// harnesses (bench binaries, perfbench, tests) hand to the public entry
+// points by default; a sweep gives each cell a child recorder and folds
+// it into the caller's with merge_from(), in cell order. A recorder is
+// single-threaded, like the System that reports into it.
 //
 // Everything is gated on a single `enabled()` flag, default OFF, so
 // instrumented hot paths cost one predictable branch unless a harness
-// opts in (bench_common enables it unless --obs-off). The simulator is
-// single-threaded; so is the recorder.
+// opts in (bench_common enables it unless --obs-off).
 //
 // Timestamps: components report sim time through set_sim_time() (the
 // domain clock of the current run); trace events are stamped with
 // base + sim_time, clamped to be monotonically non-decreasing across the
-// whole process — begin_run() re-bases the clock so that consecutive runs
+// recorder's life — begin_run() re-bases the clock so that consecutive runs
 // (each restarting its own sim clock at zero) still produce a monotone
 // trace file.
 #pragma once
@@ -50,6 +56,12 @@ struct RunSummary {
 
 class Recorder {
  public:
+  /// `trace_capacity` sizes the trace ring; 0 makes a count-only trace
+  /// buffer (events are counted but never stored).
+  explicit Recorder(std::size_t trace_capacity = std::size_t{1} << 16)
+      : trace_(trace_capacity) {}
+
+  /// The harnesses' root recorder.
   static Recorder& global();
 
   bool enabled() const { return enabled_; }
@@ -90,9 +102,13 @@ class Recorder {
   /// Resets values, trace and runs (names/handles survive). Test helper.
   void reset();
 
- private:
-  Recorder() = default;
+  /// Folds a finished child in: run summaries appended, counters,
+  /// histogram counts and phase stats summed, gauges the child set
+  /// overwritten, and the child's pushed and dropped event counts added
+  /// (its events themselves are not copied).
+  void merge_from(const Recorder& child);
 
+ private:
   bool enabled_ = false;
   Registry registry_;
   PhaseProfiler profiler_;
@@ -107,8 +123,8 @@ class Recorder {
 /// the recorder is enabled; a disabled recorder costs one branch.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(PhaseId id) {
-    if (Recorder::global().enabled()) {
+  ScopedTimer(Recorder& rec, PhaseId id) : rec_(rec) {
+    if (rec_.enabled()) {
       id_ = id;
       armed_ = true;
       start_ = std::chrono::steady_clock::now();
@@ -119,7 +135,7 @@ class ScopedTimer {
       const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - start_)
                           .count();
-      Recorder::global().profiler().record(id_, static_cast<std::uint64_t>(ns));
+      rec_.profiler().record(id_, static_cast<std::uint64_t>(ns));
     }
   }
 
@@ -127,6 +143,7 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
+  Recorder& rec_;
   PhaseId id_{};
   bool armed_ = false;
   std::chrono::steady_clock::time_point start_{};
@@ -134,14 +151,14 @@ class ScopedTimer {
 
 }  // namespace cloudfog::obs
 
-// Profiles the enclosing scope under `name`. The phase id is interned once
-// (function-local static); the timer itself only reads the clock while
-// observability is enabled.
+// Profiles the enclosing scope under `name` in recorder `rec`. The phase
+// id is interned once, process-wide (function-local static); the timer
+// itself only reads the clock while `rec` is enabled.
 #define CLOUDFOG_OBS_CONCAT2(a, b) a##b
 #define CLOUDFOG_OBS_CONCAT(a, b) CLOUDFOG_OBS_CONCAT2(a, b)
-#define CLOUDFOG_TIMED_SCOPE(name)                                                   \
+#define CLOUDFOG_TIMED_SCOPE(rec, name)                                              \
   static const ::cloudfog::obs::PhaseId CLOUDFOG_OBS_CONCAT(cf_obs_phase_,           \
                                                             __LINE__) =              \
-      ::cloudfog::obs::Recorder::global().profiler().phase(name);                    \
+      ::cloudfog::obs::PhaseProfiler::intern(name);                                  \
   const ::cloudfog::obs::ScopedTimer CLOUDFOG_OBS_CONCAT(cf_obs_timer_, __LINE__)(   \
-      CLOUDFOG_OBS_CONCAT(cf_obs_phase_, __LINE__))
+      (rec), CLOUDFOG_OBS_CONCAT(cf_obs_phase_, __LINE__))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/intern_table.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::obs {
@@ -22,24 +23,45 @@ RegistrySnapshot RegistrySnapshot::delta_since(const RegistrySnapshot& earlier) 
   return out;
 }
 
-template <typename Id>
-Id Registry::intern(std::string_view name, std::vector<std::string>& names) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return Id{static_cast<std::uint32_t>(i)};
-  }
-  names.emplace_back(name);
-  return Id{static_cast<std::uint32_t>(names.size() - 1)};
+namespace {
+
+struct HistogramSpec {
+  double lo = 0.0;
+  double hi = 1.0;
+  std::size_t bins = 1;
+};
+
+// Process-wide name tables, leaked like the note table: the run report
+// resolves names as late as static destruction.
+InternTable<>& counter_names() {
+  // NOLINTNEXTLINE(cloudfog-static-mutable): immortal name table, mutex-guarded
+  static auto* t = new InternTable<>();
+  return *t;
 }
 
+InternTable<>& gauge_names() {
+  // NOLINTNEXTLINE(cloudfog-static-mutable): immortal name table, mutex-guarded
+  static auto* t = new InternTable<>();
+  return *t;
+}
+
+InternTable<HistogramSpec>& histogram_specs() {
+  // NOLINTNEXTLINE(cloudfog-static-mutable): immortal name table, mutex-guarded
+  static auto* t = new InternTable<HistogramSpec>();
+  return *t;
+}
+
+}  // namespace
+
 CounterId Registry::counter(std::string_view name) {
-  const CounterId id = intern<CounterId>(name, counter_names_);
-  counters_.resize(counter_names_.size(), 0);
+  const CounterId id{counter_names().intern(name)};
+  if (id.index >= counters_.size()) counters_.resize(id.index + 1, 0);
   return id;
 }
 
 GaugeId Registry::gauge(std::string_view name) {
-  const GaugeId id = intern<GaugeId>(name, gauge_names_);
-  gauges_.resize(gauge_names_.size(), 0.0);
+  const GaugeId id{gauge_names().intern(name)};
+  if (id.index >= gauges_.size()) gauges_.resize(id.index + 1);
   return id;
 }
 
@@ -47,19 +69,27 @@ HistogramId Registry::histogram(std::string_view name, double lo, double hi,
                                 std::size_t bins) {
   CLOUDFOG_REQUIRE(hi > lo, "histogram range inverted");
   CLOUDFOG_REQUIRE(bins > 0, "histogram needs at least one bin");
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    if (histograms_[i].name == name) return HistogramId{static_cast<std::uint32_t>(i)};
+  const HistogramId id{histogram_specs().intern(name, HistogramSpec{lo, hi, bins})};
+  grow_histograms(id.index + 1);
+  return id;
+}
+
+void Registry::grow_histograms(std::size_t size) {
+  const InternTable<HistogramSpec>& specs = histogram_specs();
+  while (histograms_.size() < size) {
+    const auto index = static_cast<std::uint32_t>(histograms_.size());
+    const HistogramSpec spec = specs.payload(index);
+    HistogramCell cell;
+    cell.name = std::string(specs.text(index));
+    cell.lo = spec.lo;
+    cell.hi = spec.hi;
+    cell.counts.assign(spec.bins, 0);
+    histograms_.push_back(std::move(cell));
   }
-  HistogramCell cell;
-  cell.name = std::string(name);
-  cell.lo = lo;
-  cell.hi = hi;
-  cell.counts.assign(bins, 0);
-  histograms_.push_back(std::move(cell));
-  return HistogramId{static_cast<std::uint32_t>(histograms_.size() - 1)};
 }
 
 void Registry::observe(HistogramId id, double x) {
+  if (id.index >= histograms_.size()) grow_histograms(id.index + 1);
   HistogramCell& cell = histograms_[id.index];
   const double width =
       (cell.hi - cell.lo) / static_cast<double>(cell.counts.size());
@@ -85,24 +115,27 @@ double Registry::HistogramCell::bin_high(std::size_t bin) const {
   return lo + width * static_cast<double>(bin + 1);
 }
 
+std::string_view Registry::counter_name(std::size_t i) const {
+  return counter_names().text(static_cast<std::uint32_t>(i));
+}
+
+std::string_view Registry::gauge_name(std::size_t i) const {
+  return gauge_names().text(static_cast<std::uint32_t>(i));
+}
+
 std::uint64_t Registry::counter_value(std::string_view name) const {
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    if (counter_names_[i] == name) return counters_[i];
-  }
-  return 0;
+  return counter_value(CounterId{counter_names().find(name)});
 }
 
 double Registry::gauge_value(std::string_view name) const {
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    if (gauge_names_[i] == name) return gauges_[i];
-  }
-  return 0.0;
+  return gauge_value(GaugeId{gauge_names().find(name)});
 }
 
 RegistrySnapshot Registry::snapshot() const {
   RegistrySnapshot snap;
   snap.counters = counters_;
-  snap.gauges = gauges_;
+  snap.gauges.reserve(gauges_.size());
+  for (const auto& g : gauges_) snap.gauges.push_back(g.value_or(0.0));
   snap.histogram_counts.reserve(histograms_.size());
   for (const auto& cell : histograms_) snap.histogram_counts.push_back(cell.counts);
   return snap;
@@ -110,12 +143,30 @@ RegistrySnapshot Registry::snapshot() const {
 
 void Registry::reset_values() {
   std::fill(counters_.begin(), counters_.end(), 0);
-  std::fill(gauges_.begin(), gauges_.end(), 0.0);
+  std::fill(gauges_.begin(), gauges_.end(), std::nullopt);
   for (auto& cell : histograms_) {
     std::fill(cell.counts.begin(), cell.counts.end(), 0);
     cell.total = 0;
     cell.underflow = 0;
     cell.overflow = 0;
+  }
+}
+
+void Registry::merge_from(const Registry& other) {
+  if (other.counters_.size() > counters_.size()) counters_.resize(other.counters_.size(), 0);
+  for (std::size_t i = 0; i < other.counters_.size(); ++i) counters_[i] += other.counters_[i];
+  if (other.gauges_.size() > gauges_.size()) gauges_.resize(other.gauges_.size());
+  for (std::size_t i = 0; i < other.gauges_.size(); ++i) {
+    if (other.gauges_[i].has_value()) gauges_[i] = other.gauges_[i];
+  }
+  grow_histograms(other.histograms_.size());
+  for (std::size_t h = 0; h < other.histograms_.size(); ++h) {
+    HistogramCell& cell = histograms_[h];
+    const HistogramCell& src = other.histograms_[h];
+    for (std::size_t b = 0; b < cell.counts.size(); ++b) cell.counts[b] += src.counts[b];
+    cell.total += src.total;
+    cell.underflow += src.underflow;
+    cell.overflow += src.overflow;
   }
 }
 

@@ -1,10 +1,26 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "obs/json.hpp"
 
 namespace cloudfog::obs {
 
 namespace {
+
+/// Indices 0..n-1 ordered by name. Names are interned process-wide in
+/// first-use order, which depends on thread timing once sweeps run on a
+/// pool; writing by name keeps the report's bytes independent of it.
+template <typename NameOf>
+std::vector<std::size_t> by_name(std::size_t n, NameOf name_of) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return name_of(a) < name_of(b); });
+  return order;
+}
 
 void write_stat(JsonWriter& w, const StatSummary& s) {
   w.key(s.name);
@@ -83,21 +99,25 @@ void write_report_json(std::ostream& os, const Recorder& recorder) {
   const Registry& reg = recorder.registry();
   w.key("counters");
   w.begin_object();
-  for (std::size_t i = 0; i < reg.counter_count(); ++i) {
+  for (const std::size_t i :
+       by_name(reg.counter_count(), [&](std::size_t i) { return reg.counter_name(i); })) {
     w.field(reg.counter_name(i), reg.counter_value(CounterId{static_cast<std::uint32_t>(i)}));
   }
   w.end_object();
 
   w.key("gauges");
   w.begin_object();
-  for (std::size_t i = 0; i < reg.gauge_count(); ++i) {
+  for (const std::size_t i :
+       by_name(reg.gauge_count(), [&](std::size_t i) { return reg.gauge_name(i); })) {
     w.field(reg.gauge_name(i), reg.gauge_value(GaugeId{static_cast<std::uint32_t>(i)}));
   }
   w.end_object();
 
   w.key("histograms");
   w.begin_object();
-  for (std::size_t i = 0; i < reg.histogram_count(); ++i) {
+  for (const std::size_t i : by_name(reg.histogram_count(), [&](std::size_t i) {
+         return std::string_view(reg.histogram_cell(i).name);
+       })) {
     const auto& cell = reg.histogram_cell(i);
     w.key(cell.name);
     w.begin_object();
@@ -116,8 +136,10 @@ void write_report_json(std::ostream& os, const Recorder& recorder) {
 
   w.key("phases");
   w.begin_object();
-  for (const auto& p : recorder.profiler().phases()) {
-    if (p.count > 0) write_phase(w, p);
+  const auto& phases = recorder.profiler().phases();
+  for (const std::size_t i :
+       by_name(phases.size(), [&](std::size_t i) { return std::string_view(phases[i].name); })) {
+    if (phases[i].count > 0) write_phase(w, phases[i]);
   }
   w.end_object();
 

@@ -34,7 +34,7 @@ void JsonlTraceSink::write(const TraceEvent& event) {
   TraceBuffer::write_jsonl(*os_, event);
 }
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
+TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity) {}
 
 namespace {
 
@@ -48,6 +48,10 @@ bool structural(EventKind kind) {
 
 void TraceBuffer::push(TraceEvent event) {
   ++total_pushed_;
+  if (ring_.empty()) {  // count-only: nothing is kept
+    ++dropped_;
+    return;
+  }
   switch (retention_) {
     case TraceRetention::kFull:
       break;

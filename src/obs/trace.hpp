@@ -101,6 +101,8 @@ enum class TraceRetention : std::uint8_t { kFull, kSampled, kAggregated };
 
 class TraceBuffer {
  public:
+  /// `capacity` 0 makes a count-only buffer: every push is counted in
+  /// total_pushed() and dropped(), and nothing is stored.
   explicit TraceBuffer(std::size_t capacity = 1 << 16);
 
   void push(TraceEvent event);
@@ -145,6 +147,13 @@ class TraceBuffer {
   std::uint64_t sampled_out() const { return sampled_out_; }
   /// Events folded into aggregate windows by kAggregated retention.
   std::uint64_t aggregated() const { return aggregated_; }
+
+  /// Counts `pushed` events pushed elsewhere (a merged child's count-only
+  /// buffer), `dropped` of them discarded there, without storing anything.
+  void add_pushed(std::uint64_t pushed, std::uint64_t dropped) {
+    total_pushed_ += pushed;
+    dropped_ += dropped;
+  }
 
   void clear();
 

@@ -17,8 +17,7 @@ struct JoinObs {
   obs::CounterId claims;
   obs::CounterId joins_fog;
   obs::CounterId joins_failed;
-  JoinObs() {
-    auto& reg = obs::Recorder::global().registry();
+  explicit JoinObs(obs::Registry& reg) {
     probes_sent = reg.counter("overlay.probes_sent");
     probes_answered = reg.counter("overlay.probes_answered");
     claims = reg.counter("overlay.capacity_claims");
@@ -27,8 +26,8 @@ struct JoinObs {
   }
 };
 
-const JoinObs& join_obs() {
-  static const JoinObs handles;
+const JoinObs& join_obs(obs::Recorder& rec) {
+  static const JoinObs handles(rec.registry());
   return handles;
 }
 
@@ -36,7 +35,8 @@ const JoinObs& join_obs() {
 
 JoinSession::JoinSession(sim::Simulator& sim, MessageNetwork& network, Address self,
                          Address directory, JoinConfig cfg, Ranker ranker,
-                         DoneCallback done, std::uint64_t session_id, util::Rng rng)
+                         DoneCallback done, std::uint64_t session_id, util::Rng rng,
+                         obs::Recorder& rec)
     : sim_(sim),
       network_(network),
       self_(self),
@@ -45,7 +45,8 @@ JoinSession::JoinSession(sim::Simulator& sim, MessageNetwork& network, Address s
       ranker_(std::move(ranker)),
       done_(std::move(done)),
       session_id_(session_id),
-      rng_(rng) {
+      rng_(rng),
+      rec_(rec) {
   CLOUDFOG_REQUIRE(cfg.lmax_ms > 0.0, "L_max must be positive");
   cfg_.stage.validate();
   CLOUDFOG_REQUIRE(static_cast<bool>(done_), "null completion callback");
@@ -99,7 +100,7 @@ void JoinSession::start() {
   started_at_ms_ = sim_.now() * 1000.0;
   stage_ = Stage::kCandidates;
   ++stage_epoch_;
-  candidates_budget_.emplace(cfg_.stage, "join.candidates");
+  candidates_budget_.emplace(cfg_.stage, rec_, "join.candidates");
   candidates_budget_->next_attempt(rng_);
   send_candidate_request();
 }
@@ -135,14 +136,13 @@ void JoinSession::on_message(const Message& msg) {
       probe_sent_ms_.erase(it);
       const bool within_lmax = rtt / 2.0 <= cfg_.lmax_ms;
       if (within_lmax) probed_rtt_ms_.emplace_back(msg.src, rtt);
-      auto& rec = obs::Recorder::global();
-      if (rec.enabled()) {
-        rec.registry().add(join_obs().probes_answered);
+      if (rec_.enabled()) {
+        rec_.registry().add(join_obs(rec_).probes_answered);
         static const obs::NoteId kWithinLmax = obs::intern_note("within_lmax");
         static const obs::NoteId kOverLmax = obs::intern_note("over_lmax");
-        rec.trace_at(sim_.now(), obs::EventKind::kProbeAnswered,
-                     static_cast<std::int64_t>(self_), static_cast<std::int64_t>(msg.src),
-                     rtt, within_lmax ? kWithinLmax : kOverLmax);
+        rec_.trace_at(sim_.now(), obs::EventKind::kProbeAnswered,
+                      static_cast<std::int64_t>(self_), static_cast<std::int64_t>(msg.src),
+                      rtt, within_lmax ? kWithinLmax : kOverLmax);
       }
       if (probe_sent_ms_.empty()) finish_probing();
       break;
@@ -181,7 +181,6 @@ void JoinSession::finish_candidates() {
     finish(false, kNoAddress);
     return;
   }
-  auto& rec = obs::Recorder::global();
   for (Address candidate : candidates_) {
     probe_sent_ms_[candidate] = sim_.now() * 1000.0;
     Message probe;
@@ -191,10 +190,10 @@ void JoinSession::finish_candidates() {
     probe.session = session_id_;
     network_.send(probe);
     ++result_.probes;
-    if (rec.enabled()) {
-      rec.registry().add(join_obs().probes_sent);
-      rec.trace_at(sim_.now(), obs::EventKind::kProbeSent,
-                   static_cast<std::int64_t>(self_), static_cast<std::int64_t>(candidate));
+    if (rec_.enabled()) {
+      rec_.registry().add(join_obs(rec_).probes_sent);
+      rec_.trace_at(sim_.now(), obs::EventKind::kProbeSent,
+                    static_cast<std::int64_t>(self_), static_cast<std::int64_t>(candidate));
     }
   }
   arm_timeout();
@@ -231,12 +230,11 @@ void JoinSession::next_claim() {
   ask.session = session_id_;
   network_.send(ask);
   ++result_.capacity_asks;
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(join_obs().claims);
-    rec.trace_at(sim_.now(), obs::EventKind::kCapacityClaim,
-                 static_cast<std::int64_t>(self_),
-                 static_cast<std::int64_t>(claim_order_[claim_index_]));
+  if (rec_.enabled()) {
+    rec_.registry().add(join_obs(rec_).claims);
+    rec_.trace_at(sim_.now(), obs::EventKind::kCapacityClaim,
+                  static_cast<std::int64_t>(self_),
+                  static_cast<std::int64_t>(claim_order_[claim_index_]));
   }
   arm_timeout();
 }
@@ -249,15 +247,14 @@ void JoinSession::finish(bool fog_connected, Address supernode) {
   result_.fog_connected = fog_connected;
   result_.supernode = supernode;
   result_.join_latency_ms = sim_.now() * 1000.0 - started_at_ms_;
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    rec.registry().add(fog_connected ? join_obs().joins_fog : join_obs().joins_failed);
+  if (rec_.enabled()) {
+    rec_.registry().add(fog_connected ? join_obs(rec_).joins_fog : join_obs(rec_).joins_failed);
     static const obs::NoteId kFog = obs::intern_note("fog");
     static const obs::NoteId kNoSupernode = obs::intern_note("no_supernode");
-    rec.trace_at(sim_.now(), obs::EventKind::kPlayerJoin,
-                 static_cast<std::int64_t>(self_),
-                 fog_connected ? static_cast<std::int64_t>(supernode) : -1,
-                 result_.join_latency_ms, fog_connected ? kFog : kNoSupernode);
+    rec_.trace_at(sim_.now(), obs::EventKind::kPlayerJoin,
+                  static_cast<std::int64_t>(self_),
+                  fog_connected ? static_cast<std::int64_t>(supernode) : -1,
+                  result_.join_latency_ms, fog_connected ? kFog : kNoSupernode);
   }
   done_(result_);
 }

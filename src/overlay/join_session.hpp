@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "fault/retry_policy.hpp"
+#include "obs/recorder.hpp"
 #include "overlay/agents.hpp"
 #include "overlay/probe_monitor.hpp"
 #include "sim/simulator.hpp"
@@ -53,7 +54,8 @@ class JoinSession {
 
   JoinSession(sim::Simulator& sim, MessageNetwork& network, Address self,
               Address directory, JoinConfig cfg, Ranker ranker, DoneCallback done,
-              std::uint64_t session_id, util::Rng rng);
+              std::uint64_t session_id, util::Rng rng,
+              obs::Recorder& rec = obs::Recorder::global());
 
   void start();
   void on_message(const Message& msg);
@@ -78,6 +80,7 @@ class JoinSession {
   DoneCallback done_;
   std::uint64_t session_id_;
   util::Rng rng_;
+  obs::Recorder& rec_;
 
   Stage stage_ = Stage::kIdle;
   int stage_epoch_ = 0;  // invalidates stale timeout callbacks

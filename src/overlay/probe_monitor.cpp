@@ -9,13 +9,14 @@ namespace cloudfog::overlay {
 
 ProbeMonitor::ProbeMonitor(sim::Simulator& sim, MessageNetwork& network, Address self,
                            Address target, ProbeMonitorConfig cfg,
-                           FailureCallback on_failure)
+                           FailureCallback on_failure, obs::Recorder& rec)
     : sim_(sim),
       network_(network),
       self_(self),
       target_(target),
       cfg_(cfg),
       on_failure_(std::move(on_failure)),
+      rec_(rec),
       backoff_rng_(util::hash64("probe_backoff") ^ (static_cast<std::uint64_t>(self) << 20),
                    target) {
   cfg_.policy.validate();
@@ -48,22 +49,21 @@ void ProbeMonitor::tick() {
     // The previous probe went unanswered for a full period.
     ++misses_;
     if (!streak_) {
-      streak_.emplace(cfg_.policy, "overlay.liveness");
+      streak_.emplace(cfg_.policy, rec_, "overlay.liveness");
       // The probe that opened the streak was the first attempt.
       streak_->next_attempt(backoff_rng_);
     }
     if (!streak_->next_attempt(backoff_rng_, &backoff_ms)) {
       // The policy's attempts are spent: declare the supernode dead.
       running_ = false;
-      auto& rec = obs::Recorder::global();
-      if (rec.enabled()) {
+      if (rec_.enabled()) {
         static const obs::CounterId failures =
-            rec.registry().counter("overlay.liveness_failures");
-        rec.registry().add(failures);
+            rec_.registry().counter("overlay.liveness_failures");
+        rec_.registry().add(failures);
         static const obs::NoteId kLivenessTimeout = obs::intern_note("liveness_timeout");
-        rec.trace_at(sim_.now(), obs::EventKind::kSupernodeChurn,
-                     static_cast<std::int64_t>(target_), static_cast<std::int64_t>(self_),
-                     static_cast<double>(misses_), kLivenessTimeout);
+        rec_.trace_at(sim_.now(), obs::EventKind::kSupernodeChurn,
+                      static_cast<std::int64_t>(target_), static_cast<std::int64_t>(self_),
+                      static_cast<double>(misses_), kLivenessTimeout);
       }
       // The callback may destroy this monitor (typical: the player stops
       // watching and rejoins); keep the callable alive on the stack.
@@ -79,12 +79,9 @@ void ProbeMonitor::tick() {
   probe.kind = MessageKind::kLivenessProbe;
   network_.send(probe);
   awaiting_reply_ = true;
-  {
-    auto& rec = obs::Recorder::global();
-    if (rec.enabled()) {
-      static const obs::CounterId liveness = rec.registry().counter("overlay.liveness_probes");
-      rec.registry().add(liveness);
-    }
+  if (rec_.enabled()) {
+    static const obs::CounterId liveness = rec_.registry().counter("overlay.liveness_probes");
+    rec_.registry().add(liveness);
   }
 
   const int epoch = epoch_;

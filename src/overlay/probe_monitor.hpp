@@ -17,6 +17,7 @@
 #include <optional>
 
 #include "fault/retry_policy.hpp"
+#include "obs/recorder.hpp"
 #include "overlay/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -32,7 +33,8 @@ class ProbeMonitor {
   using FailureCallback = std::function<void(double detected_at_ms)>;
 
   ProbeMonitor(sim::Simulator& sim, MessageNetwork& network, Address self, Address target,
-               ProbeMonitorConfig cfg, FailureCallback on_failure);
+               ProbeMonitorConfig cfg, FailureCallback on_failure,
+               obs::Recorder& rec = obs::Recorder::global());
   ~ProbeMonitor();
 
   ProbeMonitor(const ProbeMonitor&) = delete;
@@ -55,6 +57,7 @@ class ProbeMonitor {
   Address target_;
   ProbeMonitorConfig cfg_;
   FailureCallback on_failure_;
+  obs::Recorder& rec_;
   bool running_ = true;
   bool awaiting_reply_ = false;
   int misses_ = 0;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
+#include <limits>
 
-#include "obs/obs.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::reputation {
@@ -15,71 +14,65 @@ ReputationStore::ReputationStore(double aging_factor, std::size_t max_ratings_pe
   CLOUDFOG_REQUIRE(max_ratings_per_supernode >= 1, "must retain at least one rating");
 }
 
+std::pair<ReputationStore::Iter, ReputationStore::Iter> ReputationStore::group(
+    SupernodeId sn) const {
+  const auto first = std::partition_point(ratings_.begin(), ratings_.end(),
+                                          [sn](const Rating& r) { return r.sn < sn; });
+  const auto last =
+      std::partition_point(first, ratings_.end(), [sn](const Rating& r) { return r.sn == sn; });
+  return {first, last};
+}
+
 void ReputationStore::add_rating(SupernodeId sn, double value, int day) {
   CLOUDFOG_REQUIRE(value >= 0.0 && value <= 1.0, "rating out of [0,1]");
   CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
-  auto& rec = obs::Recorder::global();
-  if (rec.enabled()) {
-    static const obs::CounterId ratings = rec.registry().counter("reputation.ratings");
-    rec.registry().add(ratings);
-    rec.trace(obs::EventKind::kRating, static_cast<std::int64_t>(sn), day, value);
-  }
-  auto& list = ratings_[sn];
-  list.push_back(Rating{value, day});
-  if (list.size() > max_ratings_) {
+  CLOUDFOG_REQUIRE(sn <= std::numeric_limits<std::uint32_t>::max(), "supernode id too large");
+  ratings_.insert(group(sn).second, Rating{value, static_cast<std::uint32_t>(sn), day});
+  const auto [first, last] = group(sn);
+  if (static_cast<std::size_t>(last - first) > max_ratings_) {
     // Evict the oldest rating (smallest day; FIFO among ties).
-    const auto oldest = std::min_element(
-        list.begin(), list.end(), [](const Rating& a, const Rating& b) { return a.day < b.day; });
-    list.erase(oldest);
+    ratings_.erase(std::min_element(
+        first, last, [](const Rating& a, const Rating& b) { return a.day < b.day; }));
   }
 }
 
 double ReputationStore::score(SupernodeId sn, int current_day) const {
-  const auto it = ratings_.find(sn);
-  if (it == ratings_.end() || it->second.empty()) return 0.0;
+  const auto [first, last] = group(sn);
+  if (first == last) return 0.0;
   double weighted = 0.0;
   double weight_sum = 0.0;
-  for (const Rating& r : it->second) {
-    const int age = std::max(0, current_day - r.day);
+  for (auto it = first; it != last; ++it) {
+    const int age = std::max(0, current_day - it->day);
     const double w = std::pow(aging_factor_, static_cast<double>(age));
-    weighted += r.value * w;
+    weighted += it->value * w;
     weight_sum += w;
   }
   return weight_sum == 0.0 ? 0.0 : weighted / weight_sum;
 }
 
 std::size_t ReputationStore::rating_count(SupernodeId sn) const {
-  const auto it = ratings_.find(sn);
-  return it == ratings_.end() ? 0 : it->second.size();
+  const auto [first, last] = group(sn);
+  return static_cast<std::size_t>(last - first);
 }
 
-void ReputationStore::forget(SupernodeId sn) { ratings_.erase(sn); }
+void ReputationStore::forget(SupernodeId sn) {
+  const auto [first, last] = group(sn);
+  ratings_.erase(first, last);
+}
 
 std::vector<SupernodeId> ReputationStore::rated_supernodes() const {
   std::vector<SupernodeId> out;
-  out.reserve(ratings_.size());
-  // NOLINTNEXTLINE(cloudfog-unordered-iter): keys only, sorted before returning
-  for (const auto& [sn, list] : ratings_) {
-    if (!list.empty()) out.push_back(sn);
+  for (const Rating& r : ratings_) {
+    if (out.empty() || out.back() != r.sn) out.push_back(r.sn);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 void ReputationStore::prune(int current_day, double min_weight) {
-  // NOLINTNEXTLINE(cloudfog-unordered-iter): erase-only pass, order-insensitive
-  for (auto it = ratings_.begin(); it != ratings_.end();) {
-    auto& list = it->second;
-    std::erase_if(list, [&](const Rating& r) {
-      const int age = std::max(0, current_day - r.day);
-      return std::pow(aging_factor_, static_cast<double>(age)) < min_weight;
-    });
-    if (list.empty()) {
-      it = ratings_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(ratings_, [&](const Rating& r) {
+    const int age = std::max(0, current_day - r.day);
+    return std::pow(aging_factor_, static_cast<double>(age)) < min_weight;
+  });
 }
 
 }  // namespace cloudfog::reputation

@@ -13,13 +13,18 @@
 // that have performed, however poorly rated, matching the paper's
 // "reputation scores of supernodes that have no previous interactions
 // equal 0".
+//
+// Storage is one flat vector of ratings grouped by supernode (ascending),
+// each group in insertion order — a few dozen entries per player, so a
+// binary search plus a short scan beats hashing, and score() sums in the
+// same order the ratings were given. Recording a rating is pure state:
+// the caller reports it to observability.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
-
-#include "reputation/rating.hpp"
 
 namespace cloudfog::reputation {
 
@@ -34,7 +39,8 @@ class ReputationStore {
 
   double aging_factor() const { return aging_factor_; }
 
-  /// Records a rating of `sn` on `day` with value in [0,1].
+  /// Records a rating of `sn` on `day` with value in [0,1] (§3.2.1: the
+  /// playback continuity the player experienced).
   void add_rating(SupernodeId sn, double value, int day);
 
   /// s_ij as of `current_day`. 0 for unknown supernodes.
@@ -49,7 +55,7 @@ class ReputationStore {
   /// standing the old identity had accumulated).
   void forget(SupernodeId sn);
 
-  /// Supernodes with at least one rating.
+  /// Supernodes with at least one rating, ascending.
   std::vector<SupernodeId> rated_supernodes() const;
 
   /// Drops ratings whose weight λ^age has decayed below `min_weight`
@@ -57,9 +63,19 @@ class ReputationStore {
   void prune(int current_day, double min_weight = 1e-4);
 
  private:
+  struct Rating {
+    double value = 0.0;    ///< in [0,1]
+    std::uint32_t sn = 0;  ///< rated supernode
+    int day = 1;           ///< 1-based day the rating was issued
+  };
+  using Iter = std::vector<Rating>::const_iterator;
+
+  /// [first, last) of `sn`'s group.
+  std::pair<Iter, Iter> group(SupernodeId sn) const;
+
   double aging_factor_;
   std::size_t max_ratings_;
-  std::unordered_map<SupernodeId, std::vector<Rating>> ratings_;
+  std::vector<Rating> ratings_;  ///< grouped by sn, insertion order within
 };
 
 }  // namespace cloudfog::reputation

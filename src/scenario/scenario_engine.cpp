@@ -198,7 +198,7 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec, ScenarioRunOptions opts)
   }
 }
 
-ScenarioOutcome ScenarioEngine::run(const core::Testbed* shared_testbed) {
+ScenarioOutcome ScenarioEngine::run(const core::Testbed* shared_testbed, obs::Recorder& rec) {
   std::optional<core::Testbed> local;
   if (shared_testbed == nullptr) {
     local.emplace(testbed_config(spec_), spec_.seed);
@@ -209,12 +209,11 @@ ScenarioOutcome ScenarioEngine::run(const core::Testbed* shared_testbed) {
   const core::Testbed& testbed = shared_testbed != nullptr ? *shared_testbed : *local;
 
   const std::uint64_t sys_seed = spec_.system_seed != 0 ? spec_.system_seed : spec_.seed;
-  core::System sys(testbed, system_config(spec_, testbed), sys_seed);
+  core::System sys(testbed, system_config(spec_, testbed), sys_seed, rec);
   if (!spec_.game_mix.empty()) sys.set_game_mix(spec_.game_mix);
 
   const std::vector<LoadPoint> timeline = compile_timeline(spec_);
 
-  auto& rec = obs::Recorder::global();
   const std::string label = "scenario." + spec_.name;
   if (rec.enabled()) rec.begin_run(label);
 
@@ -348,7 +347,7 @@ util::Table envelope_table(const ScenarioOutcome& outcome) {
 
 util::Table chaos_sweep_table(core::TestbedProfile profile,
                               const std::vector<double>& faults_per_hour,
-                              const core::ExperimentScale& scale) {
+                              const core::ExperimentScale& scale, obs::Recorder& rec) {
   util::Table table("Chaos — QoS and recovery under a mixed fault schedule");
   table.set_header({"faults/hour", "continuity", "latency (ms)", "satisfied (%)",
                     "migrations", "mttr (s)", "fallback res (%)", "interrupted"});
@@ -356,10 +355,14 @@ util::Table chaos_sweep_table(core::TestbedProfile profile,
                                          ? core::TestbedConfig::peersim()
                                          : core::TestbedConfig::planetlab();
   const core::Testbed testbed(tb_cfg, scale.seed);
-  for (double rate : faults_per_hour) {
-    ScenarioEngine engine(chaos_scenario(profile, rate, scale));
-    const ScenarioOutcome out = engine.run(&testbed);
-    table.add_row({util::format_double(rate, 2),
+  const auto outcomes = core::map_cells(
+      faults_per_hour.size(), scale.jobs, rec, [&](std::size_t i, obs::Recorder& cell_rec) {
+        return ScenarioEngine(chaos_scenario(profile, faults_per_hour[i], scale))
+            .run(&testbed, cell_rec);
+      });
+  for (std::size_t row = 0; row < faults_per_hour.size(); ++row) {
+    const ScenarioOutcome& out = outcomes[row];
+    table.add_row({util::format_double(faults_per_hour[row], 2),
                    util::format_double(out.metric("continuity"), 3),
                    util::format_double(out.metric("latency_ms"), 1),
                    util::format_double(out.metric("satisfied_pct"), 1),

@@ -53,10 +53,11 @@ class ScenarioEngine {
   /// The spec actually run (after smoke clamping / overrides).
   const ScenarioSpec& spec() const { return spec_; }
 
-  /// Runs the scenario. `shared_testbed` skips world construction when the
-  /// caller sweeps several scenarios over one world; it must match the
-  /// spec's player count.
-  ScenarioOutcome run(const core::Testbed* shared_testbed = nullptr);
+  /// Runs the scenario, reporting into `rec`. `shared_testbed` skips world
+  /// construction when the caller sweeps several scenarios over one world;
+  /// it must match the spec's player count.
+  ScenarioOutcome run(const core::Testbed* shared_testbed = nullptr,
+                      obs::Recorder& rec = obs::Recorder::global());
 
  private:
   ScenarioSpec spec_;
@@ -67,9 +68,10 @@ util::Table envelope_table(const ScenarioOutcome& outcome);
 
 /// The legacy chaos sweep (bench/ext_chaos), rebuilt on the engine: one
 /// chaos_scenario per rate over a shared testbed, same columns as the old
-/// core::chaos_sweep table.
+/// core::chaos_sweep table. The rates are sweep cells (core::run_cells).
 util::Table chaos_sweep_table(core::TestbedProfile profile,
                               const std::vector<double>& faults_per_hour,
-                              const core::ExperimentScale& scale);
+                              const core::ExperimentScale& scale,
+                              obs::Recorder& rec = obs::Recorder::global());
 
 }  // namespace cloudfog::scenario

@@ -5,7 +5,8 @@
 
 namespace cloudfog::sim {
 
-CycleDriver::CycleDriver(Simulator& sim, CycleConfig cfg) : sim_(sim), cfg_(cfg) {
+CycleDriver::CycleDriver(Simulator& sim, CycleConfig cfg, obs::Recorder& rec)
+    : sim_(sim), cfg_(cfg), rec_(rec) {
   CLOUDFOG_REQUIRE(cfg.total_cycles > 0, "need at least one cycle");
   CLOUDFOG_REQUIRE(cfg.warmup_cycles >= 0 && cfg.warmup_cycles < cfg.total_cycles,
                    "warm-up must leave at least one measured cycle");
@@ -32,7 +33,6 @@ bool CycleDriver::is_peak_subcycle(int subcycle) const {
 }
 
 void CycleDriver::run() {
-  auto& rec = obs::Recorder::global();
   for (int cycle = 1; cycle <= cfg_.total_cycles; ++cycle) {
     const bool warmup = cycle <= cfg_.warmup_cycles;
     for (int sub = 1; sub <= cfg_.subcycles_per_cycle; ++sub) {
@@ -42,13 +42,13 @@ void CycleDriver::run() {
       point.warmup = warmup;
       point.peak = is_peak_subcycle(sub);
       point.start_time = sim_.now();
-      if (rec.enabled()) {
-        rec.set_sim_time(point.start_time);
-        rec.trace(obs::EventKind::kSubcycle, cycle, sub);
+      if (rec_.enabled()) {
+        rec_.set_sim_time(point.start_time);
+        rec_.trace(obs::EventKind::kSubcycle, cycle, sub);
       }
       for (const auto& hook : subcycle_hooks_) hook(point);
       {
-        CLOUDFOG_TIMED_SCOPE("sim.drain");
+        CLOUDFOG_TIMED_SCOPE(rec_, "sim.drain");
         sim_.run_until(point.start_time + cfg_.subcycle_seconds);
       }
     }

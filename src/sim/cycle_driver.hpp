@@ -10,6 +10,7 @@
 
 #include <functional>
 
+#include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace cloudfog::sim {
@@ -42,7 +43,8 @@ class CycleDriver {
   using SubcycleHook = std::function<void(const CyclePoint&)>;
   using CycleHook = std::function<void(int cycle, bool warmup)>;
 
-  CycleDriver(Simulator& sim, CycleConfig cfg);
+  /// Stamps subcycle boundaries and drain time into `rec`.
+  CycleDriver(Simulator& sim, CycleConfig cfg, obs::Recorder& rec = obs::Recorder::global());
 
   /// Called at the start of every subcycle, before events in it run.
   void on_subcycle(SubcycleHook hook);
@@ -61,6 +63,7 @@ class CycleDriver {
  private:
   Simulator& sim_;
   CycleConfig cfg_;
+  obs::Recorder& rec_;
   std::vector<SubcycleHook> subcycle_hooks_;
   std::vector<CycleHook> cycle_hooks_;
 };

@@ -24,6 +24,7 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   void add_numeric_row(const std::vector<double>& cells, int precision = 3);
 
+  const std::string& title() const { return title_; }
   std::size_t row_count() const { return rows_.size(); }
   std::size_t column_count() const { return header_.size(); }
   const std::string& cell(std::size_t row, std::size_t col) const;

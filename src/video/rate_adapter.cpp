@@ -1,8 +1,5 @@
 #include "video/rate_adapter.hpp"
 
-#include <cstdint>
-
-#include "obs/obs.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::video {
@@ -13,34 +10,11 @@ SegmentSpec spec_for(const game::QualityLevel& level, double duration_s) {
   return SegmentSpec{duration_s, level.bitrate_kbps};
 }
 
-struct RateObs {
-  obs::CounterId up{};
-  obs::CounterId down{};
-};
-
-const RateObs& rate_obs() {
-  static const RateObs handles = [] {
-    auto& reg = obs::Recorder::global().registry();
-    return RateObs{reg.counter("rate.switch_up"), reg.counter("rate.switch_down")};
-  }();
-  return handles;
-}
-
-void note_switch(game::GameId game, int new_level, bool up) {
-  auto& rec = obs::Recorder::global();
-  if (!rec.enabled()) return;
-  const RateObs& handles = rate_obs();
-  rec.registry().add(up ? handles.up : handles.down);
-  rec.trace(obs::EventKind::kRateSwitch, static_cast<std::int64_t>(game), new_level,
-            up ? 1.0 : -1.0);
-}
-
 }  // namespace
 
 RateAdapter::RateAdapter(const game::GameCatalog& catalog, game::GameId game,
                          RateAdapterConfig cfg, util::Rng rng)
     : catalog_(catalog),
-      game_(game),
       cfg_(cfg),
       level_(&catalog.ladder().at_level(catalog.game(game).default_quality_level)),
       max_level_(catalog.game(game).default_quality_level),
@@ -113,7 +87,6 @@ RateAdapter::StepOutcome RateAdapter::step(double dt, double download_bps) {
     if (rng_.chance(cfg_.up_probability)) {
       switch_level(catalog_.ladder().step_up(level_->level));
       out.decision = RateDecision::kUp;
-      note_switch(game_, level_->level, /*up=*/true);
     } else {
       up_streak_ = 0;  // lost the draw; re-confirm before trying again
     }
@@ -121,7 +94,6 @@ RateAdapter::StepOutcome RateAdapter::step(double dt, double download_bps) {
              level_->level > catalog_.ladder().min_level()) {
     switch_level(catalog_.ladder().step_down(level_->level));
     out.decision = RateDecision::kDown;
-    note_switch(game_, level_->level, /*up=*/false);
   }
   return out;
 }

@@ -77,7 +77,6 @@ class RateAdapter {
   void switch_level(const game::QualityLevel& next);
 
   const game::GameCatalog& catalog_;
-  game::GameId game_;
   RateAdapterConfig cfg_;
   const game::QualityLevel* level_;  // points into the catalog's ladder
   int max_level_;                    // the game's default level

@@ -14,7 +14,7 @@ class FogManagerTest : public ::testing::Test {
     std::vector<DatacenterState> dcs(1);
     dcs[0].endpoint = net::make_infrastructure_endpoint({2000.0, 0.0});
     cloud_.emplace(std::move(dcs), latency_, net::IpLocator{0.0});
-    fog_.emplace(FogManagerConfig{}, *cloud_, latency_);
+    fog_.emplace(FogManagerConfig{}, *cloud_, latency_, rec_);
   }
 
   void add_sn(double x, int capacity = 5, double access = 2.0) {
@@ -40,6 +40,7 @@ class FogManagerTest : public ::testing::Test {
   net::LatencyModel latency_;
   game::GameCatalog catalog_;
   std::optional<Cloud> cloud_;
+  obs::Recorder rec_;
   std::optional<FogManager> fog_;
   std::vector<SupernodeState> fleet_;
   util::Rng rng_{77};
@@ -152,7 +153,7 @@ TEST_F(FogManagerTest, SupernodeJoinLatencyIsOneCloudRoundTrip) {
 TEST_F(FogManagerTest, ConfigValidation) {
   FogManagerConfig cfg;
   cfg.candidate_count = 0;
-  EXPECT_THROW(FogManager(cfg, *cloud_, latency_), ConfigError);
+  EXPECT_THROW(FogManager(cfg, *cloud_, latency_, rec_), ConfigError);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ class QosEngineTest : public ::testing::Test {
     dcs[0].endpoint = net::make_infrastructure_endpoint({1500.0, 0.0});
     dcs[0].uplink_mbps = 100.0;
     cloud_.emplace(std::move(dcs), latency_, net::IpLocator{0.0});
-    engine_.emplace(QosEngineConfig{}, latency_, catalog_);
+    engine_.emplace(QosEngineConfig{}, latency_, catalog_, rec_);
   }
 
   PlayerState make_player(double x, game::GameId game, ServingRef serving) {
@@ -46,6 +46,7 @@ class QosEngineTest : public ::testing::Test {
   net::LatencyModel latency_;
   game::GameCatalog catalog_;
   std::optional<Cloud> cloud_;
+  obs::Recorder rec_;
   std::optional<QosEngine> engine_;
   std::vector<PlayerState> players_;
   std::vector<SupernodeState> fleet_;
@@ -162,10 +163,10 @@ TEST_F(QosEngineTest, EmptySubcycleIsWellDefined) {
 TEST_F(QosEngineTest, ConfigValidation) {
   QosEngineConfig cfg;
   cfg.substeps = 0;
-  EXPECT_THROW(QosEngine(cfg, latency_, catalog_), ConfigError);
+  EXPECT_THROW(QosEngine(cfg, latency_, catalog_, rec_), ConfigError);
   cfg = QosEngineConfig{};
   cfg.burst_headroom = 0.5;
-  EXPECT_THROW(QosEngine(cfg, latency_, catalog_), ConfigError);
+  EXPECT_THROW(QosEngine(cfg, latency_, catalog_, rec_), ConfigError);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@ FaultSpec spec_of(FaultKind kind, double at_s, double duration_s,
 struct Harness {
   sim::Simulator sim;
   FaultState state;
+  obs::Recorder rec;
   FaultInjector injector;
 
   explicit Harness(std::vector<FaultSpec> specs, std::size_t supernodes = 8,
@@ -35,7 +36,8 @@ struct Harness {
                  },
                  [](const FaultSpec&, std::size_t) {
                    ADD_FAILURE() << "unexpected crash clear";
-                 }) {
+                 },
+                 rec) {
     state.resize(supernodes, regions);
     injector.arm();
   }
@@ -113,6 +115,7 @@ TEST(FaultInjector, CrashHookResolvesWildcardAndClearNamesTheSameVictim) {
   state.resize(8, 2);
   std::vector<std::size_t> applied;
   std::vector<std::size_t> cleared;
+  obs::Recorder rec;
   FaultInjector injector(
       sim, state,
       FaultPlan::from_specs({spec_of(FaultKind::kSupernodeCrash, 10.0, 30.0)}),
@@ -121,7 +124,7 @@ TEST(FaultInjector, CrashHookResolvesWildcardAndClearNamesTheSameVictim) {
         applied.push_back(5);  // the hook picks the victim
         return 5;
       },
-      [&](const FaultSpec&, std::size_t target) { cleared.push_back(target); });
+      [&](const FaultSpec&, std::size_t target) { cleared.push_back(target); }, rec);
   injector.arm();
 
   sim.run_until(20.0);
@@ -145,10 +148,11 @@ TEST(FaultInjector, CrashWithNoVictimIsDroppedWithoutAClear) {
   FaultState state;
   state.resize(4, 2);
   int clears = 0;
+  obs::Recorder rec;
   FaultInjector injector(
       sim, state, FaultPlan::from_specs({spec_of(FaultKind::kSupernodeCrash, 1.0, 10.0)}),
       [](const FaultSpec&) -> std::size_t { return kAnyTarget; },  // nobody to kill
-      [&](const FaultSpec&, std::size_t) { ++clears; });
+      [&](const FaultSpec&, std::size_t) { ++clears; }, rec);
   injector.arm();
 
   sim.run_until(100.0);

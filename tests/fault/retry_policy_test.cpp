@@ -74,7 +74,8 @@ TEST(RetryPolicy, ValidateRejectsNonsense) {
 TEST(RetryBudget, AttemptsRunOut) {
   RetryPolicy p;
   p.max_attempts = 3;
-  RetryBudget budget(p, "test");
+  obs::Recorder rec;
+  RetryBudget budget(p, rec, "test");
   util::Rng rng(3);
   EXPECT_TRUE(budget.next_attempt(rng));
   EXPECT_TRUE(budget.next_attempt(rng));
@@ -91,7 +92,8 @@ TEST(RetryBudget, DeadlineBudgetStopsFurtherAttempts) {
   RetryPolicy p;
   p.max_attempts = 0;  // unbounded attempts — only the deadline limits
   p.deadline_budget_ms = 1000.0;
-  RetryBudget budget(p, "test");
+  obs::Recorder rec;
+  RetryBudget budget(p, rec, "test");
   util::Rng rng(4);
   EXPECT_TRUE(budget.next_attempt(rng));
   budget.charge_ms(999.0);
@@ -108,7 +110,8 @@ TEST(RetryBudget, BackoffWaitsChargeTheDeadline) {
   p.max_attempts = 0;
   p.base_backoff_ms = 300.0;
   p.deadline_budget_ms = 500.0;
-  RetryBudget budget(p, "test");
+  obs::Recorder rec;
+  RetryBudget budget(p, rec, "test");
   util::Rng rng(5);
   double backoff = -1.0;
   ASSERT_TRUE(budget.next_attempt(rng, &backoff));
@@ -126,7 +129,8 @@ TEST(RetryBudget, BackoffWaitsChargeTheDeadline) {
 TEST(RetryBudget, UnboundedPolicyWithInfiniteDeadlineNeverExhausts) {
   RetryPolicy p;
   p.max_attempts = 0;  // the pre-PR FogManager claim loop
-  RetryBudget budget(p, "test");
+  obs::Recorder rec;
+  RetryBudget budget(p, rec, "test");
   util::Rng rng(6);
   for (int i = 0; i < 10000; ++i) ASSERT_TRUE(budget.next_attempt(rng));
   EXPECT_FALSE(budget.exhausted());

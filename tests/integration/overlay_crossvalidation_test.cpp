@@ -39,7 +39,8 @@ double fluid_join_ms(const Geometry& geo, const net::LatencyModel& latency) {
   std::vector<core::DatacenterState> dcs(1);
   dcs[0].endpoint = geo.datacenter;
   core::Cloud cloud(std::move(dcs), latency, net::IpLocator{0.0});
-  core::FogManager fog(core::FogManagerConfig{}, cloud, latency);
+  obs::Recorder rec;
+  core::FogManager fog(core::FogManagerConfig{}, cloud, latency, rec);
   std::vector<core::SupernodeState> fleet(1);
   fleet[0].endpoint = geo.supernode;
   fleet[0].capacity = 5;

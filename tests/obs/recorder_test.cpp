@@ -71,11 +71,11 @@ TEST_F(RecorderTest, BeginRunRebasesAcrossRuns) {
 TEST_F(RecorderTest, ScopedTimerRecordsOnlyWhenEnabled) {
   auto& rec = Recorder::global();
   for (int i = 0; i < 3; ++i) {
-    CLOUDFOG_TIMED_SCOPE("test.phase");
+    CLOUDFOG_TIMED_SCOPE(rec, "test.phase");
   }
   rec.set_enabled(false);
   {
-    CLOUDFOG_TIMED_SCOPE("test.phase");
+    CLOUDFOG_TIMED_SCOPE(rec, "test.phase");
   }
   rec.set_enabled(true);
   const auto* stats = rec.profiler().find("test.phase");
@@ -100,7 +100,7 @@ TEST_F(RecorderTest, ReportJsonContainsAllSections) {
   rec.registry().add(rec.registry().counter("test.counter"), 7);
   rec.registry().set(rec.registry().gauge("test.gauge"), 2.5);
   rec.registry().observe(rec.registry().histogram("test.hist", 0.0, 10.0, 4), 3.0);
-  rec.profiler().record(rec.profiler().phase("test.phase"), 1500);
+  rec.profiler().record(PhaseProfiler::intern("test.phase"), 1500);
 
   RunSummary run;
   run.label = "arm-a";
@@ -156,6 +156,39 @@ TEST_F(RecorderTest, ResetClearsValuesAndRuns) {
   EXPECT_EQ(rec.registry().counter_value(id), 0u);
   EXPECT_EQ(rec.trace_buffer().total_pushed(), 0u);
   EXPECT_TRUE(rec.runs().empty());
+}
+
+TEST(RecorderMerge, CountOnlyChildFoldsIntoItsParentInOrder) {
+  Recorder parent;
+  parent.set_enabled(true);
+  parent.add_run_summary(RunSummary{"first", 1, {}});
+  const CounterId joins = parent.registry().counter("merge.test.joins");
+  parent.registry().add(joins, 2);
+  parent.profiler().record(PhaseProfiler::intern("merge.test.phase"), 100);
+
+  Recorder child(0);  // count-only trace
+  child.set_enabled(true);
+  child.trace(EventKind::kPlayerJoin, 1);
+  child.trace(EventKind::kPlayerLeave, 1);
+  EXPECT_EQ(child.trace_buffer().total_pushed(), 2u);
+  EXPECT_EQ(child.trace_buffer().size(), 0u);
+  EXPECT_EQ(child.trace_buffer().dropped(), 2u);
+  EXPECT_TRUE(child.trace_buffer().events().empty());
+  child.add_run_summary(RunSummary{"second", 2, {}});
+  child.registry().add(joins, 5);
+  {
+    CLOUDFOG_TIMED_SCOPE(child, "merge.test.phase");
+  }
+
+  parent.merge_from(child);
+  ASSERT_EQ(parent.runs().size(), 2u);
+  EXPECT_EQ(parent.runs()[0].label, "first");
+  EXPECT_EQ(parent.runs()[1].label, "second");
+  EXPECT_EQ(parent.registry().counter_value(joins), 7u);
+  EXPECT_EQ(parent.profiler().find("merge.test.phase")->count, 2u);
+  EXPECT_EQ(parent.trace_buffer().total_pushed(), 2u);
+  EXPECT_EQ(parent.trace_buffer().size(), 0u);  // counted, not copied
+  EXPECT_EQ(parent.trace_buffer().dropped(), 2u);
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace cloudfog::reputation {
 namespace {
@@ -107,6 +111,97 @@ TEST(ReputationStore, Validation) {
   ReputationStore store;
   EXPECT_THROW(store.add_rating(1, 1.5, 1), cloudfog::ConfigError);
   EXPECT_THROW(store.add_rating(1, 0.5, 0), cloudfog::ConfigError);
+}
+
+/// The map-of-lists store the flat layout replaced, kept as an oracle:
+/// per supernode, ratings in insertion order, oldest (FIFO among equal
+/// days) evicted past the cap.
+class OracleStore {
+ public:
+  OracleStore(double lambda, std::size_t cap) : lambda_(lambda), cap_(cap) {}
+
+  void add_rating(SupernodeId sn, double value, int day) {
+    auto& list = ratings_[sn];
+    list.push_back({value, day});
+    if (list.size() > cap_) {
+      list.erase(std::min_element(list.begin(), list.end(),
+                                  [](const Entry& a, const Entry& b) { return a.day < b.day; }));
+    }
+  }
+  double score(SupernodeId sn, int current_day) const {
+    const auto it = ratings_.find(sn);
+    if (it == ratings_.end() || it->second.empty()) return 0.0;
+    double weighted = 0.0;
+    double weight_sum = 0.0;
+    for (const Entry& r : it->second) {
+      const double w = std::pow(lambda_, static_cast<double>(std::max(0, current_day - r.day)));
+      weighted += r.value * w;
+      weight_sum += w;
+    }
+    return weight_sum == 0.0 ? 0.0 : weighted / weight_sum;
+  }
+  std::size_t rating_count(SupernodeId sn) const {
+    const auto it = ratings_.find(sn);
+    return it == ratings_.end() ? 0 : it->second.size();
+  }
+  void forget(SupernodeId sn) { ratings_.erase(sn); }
+  void prune(int current_day, double min_weight) {
+    for (auto it = ratings_.begin(); it != ratings_.end();) {
+      std::erase_if(it->second, [&](const Entry& r) {
+        return std::pow(lambda_, static_cast<double>(std::max(0, current_day - r.day))) <
+               min_weight;
+      });
+      it = it->second.empty() ? ratings_.erase(it) : std::next(it);
+    }
+  }
+  std::vector<SupernodeId> rated_supernodes() const {
+    std::vector<SupernodeId> out;
+    for (const auto& [sn, list] : ratings_) out.push_back(sn);
+    return out;
+  }
+
+ private:
+  struct Entry {
+    double value;
+    int day;
+  };
+  double lambda_;
+  std::size_t cap_;
+  std::map<SupernodeId, std::vector<Entry>> ratings_;
+};
+
+TEST(ReputationStore, MatchesTheMapOracleUnderRandomOperations) {
+  util::Rng rng(2015, 7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t cap = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    ReputationStore store(0.8, cap);
+    OracleStore oracle(0.8, cap);
+    int day = 1;
+    for (int op = 0; op < 400; ++op) {
+      const auto sn = static_cast<SupernodeId>(rng.uniform_int(0, 11));
+      const std::int64_t kind = rng.uniform_int(0, 99);
+      if (kind < 70) {
+        // Days mostly advance but may repeat or step back (crash ratings
+        // land mid-cycle), which exercises FIFO eviction among ties.
+        day = std::max(1, day + static_cast<int>(rng.uniform_int(-1, 2)));
+        const double value = rng.next_double();
+        store.add_rating(sn, value, day);
+        oracle.add_rating(sn, value, day);
+      } else if (kind < 80) {
+        store.forget(sn);
+        oracle.forget(sn);
+      } else if (kind < 85) {
+        store.prune(day + 20, 0.05);
+        oracle.prune(day + 20, 0.05);
+      }
+      for (SupernodeId probe = 0; probe < 12; ++probe) {
+        ASSERT_EQ(store.rating_count(probe), oracle.rating_count(probe)) << "op " << op;
+        // Bit-identical: the flat store sums in the oracle's order.
+        ASSERT_EQ(store.score(probe, day), oracle.score(probe, day)) << "op " << op;
+      }
+      ASSERT_EQ(store.rated_supernodes(), oracle.rated_supernodes()) << "op " << op;
+    }
+  }
 }
 
 }  // namespace
