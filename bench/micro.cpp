@@ -20,7 +20,6 @@
 #include "util/rng.hpp"
 #include "video/qoe.hpp"
 #include "video/rate_adapter.hpp"
-#include "world/state_engine.hpp"
 
 namespace {
 
@@ -124,28 +123,6 @@ void BM_SarimaObserveForecast(benchmark::State& state) {
 // Bounded iterations: the model keeps its observation history, so an
 // unbounded run would grow memory linearly.
 BENCHMARK(BM_SarimaObserveForecast)->Iterations(100000);
-
-void BM_WorldTick(benchmark::State& state) {
-  world::WorldConfig wcfg;
-  world::VirtualWorld vw(wcfg, util::Rng(31));
-  for (std::int64_t i = 0; i < state.range(0); ++i) vw.spawn();
-  world::GameStateEngine engine(vw, world::StateEngineConfig{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.tick(0.1));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WorldTick)->Arg(1000)->Arg(5000);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  world::WorldConfig wcfg;
-  world::VirtualWorld vw(wcfg, util::Rng(32));
-  for (std::int64_t i = 0; i < state.range(0); ++i) vw.spawn();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(world::build_kdtree_partition(vw, 64, 8));
-  }
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(1000)->Arg(10000);
 
 void BM_OverlayJoin(benchmark::State& state) {
   // One full §3.2.1 join conversation through the event-driven overlay.

@@ -5,7 +5,6 @@
 //   compare    run all five arms of the paper's evaluation side by side
 //   coverage   Fig. 4-style coverage for a datacenter/supernode deployment
 //   economics  contributor & provider economics tables
-//   world      tick the virtual-world substrate and report server loads
 //   report     regenerate every paper figure into CSVs + a Markdown report
 //
 //   $ ./cloudfog_cli run --arch cloudfog-a --players 2000 --cycles 6 --seed 7
@@ -20,7 +19,6 @@
 #include "core/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/require.hpp"
-#include "world/state_engine.hpp"
 
 namespace {
 
@@ -28,7 +26,7 @@ using namespace cloudfog;
 
 int usage() {
   std::cout <<
-      "usage: cloudfog_cli <run|compare|coverage|economics|world|report> [options]\n"
+      "usage: cloudfog_cli <run|compare|coverage|economics|report> [options]\n"
       "\n"
       "common options:\n"
       "  --profile peersim|planetlab   testbed profile (default peersim)\n"
@@ -39,9 +37,7 @@ int usage() {
       "run options:\n"
       "  --arch cloud|cdn|cdn-small|cloudfog-b|cloudfog-a (default cloudfog-a)\n"
       "coverage options:\n"
-      "  --supernodes N                supernodes on top of the default DCs\n"
-      "world options:\n"
-      "  --avatars N --servers N --ticks N\n";
+      "  --supernodes N                supernodes on top of the default DCs\n";
   return 2;
 }
 
@@ -144,31 +140,6 @@ int cmd_economics(const util::CliArgs& args) {
   return 0;
 }
 
-int cmd_world(const util::CliArgs& args) {
-  args.require_known({"avatars", "servers", "ticks", "seed", "csv"});
-  world::WorldConfig wcfg;
-  world::VirtualWorld vw(wcfg, util::Rng(static_cast<std::uint64_t>(args.get_int("seed", 42))));
-  const auto avatars = args.get_int("avatars", 3000);
-  for (std::int64_t i = 0; i < avatars; ++i) vw.spawn();
-  world::StateEngineConfig scfg;
-  scfg.server_count = static_cast<std::size_t>(args.get_int("servers", 8));
-  world::GameStateEngine engine(vw, scfg);
-  util::Table table("cloudfog world — tick report");
-  table.set_header({"tick", "compute (ms)", "interactions", "cross-server", "imbalance"});
-  const auto ticks = args.get_int("ticks", 50);
-  for (std::int64_t t = 0; t < ticks; ++t) {
-    const auto stats = engine.tick(0.1);
-    if (t % std::max<std::int64_t>(1, ticks / 10) == 0) {
-      table.add_row({std::to_string(t), util::format_double(stats.compute_ms, 2),
-                     std::to_string(stats.interactions),
-                     std::to_string(stats.cross_server_interactions),
-                     util::format_double(stats.imbalance, 2)});
-    }
-  }
-  emit(args, table);
-  return 0;
-}
-
 int cmd_report(const util::CliArgs& args) {
   args.require_known({"out", "profile", "seed", "cycles", "warmup", "quick"});
   const std::filesystem::path out_dir = args.get_string("out", "results");
@@ -253,7 +224,6 @@ int main(int argc, char** argv) {
     if (command == "compare") return cmd_compare(args);
     if (command == "coverage") return cmd_coverage(args);
     if (command == "economics") return cmd_economics(args);
-    if (command == "world") return cmd_world(args);
     if (command == "report") return cmd_report(args);
     std::cerr << "unknown command: " << command << "\n";
     return usage();

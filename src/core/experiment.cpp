@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -28,6 +29,25 @@ TestbedConfig profile_config(TestbedProfile profile) {
 }
 
 std::string ms_label(double ms) { return util::format_double(ms, 0) + " ms"; }
+
+/// Appends `count` wildcard supernode crashes to `faults`, 1 ms apart,
+/// starting 1 s after the first peak subcycle of `day` ends (when a burst
+/// hurts the most). Each victim is picked at fire time, a serving supernode
+/// while one is left, and reboots at `reboot_s`, or stays down for the rest
+/// of the run if unset.
+void add_peak_crash_burst(fault::FaultPlanConfig& faults, const sim::CycleConfig& cycles,
+                          int day, std::size_t count, std::optional<double> reboot_s) {
+  const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
+  const double burst_s = static_cast<double>(day - 1) * day_s +
+                         static_cast<double>(cycles.peak_start_subcycle) * 3600.0 + 1.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::kSupernodeCrash;
+    spec.at_s = burst_s + static_cast<double>(k) * 1e-3;
+    spec.duration_s = reboot_s.has_value() ? *reboot_s - spec.at_s : 0.0;
+    faults.extra_specs.push_back(spec);
+  }
+}
 
 }  // namespace
 
@@ -311,22 +331,13 @@ namespace {
 std::vector<std::string> setup_latency_row(const Testbed& testbed, std::size_t supernodes,
                                            std::size_t failures, const std::string& x_label,
                                            const ExperimentScale& scale, obs::Recorder& rec) {
-  SystemConfig cfg = cloudfog_advanced_config(testbed, supernodes);
-  System sys(testbed, cfg, scale.seed + supernodes, rec);
-
   const auto cycles = to_cycle_config(scale);
-  for (int day = 1; day <= cycles.total_cycles; ++day) {
-    sys.begin_cycle(day);
-    for (int sub = 1; sub <= cycles.subcycles_per_cycle; ++sub) {
-      const bool peak = sub >= cycles.peak_start_subcycle && sub <= cycles.peak_end_subcycle;
-      sys.run_subcycle(day, sub, day <= cycles.warmup_cycles, peak);
-      // Inject the failure burst once, during the peak of the last day.
-      if (day == cycles.total_cycles && sub == cycles.peak_start_subcycle) {
-        sys.inject_supernode_failures(failures, day);
-      }
-    }
-    sys.end_cycle(day);
-  }
+  SystemConfig cfg = cloudfog_advanced_config(testbed, supernodes);
+  // The failure burst: once, during the peak of the last day.
+  cfg.faults.enabled = true;
+  add_peak_crash_burst(cfg.faults, cycles, cycles.total_cycles, failures, std::nullopt);
+  System sys(testbed, cfg, scale.seed + supernodes, rec);
+  sys.run(cycles);
 
   // Server assignment cost over the full population (wall clock).
   const double assignment_s = sys.measure_server_assignment_seconds();
@@ -548,25 +559,14 @@ util::Table failure_rate_sweep(TestbedProfile profile,
         SystemConfig cfg = cloudfog_advanced_config(testbed, fleet);
         if (i > 0) {
           cfg.faults.enabled = true;
-          // The legacy churn schedule as a fault plan: a crash burst right
-          // after the first peak subcycle of every cycle (when it hurts the
-          // most), every victim rebooted by the next day. kAnyTarget
-          // victims resolve to serving supernodes at fire time.
+          // A crash burst in the peak of every cycle, every victim
+          // rebooted by the next day.
           const auto failures_per_cycle =
               static_cast<std::size_t>(failure_fractions[i - 1] * static_cast<double>(fleet));
           const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
           for (int day = 1; day <= cycles.total_cycles; ++day) {
-            const double burst_s = static_cast<double>(day - 1) * day_s +
-                                   static_cast<double>(cycles.peak_start_subcycle) * 3600.0 +
-                                   1.0;
-            const double reboot_s = static_cast<double>(day) * day_s + 0.5;
-            for (std::size_t k = 0; k < failures_per_cycle; ++k) {
-              fault::FaultSpec spec;
-              spec.kind = fault::FaultKind::kSupernodeCrash;
-              spec.at_s = burst_s + static_cast<double>(k) * 1e-3;
-              spec.duration_s = reboot_s - spec.at_s;
-              cfg.faults.extra_specs.push_back(spec);
-            }
+            add_peak_crash_burst(cfg.faults, cycles, day, failures_per_cycle,
+                                 static_cast<double>(day) * day_s + 0.5);
           }
         }
         return run_means(testbed, cfg, scale.seed + 61, cycles, cell_rec);

@@ -86,7 +86,6 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
         return qc;
       }(), testbed.latency(), testbed.catalog(), rec),
       provisioner_(cfg.provisioning, rec),
-      coplay_(testbed.players().size()),
       partition_(testbed.players().size(), 0) {
   cfg_.adapter.enabled = cfg_.strategies.rate_adaptation;
   cloud_.set_candidate_mode(cfg_.discovery);
@@ -702,20 +701,6 @@ void System::end_cycle(int day) {
     // Daily-session players leave at day end (each cycle is one day).
     if (cfg_.workload == WorkloadMode::kDailySessions && p.online) detach_player(p);
   }
-
-  // Co-play bookkeeping for implicit friendships: friend pairs online on
-  // the same day playing the same game count as playing together.
-  for (const auto& [a, b] : testbed_.social_graph().edges()) {
-    const PlayerState& pa = players_[a];
-    const PlayerState& pb = players_[b];
-    if (cfg_.workload != WorkloadMode::kDailySessions) continue;
-    const bool played_together =
-        pa.game == pb.game &&
-        pa.today.start_subcycle < pb.today.start_subcycle + static_cast<int>(std::ceil(pb.today.hours)) &&
-        pb.today.start_subcycle < pa.today.start_subcycle + static_cast<int>(std::ceil(pa.today.hours));
-    if (played_together) coplay_.record_coplay(a, b, day);
-  }
-  coplay_.expire(day);
 }
 
 const RunMetrics& System::run(const sim::CycleConfig& cycles) {
@@ -737,61 +722,6 @@ const RunMetrics& System::run(const sim::CycleConfig& cycles) {
   return collector_.metrics();
 }
 
-std::vector<double> System::inject_supernode_failures(std::size_t count, int day) {
-  CLOUDFOG_REQUIRE(cfg_.architecture == Architecture::kCloudFog,
-                   "failure injection needs a fog");
-  // Fail `count` random deployed supernodes that are currently serving.
-  std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    if (fleet_[i].deployed && !fleet_[i].failed && fleet_[i].served > 0) candidates.push_back(i);
-  }
-  util::Rng fail_rng = rng_.fork("failures");
-  std::shuffle(candidates.begin(), candidates.end(), fail_rng);
-  candidates.resize(std::min(count, candidates.size()));
-  for (std::size_t idx : candidates) {
-    fleet_[idx].failed = true;
-    if (rec_.enabled()) {
-      rec_.registry().add(sys_obs(rec_).supernode_failures);
-      rec_.trace(obs::EventKind::kSupernodeChurn, static_cast<std::int64_t>(idx),
-                 static_cast<std::int64_t>(day));
-    }
-  }
-
-  std::vector<double> migration_latencies;
-  for (auto& p : players_) {
-    if (!p.online || p.serving.kind != ServingKind::kSupernode) continue;
-    SupernodeState& failed_sn = fleet_[p.serving.index];
-    if (!failed_sn.failed) continue;
-    // The seat is gone with the failure.
-    CLOUDFOG_REQUIRE(failed_sn.served > 0, "supernode load underflow");
-    --failed_sn.served;
-    p.serving = ServingRef{};
-    util::Rng mig_rng = rng_.fork("migrate");
-    const auto outcome = fog_.migrate(p, fleet_, testbed_.catalog(), day,
-                                      cfg_.strategies.reputation, mig_rng);
-    if (!outcome.serving.attached()) {
-      p.serving = ServingRef{ServingKind::kCloud, p.state_dc};
-    }
-    if (p.serving.kind == ServingKind::kSupernode) {
-      p.rated_supernode_this_cycle = p.serving.index;
-    }
-    migration_latencies.push_back(outcome.join_latency_ms);
-    collector_.record_migration(outcome.join_latency_ms);
-    if (rec_.enabled()) {
-      rec_.registry().add(sys_obs(rec_).migrations);
-      rec_.registry().observe(sys_obs(rec_).migration_ms, outcome.join_latency_ms);
-      rec_.trace(obs::EventKind::kMigration, static_cast<std::int64_t>(p.info.id),
-                 p.serving.attached() ? static_cast<std::int64_t>(p.serving.index) : -1,
-                 outcome.join_latency_ms);
-    }
-  }
-  return migration_latencies;
-}
-
-void System::recover_supernodes() {
-  for (auto& sn : fleet_) sn.failed = false;
-}
-
 double System::measure_server_assignment_seconds() {
   const double seconds = reassign_servers("measure-partition");
   collector_.record_server_assignment(seconds);
@@ -799,11 +729,15 @@ double System::measure_server_assignment_seconds() {
 }
 
 double System::reassign_servers(std::string_view rng_label) {
-  const auto merged = coplay_.merged_with(testbed_.social_graph());
+  // The partitioner's greedy seed walks adjacency lists in order, so it
+  // runs on a copy rebuilt from the sorted edge list: the friend order
+  // every pinned table was produced with, not the generator's.
+  social::SocialGraph graph(players_.size());
+  for (const auto& [a, b] : testbed_.social_graph().edges()) graph.add_friendship(a, b);
   const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
   util::Rng part_rng = rng_.fork(rng_label);
   const auto start = std::chrono::steady_clock::now();
-  partition_ = partitioner.partition(merged, part_rng).partition;
+  partition_ = partitioner.partition(graph, part_rng).partition;
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
 }

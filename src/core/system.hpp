@@ -29,7 +29,6 @@
 #include "sim/cycle_driver.hpp"
 #include "sim/simulator.hpp"
 #include "social/community_partitioner.hpp"
-#include "social/friendship_tracker.hpp"
 #include "video/rate_adapter.hpp"
 
 namespace cloudfog::core {
@@ -132,8 +131,8 @@ class System {
   /// Runs the full cycle schedule and returns the collected metrics.
   const RunMetrics& run(const sim::CycleConfig& cycles);
 
-  /// Manual driving (used by the experiment harness for sweeps that need
-  /// to poke the system between subcycles).
+  /// Manual driving (used by the scenario engine, which pokes the system
+  /// between subcycles).
   void begin_cycle(int day);
   SubcycleQos run_subcycle(int day, int subcycle, bool warmup, bool peak);
   void end_cycle(int day);
@@ -165,11 +164,6 @@ class System {
   /// The adversary driving this run, if any.
   const scenario::AdversaryModel* adversary() const { return adversary_.get(); }
 
-  /// Fig. 9: fails `count` random serving supernodes and migrates their
-  /// players; returns one migration latency per displaced player.
-  std::vector<double> inject_supernode_failures(std::size_t count, int day);
-  void recover_supernodes();
-
   /// Chaos-run introspection (meaningful only with `faults.enabled`).
   const fault::FaultState& fault_state() const { return fault_state_; }
   const fault::FaultInjector* injector() const { return injector_.get(); }
@@ -199,7 +193,7 @@ class System {
   void detach_player(PlayerState& p);
   void update_cross_server_latency();
   void maybe_run_provisioning(int day, int subcycle);
-  /// Re-partitions the merged friend graph into servers (§3.4) with an rng
+  /// Re-partitions the friend graph into servers (§3.4) with an rng
   /// forked under `rng_label`; returns the partitioner's wall-clock seconds.
   double reassign_servers(std::string_view rng_label);
   void migrate_players_off_undeployed(int day);
@@ -220,7 +214,6 @@ class System {
   std::vector<PlayerState> players_;
   std::vector<SupernodeState> fleet_;
   std::vector<CdnServerState> cdn_;
-  social::FriendshipTracker coplay_;
   social::Partition partition_;  ///< player -> global server index
   int total_servers_ = 1;
   std::vector<char> throttle80_;  ///< designated 80 %-throttlers

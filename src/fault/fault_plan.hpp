@@ -115,8 +115,8 @@ struct FaultPlanConfig {
   std::size_t region_count = 0;
   /// Plan seed; 0 = derive from the owning system's seed.
   std::uint64_t seed = 0;
-  /// Hand-written specs merged into the generated schedule (used by
-  /// failure_rate_sweep to express exact per-cycle crash bursts).
+  /// Hand-written specs merged into the generated schedule (used by the
+  /// Fig. 9 and failure_rate_sweep crash bursts and the scenario engine).
   std::vector<FaultSpec> extra_specs;
   /// Geographic victim selection. When `target_box` is set, generated
   /// faults that name a random supernode victim (crash, slow node, probe

@@ -1,6 +1,6 @@
 // §3.2.2 churn under injected faults: crash → detection → migration →
-// re-selection, driven through the FaultInjector instead of the legacy
-// inject_supernode_failures() entry point.
+// re-selection, driven through the FaultInjector — the only way a
+// supernode crashes.
 #include <gtest/gtest.h>
 
 #include <algorithm>

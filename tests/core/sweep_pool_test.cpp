@@ -2,6 +2,7 @@
 // tables, and everything the caller's recorder holds afterwards, are the
 // same at one worker and at four. Small PlanetLab worlds at quick() scale
 // keep each sweep to milliseconds, so the TSan leg can run all of them.
+// The tables are also pinned across changes by digest.
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 
 #include "obs/obs.hpp"
 #include "scenario/scenario_engine.hpp"
+#include "util/rng.hpp"
 
 namespace cloudfog::core {
 namespace {
@@ -61,6 +65,32 @@ std::vector<util::Table> all_sweeps(const ExperimentScale& scale, obs::Recorder&
 bool wall_clock_cell(const util::Table& table, std::size_t col) {
   return table.title().rfind("Fig 9", 0) == 0 && col == 3;
 }
+
+/// util::hash64 of each table as printed at one worker, in all_sweeps()
+/// order. Fig. 9's tables are not pinned: their server-assignment column
+/// is wall-clock time. A change that moves a digest lists it in CHANGES.md
+/// with the reason.
+struct PinnedTable {
+  const char* title;
+  std::uint64_t digest;
+};
+constexpr PinnedTable kPinnedTables[] = {
+    {"Fig 6 — cloud bandwidth (Mbps) vs # players (PlanetLab)", 0x22e44c798bb7b15dULL},
+    {"Fig 7 — avg response latency (ms) vs # players (PlanetLab)", 0x514439892256d0c0ULL},
+    {"Fig 8 — playback continuity vs # players (PlanetLab)", 0x237827e96f93a4cdULL},
+    {"Fig 10 — % satisfied players, reputation-based selection", 0x00d096d4aefdf194ULL},
+    {"Fig 11 — % satisfied players, encoding-rate adaptation", 0xd3e5a2e8c8bccd2eULL},
+    {"Fig 12 — response latency split by server communication", 0x0226bf08a4dc4d8fULL},
+    {"Fig 13 — cloud bandwidth (Mbps) vs peak arrival rate (PlanetLab)", 0xcbd39c8c2c9e1f5aULL},
+    {"Fig 14 — avg response latency (ms) vs peak arrival rate (PlanetLab)",
+     0xcb327dc86a08c993ULL},
+    {"Fig 15 — continuity vs peak arrival rate (PlanetLab)", 0xc0b4dbd43c4845e3ULL},
+    {"Ablation — Eq. 15 over-provisioning factor ε", 0x0d4a5df5bfecc137ULL},
+    {"Resilience — QoS under per-cycle supernode failures", 0x90c325a12d2fe572ULL},
+    {"Ablation — cloud candidate-list size k (§3.2.1)", 0x4b3cd0da34750ecdULL},
+    {"Extension — % satisfied players under malicious supernodes", 0x993d534179e6a19fULL},
+    {"Chaos — QoS and recovery under a mixed fault schedule", 0x24b03602f553ee07ULL},
+};
 
 struct SweepRun {
   std::vector<util::Table> tables;
@@ -107,6 +137,20 @@ TEST_F(SweepPool, TablesAreCellForCellEqualAtOneAndFourWorkers) {
       }
     }
   }
+}
+
+TEST_F(SweepPool, TablesMatchTheirPinnedDigests) {
+  std::size_t pinned = 0;
+  for (const util::Table& table : serial_->tables) {
+    if (table.title().rfind("Fig 9", 0) == 0) continue;
+    ASSERT_LT(pinned, std::size(kPinnedTables)) << table.title();
+    const PinnedTable& pin = kPinnedTables[pinned++];
+    std::ostringstream printed;
+    table.print(printed);
+    EXPECT_EQ(table.title(), pin.title);
+    EXPECT_EQ(util::hash64(printed.str()), pin.digest) << table.title();
+  }
+  EXPECT_EQ(pinned, std::size(kPinnedTables));
 }
 
 TEST_F(SweepPool, RecorderHoldsTheSameRunsCountersAndPhaseCalls) {

@@ -99,6 +99,19 @@ TEST_P(SystemInvariants, HoldAtEverySubcycle) {
   if (c.workload == WorkloadMode::kArrivalRates) {
     cfg.arrivals = ArrivalWorkload{10.0, 40.0};
   }
+  // Fog arms take a mid-run burst: five wildcard crashes fire as day 2's
+  // subcycle 21 opens and clear two hours later, as subcycle 23 opens.
+  const bool fog = c.architecture == Architecture::kCloudFog;
+  if (fog) {
+    cfg.faults.enabled = true;
+    for (std::size_t k = 0; k < 5; ++k) {
+      fault::FaultSpec spec;
+      spec.kind = fault::FaultKind::kSupernodeCrash;
+      spec.at_s = 44.0 * 3600.0 + 1.0 + static_cast<double>(k) * 1e-3;
+      spec.duration_s = 2.0 * 3600.0;
+      cfg.faults.extra_specs.push_back(spec);
+    }
+  }
   System sys(property_testbed(), cfg, 1234);
 
   for (int day = 1; day <= 3; ++day) {
@@ -118,12 +131,15 @@ TEST_P(SystemInvariants, HoldAtEverySubcycle) {
       if (qos.online_sessions > 0) {
         ASSERT_GT(qos.avg_response_latency_ms, 0.0);
       }
-    }
-    // 4. Mid-run failure injection keeps accounting intact (fog arms).
-    if (c.architecture == Architecture::kCloudFog && day == 2) {
-      sys.inject_supernode_failures(5, day);
-      check_invariants(sys);
-      sys.recover_supernodes();
+      // 4. The invariants above also held right after the crash and right
+      //    after its clear (fog arms).
+      if (fog && day == 2 && sub == 21) {
+        ASSERT_EQ(sys.injector()->injected(), 5u);
+      }
+      if (fog && day == 2 && sub == 23) {
+        ASSERT_EQ(sys.injector()->cleared(), 5u);
+        for (const auto& sn : sys.fleet()) ASSERT_FALSE(sn.failed);
+      }
     }
     sys.end_cycle(day);
     check_invariants(sys);

@@ -91,10 +91,23 @@ TEST(System, EndOfDayDetachesEveryone) {
 }
 
 TEST(System, FailureInjectionMigratesEveryAffectedPlayer) {
-  System sys = make_cloudfog_basic(small_testbed(), 7);
+  // Five wildcard crashes fire as subcycle 22 opens and clear two hours
+  // later, as subcycle 24 opens.
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(),
+                                           default_supernode_count(small_testbed()));
+  cfg.faults.enabled = true;
+  for (std::size_t k = 0; k < 5; ++k) {
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::kSupernodeCrash;
+    spec.at_s = 21.0 * 3600.0 + 1.0 + static_cast<double>(k) * 1e-3;
+    spec.duration_s = 2.0 * 3600.0;
+    cfg.faults.extra_specs.push_back(spec);
+  }
+  System sys(small_testbed(), cfg, 7);
   sys.begin_cycle(1);
-  for (int sub = 1; sub <= 21; ++sub) sys.run_subcycle(1, sub, true, sub >= 20);
-  const auto latencies = sys.inject_supernode_failures(5, 1);
+  for (int sub = 1; sub <= 22; ++sub) sys.run_subcycle(1, sub, true, sub >= 20);
+  ASSERT_EQ(sys.injector()->injected(), 5u);
+  const auto& latencies = sys.metrics().migration_latency_ms.samples();
   EXPECT_FALSE(latencies.empty());
   for (double ms : latencies) {
     EXPECT_GT(ms, 0.0);
@@ -106,7 +119,8 @@ TEST(System, FailureInjectionMigratesEveryAffectedPlayer) {
       ASSERT_FALSE(sys.fleet()[p.serving.index].failed);
     }
   }
-  sys.recover_supernodes();
+  for (int sub = 23; sub <= 24; ++sub) sys.run_subcycle(1, sub, true, true);
+  ASSERT_EQ(sys.injector()->cleared(), 5u);
   for (const auto& sn : sys.fleet()) ASSERT_FALSE(sn.failed);
 }
 

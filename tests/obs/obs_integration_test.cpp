@@ -95,12 +95,23 @@ TEST_F(ObsIntegrationTest, CloudFogRunEmitsOrderedJoinProbeEvents) {
 
 TEST_F(ObsIntegrationTest, FailureInjectionEmitsChurnAndMigration) {
   auto& rec = obs::Recorder::global();
-  System sys = make_cloudfog_basic(small_testbed(), 9);
+  // Three wildcard crashes fire as subcycle 22 opens.
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(),
+                                           default_supernode_count(small_testbed()));
+  cfg.faults.enabled = true;
+  for (std::size_t k = 0; k < 3; ++k) {
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::kSupernodeCrash;
+    spec.at_s = 21.0 * 3600.0 + 1.0 + static_cast<double>(k) * 1e-3;
+    cfg.faults.extra_specs.push_back(spec);
+  }
+  System sys(small_testbed(), cfg, 9, rec);
   sys.begin_cycle(1);
-  for (int sub = 1; sub <= 21; ++sub) sys.run_subcycle(1, sub, false, sub >= 20);
-  const auto latencies = sys.inject_supernode_failures(3, 1);
+  for (int sub = 1; sub <= 22; ++sub) sys.run_subcycle(1, sub, false, sub >= 20);
+  const std::size_t displaced = sys.metrics().migration_latency_ms.count();
+  EXPECT_GT(displaced, 0u);
   EXPECT_EQ(rec.registry().counter_value("system.supernode_failures"), 3u);
-  EXPECT_EQ(rec.registry().counter_value("system.migrations"), latencies.size());
+  EXPECT_EQ(rec.registry().counter_value("system.migrations"), displaced);
   std::size_t churn = 0;
   std::size_t migrations = 0;
   for (const auto& e : rec.trace_buffer().events()) {
@@ -108,7 +119,7 @@ TEST_F(ObsIntegrationTest, FailureInjectionEmitsChurnAndMigration) {
     if (e.kind == obs::EventKind::kMigration) ++migrations;
   }
   EXPECT_EQ(churn, 3u);
-  EXPECT_EQ(migrations, latencies.size());
+  EXPECT_EQ(migrations, displaced);
 }
 
 TEST_F(ObsIntegrationTest, DisabledRecorderLeavesNoTrace) {
