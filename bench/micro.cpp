@@ -160,8 +160,10 @@ void BM_QoeMos(benchmark::State& state) {
 BENCHMARK(BM_QoeMos);
 
 // §3.2 step 1 at fleet scale: the geo-grid index against the linear
-// reference scan, over every player endpoint in the testbed.
-void BM_CandidateDiscovery(benchmark::State& state) {
+// reference scan, over every player endpoint in the testbed. Every node is
+// deployed; with `saturated` only every 100th has a free seat, the regime
+// §3.5 provisioning runs the fleet in.
+void run_candidate_discovery(benchmark::State& state, bool saturated) {
   const auto fleet_size = static_cast<std::size_t>(state.range(0));
   const auto mode =
       state.range(1) != 0 ? core::CandidateMode::kGrid : core::CandidateMode::kLinear;
@@ -172,9 +174,10 @@ void BM_CandidateDiscovery(benchmark::State& state) {
   cloud.set_candidate_mode(mode);
   auto fleet = testbed.make_supernode_fleet(fleet_size);
   util::Rng reg_rng(7);
-  for (auto& sn : fleet) {
-    cloud.register_supernode(sn, reg_rng);
-    sn.deployed = true;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    cloud.register_supernode(fleet[i], reg_rng);
+    fleet[i].deployed = true;
+    if (saturated && i % 100 != 0) fleet[i].served = fleet[i].capacity;
   }
   constexpr std::size_t kQueries = 1000;
   std::vector<std::size_t> out;
@@ -186,10 +189,20 @@ void BM_CandidateDiscovery(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kQueries));
 }
+
+void BM_CandidateDiscovery(benchmark::State& state) { run_candidate_discovery(state, false); }
 BENCHMARK(BM_CandidateDiscovery)
     ->ArgNames({"fleet", "grid"})
     ->Args({1000, 0})
     ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
+
+void BM_CandidateDiscoverySaturated(benchmark::State& state) {
+  run_candidate_discovery(state, true);
+}
+BENCHMARK(BM_CandidateDiscoverySaturated)
+    ->ArgNames({"fleet", "grid"})
     ->Args({10000, 0})
     ->Args({10000, 1});
 

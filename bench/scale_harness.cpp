@@ -6,7 +6,9 @@
 //
 //   * candidate discovery — the §3.2 step-1 lookup, linear reference scan
 //     (CandidateMode::kLinear) vs the geo-grid index (kGrid), swept over
-//     fleet size;
+//     fleet size with every node free, plus a saturated point where only
+//     1 % of the nodes has a free seat (the regime §3.5 provisioning runs
+//     the fleet in);
 //   * end-to-end System subcycle — population churn + demand tallies +
 //     QoS pass on the CloudFog arm, reference engine (linear discovery,
 //     memoization off) vs the optimised engine (grid + memo), at a
@@ -59,16 +61,19 @@ struct DiscoveryPoint {
   double speedup = 0.0;
 };
 
-DiscoveryPoint bench_discovery(std::size_t fleet_size, int repeats) {
+/// Every node is deployed; with `saturated` only every 100th node has a
+/// free seat.
+DiscoveryPoint bench_discovery(std::size_t fleet_size, bool saturated, int repeats) {
   auto cfg = core::TestbedConfig::peersim(std::max<std::size_t>(fleet_size, 2000));
   cfg.supernode_capable_fraction = 1.0;  // allow fleets beyond the 10 % pool
   const core::Testbed testbed(cfg, 42);
   core::Cloud cloud(testbed.make_datacenters(), testbed.latency(), net::IpLocator{});
   auto fleet = testbed.make_supernode_fleet(fleet_size);
   util::Rng reg_rng(7);
-  for (auto& sn : fleet) {
-    cloud.register_supernode(sn, reg_rng);
-    sn.deployed = true;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    cloud.register_supernode(fleet[i], reg_rng);
+    fleet[i].deployed = true;
+    if (saturated && i % 100 != 0) fleet[i].served = fleet[i].capacity;
   }
   const std::size_t queries = 1000;
   std::vector<std::size_t> out;
@@ -279,12 +284,16 @@ int main(int argc, char** argv) {
   const int repeats = quick ? 2 : 10;
   std::vector<DiscoveryPoint> discovery;
   for (const std::size_t fleet : {std::size_t{1000}, std::size_t{10000}}) {
-    discovery.push_back(bench_discovery(fleet, repeats));
+    discovery.push_back(bench_discovery(fleet, /*saturated=*/false, repeats));
     std::cerr << "discovery fleet=" << discovery.back().fleet
               << " linear_us=" << discovery.back().linear_us
               << " grid_us=" << discovery.back().grid_us
               << " speedup=" << discovery.back().speedup << '\n';
   }
+  const DiscoveryPoint saturated = bench_discovery(10000, /*saturated=*/true, repeats);
+  std::cerr << "discovery_saturated fleet=" << saturated.fleet
+            << " linear_us=" << saturated.linear_us << " grid_us=" << saturated.grid_us
+            << " speedup=" << saturated.speedup << '\n';
 
   const int days = quick ? 1 : 2;
   std::vector<SubcyclePoint> subcycle;
@@ -327,7 +336,11 @@ int main(int argc, char** argv) {
         << ", \"grid_us_per_query\": " << p.grid_us << ", \"speedup\": " << p.speedup << "}"
         << (i + 1 < discovery.size() ? "," : "") << '\n';
   }
-  *os << "  ],\n  \"subcycle\": [\n";
+  *os << "  ],\n  \"candidate_discovery_saturated\": {\"fleet\": " << saturated.fleet
+      << ", \"accepting_fraction\": 0.01, \"linear_us_per_query\": " << saturated.linear_us
+      << ", \"grid_us_per_query\": " << saturated.grid_us
+      << ", \"speedup\": " << saturated.speedup << "},\n";
+  *os << "  \"subcycle\": [\n";
   for (std::size_t i = 0; i < subcycle.size(); ++i) {
     const auto& p = subcycle[i];
     *os << "    {\"players\": " << p.players << ", \"fleet\": " << p.fleet
@@ -355,6 +368,10 @@ int main(int argc, char** argv) {
       store.append(row, prefix + ".grid_us", p.grid_us);
       store.append(row, prefix + ".speedup", p.speedup);
     }
+    const std::string sat_prefix =
+        "scale.discovery_saturated.fleet" + std::to_string(saturated.fleet);
+    store.append(row, sat_prefix + ".linear_us", saturated.linear_us);
+    store.append(row, sat_prefix + ".grid_us", saturated.grid_us);
     for (const auto& p : subcycle) {
       const std::string prefix = "scale.subcycle.fleet" + std::to_string(p.fleet);
       store.append(row, prefix + ".baseline_ms", p.baseline_ms);

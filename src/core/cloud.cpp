@@ -90,7 +90,17 @@ void Cloud::candidate_supernodes_into(const net::Endpoint& player,
   out.clear();
   if (count == 0 || fleet.empty()) return;
   ensure_index(fleet);
-  index_.nearest_accepting(player.position, fleet, count, out);
+  index_.nearest_accepting(player.position, count, out);
+}
+
+void Cloud::note_seat_change(const std::vector<SupernodeState>& fleet, std::size_t i) const {
+  if (!indexed_for(fleet)) return;
+  CLOUDFOG_REQUIRE(i < fleet.size(), "seat change for a node outside the fleet");
+  index_.set_accepting(i, fleet[i].accepting());
+}
+
+bool Cloud::seat_index_consistent(const std::vector<SupernodeState>& fleet) const {
+  return !indexed_for(fleet) || index_.accepting_matches(fleet);
 }
 
 void Cloud::candidate_supernodes_linear(const net::Endpoint& player,
@@ -121,15 +131,18 @@ void Cloud::candidate_supernodes_linear(const net::Endpoint& player,
   for (std::size_t i = 0; i < take; ++i) out.push_back(scored[i].second);
 }
 
+bool Cloud::indexed_for(const std::vector<SupernodeState>& fleet) const {
+  return indexed_fleet_ == fleet.data() && indexed_size_ == fleet.size() &&
+         indexed_epoch_ == registry_epoch_;
+}
+
 void Cloud::ensure_index(const std::vector<SupernodeState>& fleet) const {
-  if (indexed_fleet_ == fleet.data() && indexed_size_ == fleet.size() &&
-      indexed_epoch_ == registry_epoch_)
-    return;
+  if (indexed_for(fleet)) return;
   std::vector<net::GeoPoint> positions;
   positions.reserve(fleet.size());
   for (const SupernodeState& sn : fleet)
     positions.push_back(locator_.locate(sn.ip).value_or(sn.endpoint.position));
-  index_.rebuild(positions);
+  index_.rebuild(positions, fleet);
   indexed_fleet_ = fleet.data();
   indexed_size_ = fleet.size();
   indexed_epoch_ = registry_epoch_;

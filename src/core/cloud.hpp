@@ -11,8 +11,12 @@
 // Candidate discovery runs on a geo-grid spatial index by default
 // (SupernodeIndex, DESIGN.md §10); the exact-equivalent linear scan is
 // kept as the engine of record for property tests and the tracked bench
-// baseline. nearest_datacenter memoizes per distinct endpoint — endpoints
-// and the datacenter set are immutable after construction.
+// baseline. The index keeps the table's "available capacities" column as
+// accepting counts, so every path that can flip a node's accepting() —
+// a seat claim or release, a crash or its clear, a provisioning deploy —
+// reports the node through note_seat_change. nearest_datacenter memoizes
+// per distinct endpoint — endpoints and the datacenter set are immutable
+// after construction.
 #pragma once
 
 #include <bit>
@@ -74,6 +78,19 @@ class Cloud {
                                    const std::vector<SupernodeState>& fleet, std::size_t count,
                                    std::vector<std::size_t>& out) const;
 
+  /// Seat-change hook: re-reads `fleet[i].accepting()` into the index's
+  /// accepting counts. Idempotent, O(1), and a no-op while the index is
+  /// built for another fleet or registry epoch (the next query rebuilds
+  /// it from the fleet anyway). Must follow every change to a node's
+  /// deployed / failed / served state once queries have begun.
+  void note_seat_change(const std::vector<SupernodeState>& fleet, std::size_t i) const;
+
+  /// Invariant check for tests: false iff the index is built for `fleet`
+  /// and its accepting bytes, per-cell counts or total differ from a
+  /// recount of `accepting()` — a seat change that bypassed
+  /// note_seat_change. Rebuilds nothing.
+  bool seat_index_consistent(const std::vector<SupernodeState>& fleet) const;
+
   CandidateMode candidate_mode() const { return mode_; }
   void set_candidate_mode(CandidateMode mode) { mode_ = mode; }
 
@@ -84,6 +101,8 @@ class Cloud {
   /// Lazily (re)builds the spatial index when the fleet identity or the
   /// registration epoch changed since the last build.
   void ensure_index(const std::vector<SupernodeState>& fleet) const;
+  /// True when the index was built for this fleet vector at this epoch.
+  bool indexed_for(const std::vector<SupernodeState>& fleet) const;
 
   struct EndpointKey {
     std::uint64_t x = 0;

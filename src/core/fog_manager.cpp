@@ -153,6 +153,7 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
     }
     if (granted) {
       ++sn.served;
+      cloud_.note_seat_change(fleet, cand.index);
       player.serving = ServingRef{ServingKind::kSupernode, cand.index};
       out.serving = player.serving;
       out.join_latency_ms += cfg_.connect_setup_ms;
@@ -261,6 +262,7 @@ void FogManager::release(PlayerState& player, std::vector<SupernodeState>& fleet
     SupernodeState& sn = fleet[player.serving.index];
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
     --sn.served;
+    cloud_.note_seat_change(fleet, player.serving.index);
   }
   player.serving = ServingRef{};
 }

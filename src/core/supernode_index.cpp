@@ -28,10 +28,21 @@ std::int64_t SupernodeIndex::cell_of(double v) const {
   return static_cast<std::int64_t>(std::floor(v / cell_km_));
 }
 
-void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions) {
+std::size_t SupernodeIndex::cell_index(const net::GeoPoint& p) const {
+  return static_cast<std::size_t>((cell_of(p.y_km) - min_cy_) * width_ +
+                                  (cell_of(p.x_km) - min_cx_));
+}
+
+void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions,
+                             const std::vector<SupernodeState>& fleet) {
+  CLOUDFOG_REQUIRE(fleet.size() == positions.size(), "one position per fleet node");
   positions_ = positions;
   cell_start_.clear();
   cell_nodes_.clear();
+  accepting_.clear();
+  node_cell_.clear();
+  cell_accepting_.clear();
+  accepting_total_ = 0;
   min_cx_ = min_cy_ = 0;
   max_cx_ = max_cy_ = -1;
   width_ = 0;
@@ -54,42 +65,71 @@ void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions) {
   // the dense layout into a memory bomb — fail loudly instead.
   CLOUDFOG_REQUIRE(cells <= (std::int64_t{1} << 24), "grid extent too large for dense cells");
 
-  // CSR build: count per cell, exclusive prefix, then fill.
+  // CSR build: count per cell, exclusive prefix, then fill. The accepting
+  // bytes and per-cell counts come along in the same passes.
   cell_start_.assign(static_cast<std::size_t>(cells) + 1, 0);
-  for (const net::GeoPoint& p : positions_) {
-    const std::size_t c = static_cast<std::size_t>(
-        (cell_of(p.y_km) - min_cy_) * width_ + (cell_of(p.x_km) - min_cx_));
+  cell_accepting_.assign(static_cast<std::size_t>(cells), 0);
+  node_cell_.resize(positions_.size());
+  accepting_.resize(positions_.size());
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const std::size_t c = cell_index(positions_[i]);
+    node_cell_[i] = static_cast<std::uint32_t>(c);
     ++cell_start_[c + 1];
+    accepting_[i] = fleet[i].accepting() ? 1 : 0;
+    cell_accepting_[c] += accepting_[i];
+    accepting_total_ += accepting_[i];
   }
   for (std::size_t c = 1; c < cell_start_.size(); ++c) cell_start_[c] += cell_start_[c - 1];
   cell_nodes_.resize(positions_.size());
   std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const std::size_t c = static_cast<std::size_t>(
-        (cell_of(positions_[i].y_km) - min_cy_) * width_ +
-        (cell_of(positions_[i].x_km) - min_cx_));
-    cell_nodes_[cursor[c]++] = static_cast<std::uint32_t>(i);
+    cell_nodes_[cursor[node_cell_[i]]++] = static_cast<std::uint32_t>(i);
   }
 }
 
-void SupernodeIndex::scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoPoint& from,
-                               const std::vector<SupernodeState>& fleet) const {
+void SupernodeIndex::set_accepting(std::size_t i, bool accepting) {
+  const std::uint8_t now = accepting ? 1 : 0;
+  if (accepting_[i] == now) return;
+  accepting_[i] = now;
+  if (accepting) {
+    ++cell_accepting_[node_cell_[i]];
+    ++accepting_total_;
+  } else {
+    --cell_accepting_[node_cell_[i]];
+    --accepting_total_;
+  }
+}
+
+bool SupernodeIndex::accepting_matches(const std::vector<SupernodeState>& fleet) const {
+  if (fleet.size() != accepting_.size()) return false;
+  std::vector<std::uint32_t> per_cell(cell_accepting_.size(), 0);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const std::uint8_t now = fleet[i].accepting() ? 1 : 0;
+    if (accepting_[i] != now) return false;
+    per_cell[node_cell_[i]] += now;
+    total += now;
+  }
+  return total == accepting_total_ && per_cell == cell_accepting_;
+}
+
+void SupernodeIndex::scan_cell(std::int64_t cx, std::int64_t cy,
+                               const net::GeoPoint& from) const {
   const std::size_t c =
       static_cast<std::size_t>((cy - min_cy_) * width_ + (cx - min_cx_));
+  if (cell_accepting_[c] == 0) return;  // every node here is full, down or withdrawn
   const std::uint32_t end = cell_start_[c + 1];
   for (std::uint32_t k = cell_start_[c]; k < end; ++k) {
     const std::uint32_t idx = cell_nodes_[k];
-    if (!fleet[idx].accepting()) continue;
+    if (accepting_[idx] == 0) continue;
     scratch_.emplace_back(net::distance_km(from, positions_[idx]), static_cast<std::size_t>(idx));
   }
 }
 
-void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
-                                       const std::vector<SupernodeState>& fleet,
-                                       std::size_t count, std::vector<std::size_t>& out) const {
+void SupernodeIndex::nearest_accepting(const net::GeoPoint& from, std::size_t count,
+                                       std::vector<std::size_t>& out) const {
   out.clear();
-  if (count == 0 || positions_.empty()) return;
-  CLOUDFOG_REQUIRE(fleet.size() == positions_.size(), "index stale: fleet size changed");
+  if (count == 0 || accepting_total_ == 0) return;
 
   scratch_.clear();
   const std::int64_t cx = cell_of(from.x_km);
@@ -99,7 +139,8 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
       std::max(std::max(std::abs(min_cx_ - cx), std::abs(max_cx_ - cx)),
                std::max(std::abs(min_cy_ - cy), std::abs(max_cy_ - cy)));
   double kth = std::numeric_limits<double>::infinity();
-  for (std::int64_t r = 0; r <= last_ring; ++r) {
+  // Once every accepting node is in scratch_, farther rings hold none.
+  for (std::int64_t r = 0; r <= last_ring && scratch_.size() < accepting_total_; ++r) {
     // A node in ring r is at least (r-1)·cell away (the query point may sit
     // anywhere inside its own cell). Once that lower bound strictly exceeds
     // the current k-th best distance, no farther ring can improve or even
@@ -108,7 +149,7 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
     const std::size_t before = scratch_.size();
     if (r == 0) {
       if (cx >= min_cx_ && cx <= max_cx_ && cy >= min_cy_ && cy <= max_cy_) {
-        scan_cell(cx, cy, from, fleet);
+        scan_cell(cx, cy, from);
       }
     } else {
       // Ring perimeter clamped to the populated bounding box: rows outside
@@ -117,18 +158,18 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
       const std::int64_t x0 = std::max(cx - r, min_cx_);
       const std::int64_t x1 = std::min(cx + r, max_cx_);
       if (cy - r >= min_cy_ && cy - r <= max_cy_) {
-        for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy - r, from, fleet);
+        for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy - r, from);
       }
       if (cy + r >= min_cy_ && cy + r <= max_cy_) {
-        for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy + r, from, fleet);
+        for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy + r, from);
       }
       const std::int64_t y0 = std::max(cy - r + 1, min_cy_);
       const std::int64_t y1 = std::min(cy + r - 1, max_cy_);
       if (cx - r >= min_cx_ && cx - r <= max_cx_) {
-        for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx - r, y, from, fleet);
+        for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx - r, y, from);
       }
       if (cx + r >= min_cx_ && cx + r <= max_cx_) {
-        for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx + r, y, from, fleet);
+        for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx + r, y, from);
       }
     }
     // Re-derive the k-th best only when this ring contributed candidates —

@@ -213,6 +213,8 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
   }
 
   fleet_[target].failed = true;
+  // Before the displacement loop below, whose migrations query discovery.
+  cloud_.note_seat_change(fleet_, target);
   fallback_.note_fleet_change(fault_sim_.now());
 
   if (rec_.enabled()) {
@@ -235,6 +237,7 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
     SupernodeState& sn = fleet_[target];
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
     --sn.served;
+    cloud_.note_seat_change(fleet_, target);
     p.serving = ServingRef{};
     rate(p, target, 0.0, current_day_);
 
@@ -277,7 +280,10 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
 
 void System::on_crash_cleared(const fault::FaultSpec& spec, std::size_t target) {
   (void)spec;
-  if (target < fleet_.size()) fleet_[target].failed = false;
+  if (target < fleet_.size()) {
+    fleet_[target].failed = false;
+    cloud_.note_seat_change(fleet_, target);
+  }
   fallback_.note_fleet_change(fault_sim_.now());
 }
 
@@ -614,6 +620,7 @@ void System::maybe_run_provisioning(int day, int subcycle) {
       std::max(provisioner_.supernodes_needed(mean_fleet_capacity_), base_deployment_);
   util::Rng deploy_rng = rng_.fork("deploy");
   provisioner_.deploy(fleet_, wanted, deploy_rng);
+  for (std::size_t i = 0; i < fleet_.size(); ++i) cloud_.note_seat_change(fleet_, i);
   migrate_players_off_undeployed(day);
 
   if (rec_.enabled()) {

@@ -6,6 +6,8 @@
 // bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,9 @@ using namespace cloudfog;
 struct RunResult {
   std::vector<core::SubcycleQos> qos;
   std::string trace;
+  std::uint64_t cloud_fallbacks = 0;
+  std::uint64_t provisioning_rounds = 0;
+  std::uint64_t crashes = 0;
 };
 
 /// Runs `days` full cycles under a freshly reset recorder and returns the
@@ -46,6 +51,9 @@ RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int d
   }
 
   rec.trace_buffer().flush();
+  result.cloud_fallbacks = rec.registry().counter_value("fog.cloud_fallbacks");
+  result.provisioning_rounds = rec.registry().counter_value("system.provisioning_rounds");
+  result.crashes = rec.registry().counter_value("system.supernode_failures");
   rec.trace_buffer().set_sink(nullptr);
   rec.set_enabled(false);
   rec.reset();
@@ -68,7 +76,13 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.qos[i].cloud_served, b.qos[i].cloud_served);
     EXPECT_EQ(a.qos[i].cdn_served, b.qos[i].cdn_served);
   }
-  EXPECT_EQ(a.trace, b.trace);
+  // Not EXPECT_EQ: gtest would diff two multi-megabyte strings line by
+  // line. Report the first differing byte instead.
+  const auto diff = std::mismatch(a.trace.begin(), a.trace.end(), b.trace.begin(), b.trace.end());
+  const auto at = static_cast<std::size_t>(diff.first - a.trace.begin());
+  EXPECT_TRUE(a.trace == b.trace) << "traces differ at byte " << at << ": \""
+                                  << a.trace.substr(at, 80) << "\" vs \""
+                                  << b.trace.substr(at, 80) << "\"";
 }
 
 core::SystemConfig cloudfog_config() {
@@ -100,6 +114,29 @@ TEST_F(QosParallelEquality, GridDiscoveryMatchesLinearExactly) {
   const RunResult linear = run_system(testbed_, cfg, 2);
   cfg.discovery = core::CandidateMode::kGrid;
   const RunResult grid = run_system(testbed_, cfg, 2);
+  expect_identical(linear, grid);
+}
+
+// The same equality where discovery's seat-change hooks all fire: a fixed
+// pool under provisioning saturates (joins fall back to the cloud), every
+// provisioning round redeploys, and crashes displace and clear.
+TEST_F(QosParallelEquality, GridDiscoveryMatchesLinearUnderSaturationAndChurn) {
+  auto cfg = cloudfog_config();
+  cfg.workload = core::WorkloadMode::kArrivalRates;
+  cfg.arrivals = core::ArrivalWorkload{10.0, 40.0};
+  cfg.fixed_deployment = 20;
+  cfg.strategies.provisioning = true;
+  cfg.faults.enabled = true;
+  cfg.faults.faults_per_hour = 4.0;
+  cfg.faults.horizon_s = 3.0 * 24.0 * 3600.0;
+  cfg.faults.seed = 13;
+  cfg.discovery = core::CandidateMode::kLinear;
+  const RunResult linear = run_system(testbed_, cfg, 3);
+  cfg.discovery = core::CandidateMode::kGrid;
+  const RunResult grid = run_system(testbed_, cfg, 3);
+  EXPECT_GT(grid.cloud_fallbacks, 0u);
+  EXPECT_GT(grid.provisioning_rounds, 0u);
+  EXPECT_GT(grid.crashes, 0u);
   expect_identical(linear, grid);
 }
 

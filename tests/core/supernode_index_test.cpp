@@ -3,9 +3,12 @@
 // linear scan returns — same indices, same order — across randomized
 // fleets, capacity/deployment churn and fleet swaps, because the two
 // paths are interchangeable behind Cloud::candidate_supernodes and the
-// determinism gate compares runs that may differ only in mode.
+// determinism gate compares runs that may differ only in mode. The index
+// keeps its own accepting counts, so every churn step here reports each
+// node through Cloud::note_seat_change, as the System's seat paths do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -36,14 +39,27 @@ class SupernodeIndexProperty : public ::testing::Test {
   void register_and_churn(core::Cloud& cloud, std::vector<core::SupernodeState>& fleet,
                           util::Rng& rng) const {
     for (auto& sn : fleet) cloud.register_supernode(sn, rng);
-    churn(fleet, rng);
+    churn(cloud, fleet, rng);
   }
 
-  static void churn(std::vector<core::SupernodeState>& fleet, util::Rng& rng) {
-    for (auto& sn : fleet) {
+  /// Random deployment / failure / load churn, each node's change reported
+  /// through the seat-change hook.
+  static void churn(const core::Cloud& cloud, std::vector<core::SupernodeState>& fleet,
+                    util::Rng& rng) {
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      auto& sn = fleet[i];
       sn.deployed = rng.chance(0.7);
       sn.failed = rng.chance(0.1);
       sn.served = static_cast<int>(rng.uniform_int(0, sn.capacity));
+      cloud.note_seat_change(fleet, i);
+    }
+  }
+
+  /// Deploys every node of `fleet` with no spare seat.
+  static void saturate(std::vector<core::SupernodeState>& fleet) {
+    for (auto& sn : fleet) {
+      sn.deployed = true;
+      sn.served = sn.capacity;
     }
   }
 
@@ -77,9 +93,10 @@ TEST_F(SupernodeIndexProperty, MatchesLinearAcrossRandomFleetsAndChurn) {
         const std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 13));
         expect_modes_agree(cloud, fleet, player.endpoint, count);
       }
-      // Capacity / deployment / failure churn needs no index rebuild:
-      // accepting() is read at query time.
-      churn(fleet, rng);
+      // Capacity / deployment / failure churn needs no index rebuild, only
+      // the seat-change hook per node.
+      churn(cloud, fleet, rng);
+      EXPECT_TRUE(cloud.seat_index_consistent(fleet));
     }
   }
 }
@@ -96,10 +113,7 @@ TEST_F(SupernodeIndexProperty, FullySaturatedFleetReturnsNothing) {
   auto fleet = testbed_.make_supernode_fleet(300);
   util::Rng rng(5);
   for (auto& sn : fleet) cloud.register_supernode(sn, rng);
-  for (auto& sn : fleet) {
-    sn.deployed = true;
-    sn.served = sn.capacity;  // no spare seats anywhere
-  }
+  saturate(fleet);  // no spare seats anywhere
   expect_modes_agree(cloud, fleet, testbed_.players()[1].endpoint, 8);
   EXPECT_TRUE(grid_.empty());
 }
@@ -135,6 +149,92 @@ TEST_F(SupernodeIndexProperty, RebuildsWhenFleetIdentityChanges) {
   cloud.unregister_supernode(fleet_b.back());
   fleet_b.pop_back();
   expect_modes_agree(cloud, fleet_b, testbed_.players()[30].endpoint, 8);
+}
+
+TEST_F(SupernodeIndexProperty, FindsFarCornerAcceptorsInSaturatedFleet) {
+  // Only 1-3 nodes in the far corner of the fleet accept while the query
+  // comes from the opposite corner and asks for 8: the scan must cross the
+  // whole box of full cells and stop once it holds every acceptor.
+  core::Cloud cloud = make_cloud();
+  auto fleet = testbed_.make_supernode_fleet(600);
+  util::Rng rng(21);
+  for (auto& sn : fleet) cloud.register_supernode(sn, rng);
+  saturate(fleet);
+
+  std::vector<std::size_t> by_corner(fleet.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) by_corner[i] = i;
+  const auto corner_key = [&fleet](std::size_t i) {
+    return fleet[i].endpoint.position.x_km + fleet[i].endpoint.position.y_km;
+  };
+  std::sort(by_corner.begin(), by_corner.end(),
+            [&](std::size_t a, std::size_t b) { return corner_key(a) > corner_key(b); });
+  std::size_t from = 0;
+  for (std::size_t i = 1; i < testbed_.players().size(); ++i) {
+    const auto& p = testbed_.players()[i].endpoint.position;
+    const auto& best = testbed_.players()[from].endpoint.position;
+    if (p.x_km + p.y_km < best.x_km + best.y_km) from = i;
+  }
+  const net::Endpoint& player = testbed_.players()[from].endpoint;
+
+  expect_modes_agree(cloud, fleet, player, 8);  // builds the index: nothing accepts
+  EXPECT_TRUE(grid_.empty());
+  for (std::size_t freed = 1; freed <= 3; ++freed) {
+    const std::size_t idx = by_corner[freed - 1];
+    --fleet[idx].served;
+    cloud.note_seat_change(fleet, idx);
+    expect_modes_agree(cloud, fleet, player, 8);
+    EXPECT_EQ(grid_.size(), freed);
+    EXPECT_TRUE(cloud.seat_index_consistent(fleet));
+  }
+}
+
+TEST_F(SupernodeIndexProperty, SeatChangeForAnotherFleetIsANoOp) {
+  core::Cloud cloud = make_cloud();
+  util::Rng rng(31);
+  auto fleet_a = testbed_.make_supernode_fleet(150);
+  register_and_churn(cloud, fleet_a, rng);
+  auto fleet_b = testbed_.make_supernode_fleet(400);
+  register_and_churn(cloud, fleet_b, rng);
+  expect_modes_agree(cloud, fleet_a, testbed_.players()[3].endpoint, 8);
+
+  // The index is built for fleet_a; reporting fleet_b's nodes — including
+  // indices past fleet_a's end — must leave it untouched.
+  for (std::size_t i = 0; i < fleet_b.size(); ++i) {
+    fleet_b[i].deployed = true;
+    fleet_b[i].failed = false;
+    fleet_b[i].served = 0;
+    cloud.note_seat_change(fleet_b, i);
+  }
+  EXPECT_TRUE(cloud.seat_index_consistent(fleet_a));
+  expect_modes_agree(cloud, fleet_a, testbed_.players()[4].endpoint, 8);
+  expect_modes_agree(cloud, fleet_b, testbed_.players()[5].endpoint, 8);
+
+  // A registration bumps the epoch: a seat change reported in between is
+  // dropped, and the next query rebuilds from the fleet.
+  expect_modes_agree(cloud, fleet_a, testbed_.players()[6].endpoint, 8);
+  core::SupernodeState extra = fleet_a.front();
+  cloud.register_supernode(extra, rng);
+  fleet_a[0].served = fleet_a[0].capacity;
+  cloud.note_seat_change(fleet_a, 0);
+  expect_modes_agree(cloud, fleet_a, testbed_.players()[7].endpoint, 8);
+  EXPECT_TRUE(cloud.seat_index_consistent(fleet_a));
+}
+
+TEST_F(SupernodeIndexProperty, MissedSeatChangeFailsTheConsistencyCheck) {
+  core::Cloud cloud = make_cloud();
+  auto fleet = testbed_.make_supernode_fleet(100);
+  util::Rng rng(41);
+  for (auto& sn : fleet) cloud.register_supernode(sn, rng);
+  for (auto& sn : fleet) sn.deployed = true;
+  expect_modes_agree(cloud, fleet, testbed_.players()[0].endpoint, 8);
+  ASSERT_TRUE(cloud.seat_index_consistent(fleet));
+
+  // Fill node 0 behind the index's back: the check must catch it.
+  fleet[0].served = fleet[0].capacity;
+  EXPECT_FALSE(cloud.seat_index_consistent(fleet));
+  // Reporting it restores consistency.
+  cloud.note_seat_change(fleet, 0);
+  EXPECT_TRUE(cloud.seat_index_consistent(fleet));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "core/system.hpp"
@@ -84,6 +85,56 @@ void check_invariants(const System& sys) {
     cdn_seats += static_cast<std::size_t>(edge.served);
   }
   ASSERT_EQ(cdn_seats, cdn_players);
+
+  // 5. Discovery's accepting counts saw every seat change (claim, release,
+  //    crash, clear, deploy, withdrawal), and the grid answers exactly what
+  //    the linear scan of the live fleet answers.
+  const Cloud& cloud = sys.cloud();
+  ASSERT_TRUE(cloud.seat_index_consistent(sys.fleet()));
+  ASSERT_EQ(cloud.candidate_mode(), CandidateMode::kGrid);
+  std::vector<std::size_t> grid;
+  std::vector<std::size_t> linear;
+  for (std::size_t k = 0; k < 4; ++k) {
+    const auto& who = sys.players()[k * sys.players().size() / 4].info.endpoint;
+    cloud.candidate_supernodes_into(who, sys.fleet(), 8, grid);
+    cloud.candidate_supernodes_linear(who, sys.fleet(), 8, linear);
+    ASSERT_EQ(grid, linear);
+  }
+}
+
+// A crash on a node nobody streams from has no displacement loop to
+// report it, so only the hook right after `failed = true` keeps discovery
+// from offering the dead node. The precondition is asserted, so the test
+// cannot pass with a busy victim.
+TEST(SystemSeatIndex, CrashOfAnIdleNodeIsReportedToDiscovery) {
+  constexpr std::size_t kVictim = 37;  // idle when the crash fires (asserted)
+  SystemConfig cfg;
+  cfg.supernode_count = 60;
+  cfg.workload = WorkloadMode::kArrivalRates;
+  cfg.arrivals = ArrivalWorkload{1.0, 2.0};
+  cfg.faults.enabled = true;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSupernodeCrash;
+  spec.target = kVictim;
+  spec.at_s = 3.0 * 3600.0 + 1.0;  // as day 1's subcycle 4 opens
+  spec.duration_s = 2.0 * 3600.0;
+  cfg.faults.extra_specs.push_back(spec);
+  System sys(property_testbed(), cfg, 99);
+
+  sys.begin_cycle(1);
+  for (int sub = 1; sub <= 6; ++sub) {
+    if (sub == 4) {
+      const auto& victim = sys.fleet()[kVictim];
+      ASSERT_EQ(victim.served, 0);
+      ASSERT_TRUE(victim.accepting());
+    }
+    sys.run_subcycle(1, sub, true, false);
+    if (sub == 4) {
+      ASSERT_TRUE(sys.fleet()[kVictim].failed);
+    }
+    check_invariants(sys);
+  }
+  ASSERT_FALSE(sys.fleet()[kVictim].failed);
 }
 
 TEST_P(SystemInvariants, HoldAtEverySubcycle) {
