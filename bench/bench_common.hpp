@@ -1,9 +1,10 @@
-// Shared helpers for the figure-regeneration binaries.
+// Shared argument handling and observability session for the bench
+// drivers (cloudfog_figs, bench_scenarios).
 //
-// Every binary accepts optional arguments:
+// parse_args accepts:
 //   --paper              run at the paper's full scale (28 cycles, 21
 //                        warm-up) — slower, but the exact §4.1 schedule;
-//   --quick              minimal scale for smoke-testing;
+//   --quick              minimal scale for smoke-testing (not with --paper);
 //   --csv                emit CSV instead of aligned tables (for plotting);
 //   --seed <n>           override the experiment seed;
 //   --jobs <n>           run each sweep's cells on n worker threads
@@ -24,18 +25,25 @@
 //   --git-sha <s>        "unknown", "unknown");
 //   --config-hash <s>
 //   --obs-off            disable the observability recorder entirely.
-// Flags taking a value accept both "--flag value" and "--flag=value".
-// Any other argument is an error (exit status 2), so a stale flag in a
-// script fails loudly instead of silently changing what a run compares.
+// Flags taking a value accept both "--flag value" and "--flag=value", and
+// numeric values must be whole decimal numbers ("42x" is an error). A bare
+// argument is accepted only if the caller lists it as a name (cloudfog_figs'
+// figure names). Anything else is an error (exit status 2), so a stale flag
+// in a script fails loudly instead of silently changing what a run compares.
 // Default is a reduced-but-faithful scale (6 cycles, 3 warm-up).
 #pragma once
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/binary_trace.hpp"
@@ -44,12 +52,7 @@
 
 namespace cloudfog::bench {
 
-inline bool& csv_mode() {
-  static bool mode = false;
-  return mode;
-}
-
-/// Everything scale_from_args parses beyond the experiment scale itself.
+/// The observability options parse_args hands to the ObsSession.
 struct ObsOptions {
   std::string trace_path;
   std::string trace_format = "jsonl";  ///< "jsonl" or "binary"
@@ -169,35 +172,63 @@ inline bool flag_value(int argc, char** argv, int* i, const char* flag,
   return false;
 }
 
-inline core::ExperimentScale scale_from_args(int argc, char** argv,
-                                             core::ExperimentScale fallback = {}) {
-  core::ExperimentScale scale = fallback;
+/// A whole decimal number in [lo, hi], or exit 2: no sign, no leading
+/// space, no trailing characters, no overflow.
+inline std::uint64_t count_arg(const char* flag, const char* value, std::uint64_t lo,
+                               std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 || *end != '\0' ||
+      errno == ERANGE || n < lo || n > hi) {
+    std::cerr << "error: " << flag << " needs a whole number in [" << lo << ", " << hi
+              << "], got '" << value << "'\n";
+    std::exit(2);
+  }
+  return n;
+}
+
+/// What parse_args found besides the observability options.
+struct BenchArgs {
+  bool quick = false;  ///< --quick
+  bool paper = false;  ///< --paper
+  bool csv = false;    ///< --csv
+  std::uint64_t seed = core::ExperimentScale{}.seed;
+  int jobs = core::ExperimentScale{}.jobs;
+  std::vector<std::string> names;  ///< bare arguments, in command-line order
+
+  /// `fallback`, or quick()/paper() when --quick/--paper was given, with
+  /// --seed and --jobs applied.
+  core::ExperimentScale scale(core::ExperimentScale fallback) const {
+    core::ExperimentScale s = quick   ? core::ExperimentScale::quick()
+                              : paper ? core::ExperimentScale::paper()
+                                      : fallback;
+    s.seed = seed;
+    s.jobs = jobs;
+    return s;
+  }
+};
+
+/// Parses the flags listed at the top of this file and starts the
+/// observability session. A bare argument must be one of `names`.
+inline BenchArgs parse_args(int argc, char** argv,
+                            const std::vector<std::string>& names = {}) {
+  BenchArgs args;
   bool obs_off = false;
   ObsOptions opts;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     if (std::strcmp(argv[i], "--paper") == 0) {
-      const core::ExperimentScale given = scale;
-      scale = core::ExperimentScale::paper();
-      scale.seed = given.seed;
-      scale.jobs = given.jobs;
+      args.paper = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
-      const core::ExperimentScale given = scale;
-      scale = core::ExperimentScale::quick();
-      scale.seed = given.seed;
-      scale.jobs = given.jobs;
+      args.quick = true;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_mode() = true;
+      args.csv = true;
     } else if (flag_value(argc, argv, &i, "--seed", &value)) {
-      scale.seed = std::strtoull(value, nullptr, 10);
+      args.seed = count_arg("--seed", value, 0, kMax);
     } else if (flag_value(argc, argv, &i, "--jobs", &value)) {
-      char* end = nullptr;
-      const long jobs = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || jobs < 1 || jobs > 1024) {
-        std::cerr << "error: --jobs needs a positive thread count, got '" << value << "'\n";
-        std::exit(2);
-      }
-      scale.jobs = static_cast<int>(jobs);
+      args.jobs = static_cast<int>(count_arg("--jobs", value, 1, 1024));
     } else if (flag_value(argc, argv, &i, "--trace-format", &value)) {
       opts.trace_format = value;
       if (opts.trace_format != "jsonl" && opts.trace_format != "binary") {
@@ -205,11 +236,7 @@ inline core::ExperimentScale scale_from_args(int argc, char** argv,
         std::exit(2);
       }
     } else if (flag_value(argc, argv, &i, "--trace-sample", &value)) {
-      opts.trace_sample = std::strtoull(value, nullptr, 10);
-      if (opts.trace_sample == 0) {
-        std::cerr << "error: --trace-sample needs a positive interval\n";
-        std::exit(2);
-      }
+      opts.trace_sample = count_arg("--trace-sample", value, 1, kMax);
     } else if (std::strcmp(argv[i], "--trace-agg") == 0) {
       opts.trace_agg = true;
     } else if (flag_value(argc, argv, &i, "--trace", &value)) {
@@ -226,10 +253,21 @@ inline core::ExperimentScale scale_from_args(int argc, char** argv,
       opts.run_key.config_hash = value;
     } else if (std::strcmp(argv[i], "--obs-off") == 0) {
       obs_off = true;
+    } else if (std::find(names.begin(), names.end(), argv[i]) != names.end()) {
+      args.names.emplace_back(argv[i]);
     } else {
       std::cerr << "error: unknown argument: " << argv[i] << '\n';
+      if (!names.empty() && argv[i][0] != '-') {
+        std::cerr << "names:";
+        for (const std::string& name : names) std::cerr << ' ' << name;
+        std::cerr << '\n';
+      }
       std::exit(2);
     }
+  }
+  if (args.quick && args.paper) {
+    std::cerr << "error: --quick and --paper are mutually exclusive\n";
+    std::exit(2);
   }
   if (opts.trace_sample > 0 && opts.trace_agg) {
     std::cerr << "error: --trace-sample and --trace-agg are mutually exclusive\n";
@@ -239,11 +277,11 @@ inline core::ExperimentScale scale_from_args(int argc, char** argv,
   // session's destructor (flush + report + run-store) runs first at exit.
   obs::Recorder::global().set_enabled(!obs_off);
   ObsSession::instance().configure(obs_off ? ObsOptions{} : opts);
-  return scale;
+  return args;
 }
 
-inline void print(const util::Table& table) {
-  if (csv_mode()) {
+inline void print(const util::Table& table, bool csv) {
+  if (csv) {
     table.print_csv(std::cout);
     std::cout << '\n';
   } else {

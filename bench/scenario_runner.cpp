@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  // Obs flags only: specs carry their own scale.
-  (void)bench::scale_from_args(static_cast<int>(rest.size()), rest.data());
+  // Obs flags and --csv only: specs carry their own scale.
+  const bool csv = bench::parse_args(static_cast<int>(rest.size()), rest.data()).csv;
 
   // Resolve the scenario files, sorted by name (directory iteration order
   // is filesystem-dependent; the report must not be).
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     scenario::ScenarioEngine engine(spec, run_opts);
     const scenario::ScenarioOutcome out = engine.run();
     if (!out.passed) ++failed;
-    bench::print(scenario::envelope_table(out));
+    bench::print(scenario::envelope_table(out), csv);
     summary.add_row({out.name, out.passed ? "pass" : "FAIL",
                      util::format_double(out.envelope.checks.empty() ? 0.0
                                                                      : out.envelope.min_margin,
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
                      util::format_double(out.metric("migration_storm"), 0),
                      util::format_double(out.metric("adversary_served_pct"), 1)});
   }
-  bench::print(summary);
+  bench::print(summary, csv);
 
   if (expect_fail) {
     if (failed == 0) {

@@ -5,14 +5,12 @@
 //   compare    run all five arms of the paper's evaluation side by side
 //   coverage   Fig. 4-style coverage for a datacenter/supernode deployment
 //   economics  contributor & provider economics tables
-//   report     regenerate every paper figure into CSVs + a Markdown report
+//
+// The paper's figures come from bench/cloudfog_figs (add --csv for CSV).
 //
 //   $ ./cloudfog_cli run --arch cloudfog-a --players 2000 --cycles 6 --seed 7
 //   $ ./cloudfog_cli compare --profile planetlab --csv
 //   $ ./cloudfog_cli coverage --supernodes 300
-//   $ ./cloudfog_cli report --out results
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include "core/baselines.hpp"
@@ -26,7 +24,7 @@ using namespace cloudfog;
 
 int usage() {
   std::cout <<
-      "usage: cloudfog_cli <run|compare|coverage|economics|report> [options]\n"
+      "usage: cloudfog_cli <run|compare|coverage|economics> [options]\n"
       "\n"
       "common options:\n"
       "  --profile peersim|planetlab   testbed profile (default peersim)\n"
@@ -140,79 +138,6 @@ int cmd_economics(const util::CliArgs& args) {
   return 0;
 }
 
-int cmd_report(const util::CliArgs& args) {
-  args.require_known({"out", "profile", "seed", "cycles", "warmup", "quick"});
-  const std::filesystem::path out_dir = args.get_string("out", "results");
-  std::filesystem::create_directories(out_dir);
-  const auto profile = profile_of(args);
-  core::ExperimentScale scale;
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  scale.cycles = static_cast<int>(args.get_int("cycles", scale.cycles));
-  scale.warmup = static_cast<int>(args.get_int("warmup", scale.warmup));
-  if (args.get_bool("quick")) {
-    const auto seed = scale.seed;
-    scale = core::ExperimentScale::quick();
-    scale.seed = seed;
-  }
-
-  std::ofstream report(out_dir / "REPORT.md");
-  report << "# CloudFog figure report\n\nGenerated by `cloudfog_cli report` — "
-         << scale.cycles << " cycles (" << scale.warmup << " warm-up), seed "
-         << scale.seed << ".\n\n";
-
-  auto save = [&](const std::string& name, const util::Table& table) {
-    std::ofstream csv(out_dir / (name + ".csv"));
-    table.print_csv(csv);
-    report << "## " << name << "\n\n```\n";
-    table.print(report);
-    report << "```\n\n";
-    std::cout << "wrote " << (out_dir / (name + ".csv")).string() << "\n";
-  };
-
-  const std::vector<std::size_t> dc_counts =
-      profile == core::TestbedProfile::kPeerSim
-          ? std::vector<std::size_t>{5, 10, 15, 20, 25}
-          : std::vector<std::size_t>{2, 4, 6, 8, 10};
-  const std::vector<std::size_t> sn_counts =
-      profile == core::TestbedProfile::kPeerSim
-          ? std::vector<std::size_t>{0, 200, 400, 600}
-          : std::vector<std::size_t>{0, 10, 20, 30};
-  const std::vector<std::size_t> populations =
-      profile == core::TestbedProfile::kPeerSim
-          ? std::vector<std::size_t>{2000, 6000, 10000}
-          : std::vector<std::size_t>{250, 500, 750};
-  const std::vector<double> reqs{30, 50, 70, 90, 110};
-
-  save("fig4a_coverage_datacenters",
-       core::coverage_vs_datacenters(profile, dc_counts, reqs, scale.seed));
-  save("fig4b_coverage_supernodes",
-       core::coverage_vs_supernodes(profile, sn_counts, reqs, scale.seed));
-  const auto population = core::population_sweep(profile, populations, scale);
-  save("fig6_bandwidth", population.bandwidth);
-  save("fig7_latency", population.latency);
-  save("fig8_continuity", population.continuity);
-  save("fig10_reputation",
-       core::satisfaction_sweep(profile, core::SatisfactionStrategy::kReputation,
-                                {5, 15, 25}, scale));
-  save("fig11_adaptation",
-       core::satisfaction_sweep(profile, core::SatisfactionStrategy::kRateAdaptation,
-                                {5, 15, 25}, scale));
-  save("fig12_server_assignment",
-       core::server_assignment_sweep(profile, {5, 15, 25}, scale));
-  const auto provisioning = core::provisioning_sweep(
-      profile,
-      profile == core::TestbedProfile::kPeerSim ? std::vector<double>{10, 30, 60}
-                                                : std::vector<double>{2, 4, 7},
-      scale);
-  save("fig13_provisioning_bandwidth", provisioning.bandwidth);
-  save("fig14_provisioning_latency", provisioning.latency);
-  save("fig15_provisioning_continuity", provisioning.continuity);
-  save("fig16a_supernode_economics", core::supernode_economics({4, 8, 12, 16, 20, 24}));
-  save("fig16b_provider_savings", core::provider_savings({100, 200, 400, 800}));
-  std::cout << "wrote " << (out_dir / "REPORT.md").string() << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,7 +149,6 @@ int main(int argc, char** argv) {
     if (command == "compare") return cmd_compare(args);
     if (command == "coverage") return cmd_coverage(args);
     if (command == "economics") return cmd_economics(args);
-    if (command == "report") return cmd_report(args);
     std::cerr << "unknown command: " << command << "\n";
     return usage();
   } catch (const cloudfog::ConfigError& e) {

@@ -4,11 +4,13 @@
 #   1. determinism & correctness lint (tools/lint/cloudfog_lint.py)
 #   2. format check on tracked sources (when clang-format is available)
 #   3. plain build (warnings-as-errors by default) + tier-1 ctest
-#   4. determinism gate: fig7 and the seeded chaos smoke run twice; traces
-#      must be byte-identical and reports identical after canonicalization
-#      (wall-clock phase timings are the only sanctioned difference —
-#      tools/determinism/canonicalize_report.py); fig7 at --jobs 1 and
-#      --jobs 4 must print the same tables and canonical report.
+#   4. determinism gate: cloudfog_figs fig7 and the seeded chaos smoke run
+#      twice; traces must be byte-identical and reports identical after
+#      canonicalization (wall-clock phase timings are the only sanctioned
+#      difference — tools/determinism/canonicalize_report.py); fig7 at
+#      --jobs 1 and --jobs 4 must print the same tables and canonical
+#      report; and the quick-scale stdout of every figure but fig9 must
+#      match the sha256 pinned below (CATALOGUE_SHA256).
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -63,10 +65,10 @@ SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "== determinism gate: double-run fig7 =="
-./build/bench/bench_fig7_latency --quick \
+./build/bench/cloudfog_figs fig7 --quick \
   --report-json "$SMOKE_DIR/fig7_report_a.json" \
   --trace "$SMOKE_DIR/fig7_trace_a.jsonl" >"$SMOKE_DIR/fig7_stdout_a.txt"
-./build/bench/bench_fig7_latency --quick \
+./build/bench/cloudfog_figs fig7 --quick \
   --report-json "$SMOKE_DIR/fig7_report_b.json" \
   --trace "$SMOKE_DIR/fig7_trace_b.jsonl" >"$SMOKE_DIR/fig7_stdout_b.txt"
 cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_b.jsonl" || {
@@ -83,9 +85,9 @@ python3 tools/determinism/canonicalize_report.py --check \
 echo "fig7: trace byte-identical, stdout identical, canonical report identical"
 
 echo "== determinism gate: fig7 sweep pool at --jobs 1 vs --jobs 4 =="
-./build/bench/bench_fig7_latency --quick --jobs 1 \
+./build/bench/cloudfog_figs fig7 --quick --jobs 1 \
   --report-json "$SMOKE_DIR/fig7_report_j1.json" >"$SMOKE_DIR/fig7_stdout_j1.txt"
-./build/bench/bench_fig7_latency --quick --jobs 4 \
+./build/bench/cloudfog_figs fig7 --quick --jobs 4 \
   --report-json "$SMOKE_DIR/fig7_report_j4.json" >"$SMOKE_DIR/fig7_stdout_j4.txt"
 cmp -s "$SMOKE_DIR/fig7_stdout_j1.txt" "$SMOKE_DIR/fig7_stdout_j4.txt" || {
   echo "determinism gate FAILED: fig7 tables differ between --jobs 1 and --jobs 4" >&2; exit 1; }
@@ -97,10 +99,10 @@ python3 tools/determinism/canonicalize_report.py --check \
 echo "fig7: --jobs 1 and --jobs 4 give identical tables and canonical reports"
 
 echo "== determinism gate: double-run seeded chaos =="
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \
+CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick \
   --report-json "$SMOKE_DIR/chaos_report_a.json" \
   --trace "$SMOKE_DIR/chaos_trace_a.jsonl" >/dev/null
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \
+CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick \
   --report-json "$SMOKE_DIR/chaos_report_b.json" \
   --trace "$SMOKE_DIR/chaos_trace_b.jsonl" >/dev/null
 grep -q '"kind":"fault_' "$SMOKE_DIR/chaos_trace_a.jsonl" || {
@@ -111,6 +113,23 @@ python3 tools/determinism/canonicalize_report.py --check \
   "$SMOKE_DIR/chaos_report_a.json" "$SMOKE_DIR/chaos_report_b.json" || {
   echo "determinism gate FAILED: chaos report differs beyond phase timings" >&2; exit 1; }
 echo "chaos: seeded replay byte-identical, canonical report identical"
+
+echo "== determinism gate: figure catalogue pinned across changes =="
+# sha256 of the quick-scale stdout of every figure but fig9 (its
+# server-assignment column is wall-clock time). Recorded from the 19
+# per-figure binaries this driver replaced, concatenated in catalogue
+# order. A change that moves any table must update it and say why in
+# CHANGES.md. CI reads the constant from this line.
+CATALOGUE_SHA256=ca52f67b522840b8aeaa2eee5499d5aac0d33945bfa88ea8c6d1a488028463bf
+PINNED_FIGURES="fig4 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16
+  malicious incentives epsilon forecast failures chaos candidates"
+env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs --quick --jobs 4 --obs-off \
+  $PINNED_FIGURES >"$SMOKE_DIR/catalogue.txt"
+actual=$(sha256sum "$SMOKE_DIR/catalogue.txt" | cut -d' ' -f1)
+[ "$actual" = "$CATALOGUE_SHA256" ] || {
+  echo "determinism gate FAILED: figure catalogue sha256 $actual, pinned $CATALOGUE_SHA256" >&2
+  exit 1; }
+echo "catalogue: every figure but fig9 matches its pinned digest"
 
 echo "== scenario gate: bundled suite, envelopes enforced =="
 ./build/bench/bench_scenarios --all --smoke --obs-off >"$SMOKE_DIR/scenario_suite.txt" || {
@@ -147,12 +166,12 @@ echo "== binary trace gate: tracecat round-trip vs JSONL =="
 # The binary format is a pure transport: converting a binary trace back
 # with tools/trace/tracecat must reproduce the JSONL byte-for-byte, for
 # both workloads.
-./build/bench/bench_fig7_latency --quick --trace-format=binary \
+./build/bench/cloudfog_figs fig7 --quick --trace-format=binary \
   --trace "$SMOKE_DIR/fig7_trace.bin" >/dev/null
 ./build/tools/tracecat "$SMOKE_DIR/fig7_trace.bin" -o "$SMOKE_DIR/fig7_trace_conv.jsonl"
 cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_conv.jsonl" || {
   echo "binary trace gate FAILED: fig7 tracecat output differs from JSONL" >&2; exit 1; }
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick --trace-format=binary \
+CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick --trace-format=binary \
   --trace "$SMOKE_DIR/chaos_trace.bin" >/dev/null
 ./build/tools/tracecat "$SMOKE_DIR/chaos_trace.bin" -o "$SMOKE_DIR/chaos_trace_conv.jsonl"
 cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_conv.jsonl" || {
@@ -160,9 +179,9 @@ cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_conv.jsonl" || {
 echo "tracecat: fig7 + chaos binary traces byte-identical to JSONL"
 
 echo "== run-store gate: C++ writer vs C++ and python readers =="
-./build/bench/bench_fig7_latency --quick --runstore "$SMOKE_DIR/runstore" \
+./build/bench/cloudfog_figs fig7 --quick --runstore "$SMOKE_DIR/runstore" \
   --run-id check-a --git-sha check --config-hash quick >/dev/null
-./build/bench/bench_fig7_latency --quick --runstore "$SMOKE_DIR/runstore" \
+./build/bench/cloudfog_figs fig7 --quick --runstore "$SMOKE_DIR/runstore" \
   --run-id check-b --git-sha check --config-hash quick >/dev/null
 ./build/tools/runstore_query "$SMOKE_DIR/runstore" rows >"$SMOKE_DIR/runstore_rows.tsv"
 python3 - "$SMOKE_DIR/runstore" <<'EOF'
@@ -256,18 +275,18 @@ if [ "$QUICK" -eq 0 ]; then
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
   echo "== TSan leg: fig7 race check + trace cross-check =="
-  ./build-tsan/bench/bench_fig7_latency --quick \
+  ./build-tsan/bench/cloudfog_figs fig7 --quick \
     --trace "$SMOKE_DIR/fig7_tsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_tsan.jsonl" || {
     echo "fig7 trace diverged between plain and TSan builds" >&2; exit 1; }
-  ./build-tsan/bench/bench_fig7_latency --quick --jobs 4 \
+  ./build-tsan/bench/cloudfog_figs fig7 --quick --jobs 4 \
     >"$SMOKE_DIR/fig7_tsan_j4.txt"
   cmp -s "$SMOKE_DIR/fig7_stdout_j4.txt" "$SMOKE_DIR/fig7_tsan_j4.txt" || {
     echo "pooled fig7 tables diverged between plain and TSan builds" >&2; exit 1; }
   echo "TSan fig7 race-free (serial traced and 4-worker pooled) and byte-identical"
 
   echo "== chaos smoke under ASan (lifetime bugs hide in fault paths) =="
-  CLOUDFOG_FAULT_SEED=424242 ./build-asan/bench/bench_ext_chaos --quick \
+  CLOUDFOG_FAULT_SEED=424242 ./build-asan/bench/cloudfog_figs chaos --quick \
     --trace "$SMOKE_DIR/chaos_asan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/chaos_asan.jsonl" "$SMOKE_DIR/chaos_trace_a.jsonl" || {
     echo "seeded chaos replay diverged between plain and ASan builds" >&2; exit 1; }
@@ -282,11 +301,11 @@ if [ "$QUICK" -eq 0 ]; then
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 
   echo "== UBSan pipeline leg: fig7 + seeded chaos + scenario smoke =="
-  ./build-ubsan/bench/bench_fig7_latency --quick \
+  ./build-ubsan/bench/cloudfog_figs fig7 --quick \
     --trace "$SMOKE_DIR/fig7_ubsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_ubsan.jsonl" || {
     echo "fig7 trace diverged between plain and UBSan builds" >&2; exit 1; }
-  CLOUDFOG_FAULT_SEED=424242 ./build-ubsan/bench/bench_ext_chaos --quick \
+  CLOUDFOG_FAULT_SEED=424242 ./build-ubsan/bench/cloudfog_figs chaos --quick \
     --trace "$SMOKE_DIR/chaos_ubsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_ubsan.jsonl" || {
     echo "seeded chaos replay diverged between plain and UBSan builds" >&2; exit 1; }

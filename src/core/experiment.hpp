@@ -1,7 +1,8 @@
 // Figure-level experiment runners. Each function regenerates one family
 // of the paper's evaluation figures as a printable table: the x-axis
-// sweep as rows, the experimental arms/series as columns. The bench/
-// binaries are thin wrappers around these.
+// sweep as rows, the experimental arms/series as columns.
+// bench/cloudfog_figs holds the grids each figure sweeps and runs each
+// function at most once per invocation.
 //
 // A sweep is a list of (row, arm) cells, each an independent fixed-seed
 // System. The cells run on a deterministic worker pool (run_cells): each

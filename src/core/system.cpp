@@ -236,8 +236,7 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
     }
     SupernodeState& sn = fleet_[target];
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
-    --sn.served;
-    cloud_.note_seat_change(fleet_, target);
+    --sn.served;  // the node is failed, so its accepting() cannot change
     p.serving = ServingRef{};
     rate(p, target, 0.0, current_day_);
 
