@@ -287,6 +287,21 @@ void BM_ObsTracePush(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTracePush);
 
+// The same push into a count-only recorder, as every sweep cell has: the
+// event is counted inline and never built.
+void BM_ObsTracePushCountOnly(benchmark::State& state) {
+  obs::Recorder rec(0);
+  rec.set_enabled(true);
+  double t = 0.0;
+  for (auto _ : state) {
+    rec.trace_at(t, obs::EventKind::kProbeSent, 1, 2, 3.0);
+    benchmark::ClobberMemory();
+    t += 1.0;
+  }
+  benchmark::DoNotOptimize(rec.trace_buffer().total_pushed());
+}
+BENCHMARK(BM_ObsTracePushCountOnly);
+
 void BM_ObsScopedTimer(benchmark::State& state) {
   auto& rec = obs::Recorder::global();
   const bool was = rec.enabled();

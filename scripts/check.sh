@@ -9,8 +9,9 @@
 #      canonicalization (wall-clock phase timings are the only sanctioned
 #      difference — tools/determinism/canonicalize_report.py); fig7 at
 #      --jobs 1 and --jobs 4 must print the same tables and canonical
-#      report; and the quick-scale stdout of every figure but fig9 must
-#      match the sha256 pinned below (CATALOGUE_SHA256).
+#      report; the quick-scale stdout of every figure but fig9 must match
+#      the sha256 pinned below (CATALOGUE_SHA256) with the recorder off and
+#      on; and fig9's own quick-scale stdout must match FIG9_SHA256.
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -115,21 +116,33 @@ python3 tools/determinism/canonicalize_report.py --check \
 echo "chaos: seeded replay byte-identical, canonical report identical"
 
 echo "== determinism gate: figure catalogue pinned across changes =="
-# sha256 of the quick-scale stdout of every figure but fig9 (its
-# server-assignment column is wall-clock time). Recorded from the 19
-# per-figure binaries this driver replaced, concatenated in catalogue
-# order. A change that moves any table must update it and say why in
-# CHANGES.md. CI reads the constant from this line.
+# sha256 of the quick-scale stdout of every figure but fig9. Recorded
+# from the 19 per-figure binaries that cloudfog_figs replaced,
+# concatenated in catalogue order. It must hold with the recorder off and on: tracing
+# never changes a table. FIG9_SHA256 pins fig9 on its own (its
+# server-assignment column counts swap trials). A change that moves any
+# table must update the constant and say why in CHANGES.md. CI reads both
+# constants from these lines.
 CATALOGUE_SHA256=ca52f67b522840b8aeaa2eee5499d5aac0d33945bfa88ea8c6d1a488028463bf
+FIG9_SHA256=8c38ddd659ddad2a5de5f154cf45a0a0c91f3e2302ef8dc9e6ed66ca60a70021
 PINNED_FIGURES="fig4 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16
   malicious incentives epsilon forecast failures chaos candidates"
-env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs --quick --jobs 4 --obs-off \
-  $PINNED_FIGURES >"$SMOKE_DIR/catalogue.txt"
-actual=$(sha256sum "$SMOKE_DIR/catalogue.txt" | cut -d' ' -f1)
-[ "$actual" = "$CATALOGUE_SHA256" ] || {
-  echo "determinism gate FAILED: figure catalogue sha256 $actual, pinned $CATALOGUE_SHA256" >&2
+for obs in --obs-off ""; do
+  env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs --quick --jobs 4 $obs \
+    $PINNED_FIGURES >"$SMOKE_DIR/catalogue.txt"
+  actual=$(sha256sum "$SMOKE_DIR/catalogue.txt" | cut -d' ' -f1)
+  [ "$actual" = "$CATALOGUE_SHA256" ] || {
+    echo "determinism gate FAILED: figure catalogue (${obs:-recorder on}) sha256 $actual," \
+      "pinned $CATALOGUE_SHA256" >&2
+    exit 1; }
+done
+env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs fig9 --quick --jobs 4 --obs-off \
+  >"$SMOKE_DIR/fig9.txt"
+actual=$(sha256sum "$SMOKE_DIR/fig9.txt" | cut -d' ' -f1)
+[ "$actual" = "$FIG9_SHA256" ] || {
+  echo "determinism gate FAILED: fig9 sha256 $actual, pinned $FIG9_SHA256" >&2
   exit 1; }
-echo "catalogue: every figure but fig9 matches its pinned digest"
+echo "catalogue: every figure matches its pinned digest, with the recorder off and on"
 
 echo "== scenario gate: bundled suite, envelopes enforced =="
 ./build/bench/bench_scenarios --all --smoke --obs-off >"$SMOKE_DIR/scenario_suite.txt" || {

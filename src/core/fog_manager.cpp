@@ -79,48 +79,48 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
   auto& qualified = qualified_;
   qualified.clear();
   double slowest_probe = 0.0;
-  {
-    CLOUDFOG_TIMED_SCOPE(rec_, "fog.probe");
-    for (std::size_t idx : candidates) {
-      const SupernodeState& sn = fleet[idx];
-      if (!sn.deployed) continue;
-      // With faults in flight, a crashed or unreachable candidate swallows
-      // the probe: the player waits the full probe timeout (in parallel
-      // with the others) and never qualifies the node. Without faults a
-      // failed node is skipped for free, as before this subsystem existed.
-      if (impaired && (sn.failed || faults_->blackholed(idx) ||
-                       faults_->partitioned_from_supernode(player.state_dc, idx))) {
-        ++out.probes;
-        slowest_probe = std::max(slowest_probe, cfg_.selection.attempt_timeout_ms);
-        if (rec_.enabled()) {
-          rec_.registry().add(fog_obs(rec_).probes_sent);
-          rec_.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
-                     static_cast<std::int64_t>(idx), 0.0,
-                     sn.failed ? fog_notes().crashed
-                               : (faults_->blackholed(idx) ? fog_notes().blackholed
-                                                           : fog_notes().partitioned));
-        }
-        continue;
-      }
-      if (sn.failed) continue;
-      const double rtt = latency_.rtt_ms(player.info.endpoint, sn.endpoint);
+  for (std::size_t idx : candidates) {
+    const SupernodeState& sn = fleet[idx];
+    if (!sn.deployed) continue;
+    // With faults in flight, a crashed or unreachable candidate swallows
+    // the probe: the player waits the full probe timeout (in parallel
+    // with the others) and never qualifies the node. Without faults a
+    // failed node is skipped for free, as before this subsystem existed.
+    if (impaired && (sn.failed || faults_->blackholed(idx) ||
+                     faults_->partitioned_from_supernode(player.state_dc, idx))) {
       ++out.probes;
-      slowest_probe = std::max(slowest_probe, rtt);
-      const bool within_lmax = rtt / 2.0 <= lmax_ms;
-      if (within_lmax) {
-        qualified.push_back(Probed{idx, rtt, player.reputation.score(idx, current_day)});
-      }
+      slowest_probe = std::max(slowest_probe, cfg_.selection.attempt_timeout_ms);
       if (rec_.enabled()) {
-        rec_.registry().add(fog_obs(rec_).probes_sent);
-        rec_.registry().observe(fog_obs(rec_).probe_rtt_ms, rtt);
         rec_.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
-                   static_cast<std::int64_t>(idx));
-        rec_.trace(obs::EventKind::kProbeAnswered, static_cast<std::int64_t>(player.info.id),
-                   static_cast<std::int64_t>(idx), rtt,
-                   within_lmax ? fog_notes().within_lmax : fog_notes().over_lmax);
-        if (within_lmax) rec_.registry().add(fog_obs(rec_).probes_qualified);
+                   static_cast<std::int64_t>(idx), 0.0,
+                   sn.failed ? fog_notes().crashed
+                             : (faults_->blackholed(idx) ? fog_notes().blackholed
+                                                         : fog_notes().partitioned));
       }
+      continue;
     }
+    if (sn.failed) continue;
+    const double rtt = latency_.rtt_ms(player.info.endpoint, sn.endpoint);
+    ++out.probes;
+    slowest_probe = std::max(slowest_probe, rtt);
+    const bool within_lmax = rtt / 2.0 <= lmax_ms;
+    if (within_lmax) {
+      qualified.push_back(Probed{idx, rtt, player.reputation.score(idx, current_day)});
+    }
+    if (rec_.enabled()) {
+      rec_.registry().observe(fog_obs(rec_).probe_rtt_ms, rtt);
+      rec_.trace(obs::EventKind::kProbeSent, static_cast<std::int64_t>(player.info.id),
+                 static_cast<std::int64_t>(idx));
+      rec_.trace(obs::EventKind::kProbeAnswered, static_cast<std::int64_t>(player.info.id),
+                 static_cast<std::int64_t>(idx), rtt,
+                 within_lmax ? fog_notes().within_lmax : fog_notes().over_lmax);
+    }
+  }
+  if (rec_.enabled()) {
+    // Once per join: every probe above was sent, the within-L_max ones
+    // (and only those) qualified.
+    rec_.registry().add(fog_obs(rec_).probes_sent, static_cast<std::uint64_t>(out.probes));
+    rec_.registry().add(fog_obs(rec_).probes_qualified, qualified.size());
   }
   out.join_latency_ms += slowest_probe;
   if (budget != nullptr) budget->charge_ms(slowest_probe);
@@ -180,17 +180,16 @@ SelectionOutcome FogManager::select_with_budget(PlayerState& player,
                                                 int current_day, bool reputation_enabled,
                                                 util::Rng& rng,
                                                 fault::RetryBudget& budget) const {
+  // One scope per join: the discovery/probe split lives in the counters,
+  // and finer scopes cost a measurable share of the work they time.
+  CLOUDFOG_TIMED_SCOPE(rec_, "fog.select");
   // Step 1: candidate lookup at the cloud — one RTT to the nearest DC.
   const std::size_t dc = nearest_dc(player);
   const double cloud_rtt =
       latency_.rtt_ms(player.info.endpoint, cloud_.datacenter(dc).endpoint);
   budget.charge_ms(cloud_rtt);
-
-  {
-    CLOUDFOG_TIMED_SCOPE(rec_, "fog.discovery");
-    cloud_.candidate_supernodes_into(player.info.endpoint, fleet, cfg_.candidate_count,
-                                     player.candidate_supernodes);
-  }
+  cloud_.candidate_supernodes_into(player.info.endpoint, fleet, cfg_.candidate_count,
+                                   player.candidate_supernodes);
 
   const double lmax_ms = catalog.game(player.game).latency_requirement_ms *
                          cfg_.lmax_fraction_of_requirement;

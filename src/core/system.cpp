@@ -353,7 +353,7 @@ void System::begin_cycle(int day) {
   // Weekly social reassignment (§3.4 "runs periodically (e.g., weekly)").
   if (cfg_.strategies.social_assignment && day > 1 &&
       (day - 1) % cfg_.reassign_period_days == 0) {
-    measure_server_assignment_seconds();
+    measure_server_assignment();
   }
 }
 
@@ -728,13 +728,14 @@ const RunMetrics& System::run(const sim::CycleConfig& cycles) {
   return collector_.metrics();
 }
 
-double System::measure_server_assignment_seconds() {
-  const double seconds = reassign_servers("measure-partition");
-  collector_.record_server_assignment(seconds);
-  return seconds;
+ServerAssignmentCost System::measure_server_assignment() {
+  const ServerAssignmentCost cost = reassign_servers("measure-partition");
+  collector_.record_server_assignment(cost.seconds);
+  return cost;
 }
 
-double System::reassign_servers(std::string_view rng_label) {
+ServerAssignmentCost System::reassign_servers(std::string_view rng_label) {
+  CLOUDFOG_TIMED_SCOPE(rec_, "social.partition");
   // The partitioner's greedy seed walks adjacency lists in order, so it
   // runs on a copy rebuilt from the sorted edge list: the friend order
   // every pinned table was produced with, not the generator's.
@@ -743,9 +744,10 @@ double System::reassign_servers(std::string_view rng_label) {
   const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
   util::Rng part_rng = rng_.fork(rng_label);
   const auto start = std::chrono::steady_clock::now();
-  partition_ = partitioner.partition(graph, part_rng).partition;
+  social::PartitionerResult result = partitioner.partition(graph, part_rng);
   const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
+  partition_ = std::move(result.partition);
+  return {std::chrono::duration<double>(stop - start).count(), result.swap_trials};
 }
 
 std::vector<double> System::supernode_join_latencies() const {

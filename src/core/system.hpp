@@ -113,6 +113,12 @@ struct SystemConfig {
   CandidateMode discovery = CandidateMode::kGrid;
 };
 
+/// What one §3.4 server-assignment pass cost.
+struct ServerAssignmentCost {
+  double seconds = 0.0;  ///< the partitioner's wall-clock time
+  int swap_trials = 0;   ///< its swap trials (deterministic)
+};
+
 class System {
  public:
   /// Every counter, phase, trace event and run summary of this System and
@@ -169,9 +175,11 @@ class System {
   const fault::FaultInjector* injector() const { return injector_.get(); }
   const fault::FallbackGovernor& fallback_governor() const { return fallback_; }
 
-  /// Fig. 9: wall-clock seconds of one social server-assignment pass over
-  /// the current population.
-  double measure_server_assignment_seconds();
+  /// Fig. 9: one social server-assignment pass over the current
+  /// population. Its swap trials are the table's deterministic work
+  /// measure; the partitioner's wall-clock seconds go to RunMetrics, and
+  /// the `social.partition` phase times the whole pass.
+  ServerAssignmentCost measure_server_assignment();
 
   /// Fig. 9: simulated join latency of every fleet supernode.
   std::vector<double> supernode_join_latencies() const;
@@ -194,8 +202,9 @@ class System {
   void update_cross_server_latency();
   void maybe_run_provisioning(int day, int subcycle);
   /// Re-partitions the friend graph into servers (§3.4) with an rng
-  /// forked under `rng_label`; returns the partitioner's wall-clock seconds.
-  double reassign_servers(std::string_view rng_label);
+  /// forked under `rng_label`, timed as the `social.partition` phase;
+  /// returns what the partitioner cost.
+  ServerAssignmentCost reassign_servers(std::string_view rng_label);
   void migrate_players_off_undeployed(int day);
   void setup_fault_injection(std::uint64_t seed);
   /// FaultInjector crash hooks: fail the victim (resolving kAnyTarget) and

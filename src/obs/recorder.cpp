@@ -18,15 +18,13 @@ double Recorder::now() const {
   return t;
 }
 
-void Recorder::trace(EventKind kind, std::int64_t subject, std::int64_t object,
-                     double value, Note note) {
-  if (!enabled_) return;
+void Recorder::push_now(EventKind kind, std::int64_t subject, std::int64_t object,
+                        double value, Note note) {
   trace_.push(TraceEvent{now(), kind, subject, object, value, note});
 }
 
-void Recorder::trace_at(double t_seconds, EventKind kind, std::int64_t subject,
-                        std::int64_t object, double value, Note note) {
-  if (!enabled_) return;
+void Recorder::push_at(double t_seconds, EventKind kind, std::int64_t subject,
+                       std::int64_t object, double value, Note note) {
   const double t = std::max(base_time_ + t_seconds, last_emitted_);
   last_emitted_ = t;
   trace_.push(TraceEvent{t, kind, subject, object, value, note});

@@ -6,7 +6,9 @@
 // passes it on to its components. The static global() is only the root the
 // harnesses (bench binaries, perfbench, tests) hand to the public entry
 // points by default; a sweep gives each cell a child recorder and folds
-// it into the caller's with merge_from(), in cell order. A recorder is
+// it into the caller's with merge_from(), in cell order. Those cell
+// recorders are count-only (trace capacity 0): nothing reads their events,
+// so trace() counts each one inline and returns. A recorder is
 // single-threaded, like the System that reports into it.
 //
 // Everything is gated on a single `enabled()` flag, default OFF, so
@@ -83,14 +85,30 @@ class Recorder {
 
   /// Stamps and buffers a trace event (no-op while disabled). Notes are
   /// interned NoteIds (see obs/note_table.hpp) — hot call sites intern
-  /// their fixed vocabulary once, so pushing never allocates.
+  /// their fixed vocabulary once, so pushing never allocates. A count-only
+  /// buffer (capacity 0) keeps nothing, so the event is only counted as
+  /// pushed and dropped: no clock read, no event built.
   void trace(EventKind kind, std::int64_t subject = -1, std::int64_t object = -1,
-             double value = 0.0, Note note = {});
+             double value = 0.0, Note note = {}) {
+    if (!enabled_) return;
+    if (trace_.capacity() == 0) {
+      trace_.add_pushed(1, 1);
+      return;
+    }
+    push_now(kind, subject, object, value, note);
+  }
 
   /// Like trace(), but with an explicit domain timestamp in seconds
   /// (event-driven overlay components own their own sim clock).
   void trace_at(double t_seconds, EventKind kind, std::int64_t subject = -1,
-                std::int64_t object = -1, double value = 0.0, Note note = {});
+                std::int64_t object = -1, double value = 0.0, Note note = {}) {
+    if (!enabled_) return;
+    if (trace_.capacity() == 0) {
+      trace_.add_pushed(1, 1);
+      return;
+    }
+    push_at(t_seconds, kind, subject, object, value, note);
+  }
 
   /// Marks the start of a run: re-bases the trace clock past everything
   /// emitted so far and (when enabled) emits a kRunStart event.
@@ -109,6 +127,12 @@ class Recorder {
   void merge_from(const Recorder& child);
 
  private:
+  /// The stored paths of trace()/trace_at(): stamp and push to the ring.
+  void push_now(EventKind kind, std::int64_t subject, std::int64_t object, double value,
+                Note note);
+  void push_at(double t_seconds, EventKind kind, std::int64_t subject, std::int64_t object,
+               double value, Note note);
+
   bool enabled_ = false;
   Registry registry_;
   PhaseProfiler profiler_;

@@ -60,16 +60,9 @@ std::vector<util::Table> all_sweeps(const ExperimentScale& scale, obs::Recorder&
   return out;
 }
 
-/// Fig. 9's server-assignment column is wall-clock time: it differs
-/// between any two runs.
-bool wall_clock_cell(const util::Table& table, std::size_t col) {
-  return table.title().rfind("Fig 9", 0) == 0 && col == 3;
-}
-
 /// util::hash64 of each table as printed at one worker, in all_sweeps()
-/// order. Fig. 9's tables are not pinned: their server-assignment column
-/// is wall-clock time. A change that moves a digest lists it in CHANGES.md
-/// with the reason.
+/// order. A change that moves a digest lists it in CHANGES.md with the
+/// reason.
 struct PinnedTable {
   const char* title;
   std::uint64_t digest;
@@ -78,6 +71,8 @@ constexpr PinnedTable kPinnedTables[] = {
     {"Fig 6 — cloud bandwidth (Mbps) vs # players (PlanetLab)", 0x22e44c798bb7b15dULL},
     {"Fig 7 — avg response latency (ms) vs # players (PlanetLab)", 0x514439892256d0c0ULL},
     {"Fig 8 — playback continuity vs # players (PlanetLab)", 0x237827e96f93a4cdULL},
+    {"Fig 9(a) — setup latencies (s) vs # players", 0xf2cd8c12b0999f89ULL},
+    {"Fig 9(b) — setup latencies (s) vs # supernodes", 0x6e33774c4ee2210aULL},
     {"Fig 10 — % satisfied players, reputation-based selection", 0x00d096d4aefdf194ULL},
     {"Fig 11 — % satisfied players, encoding-rate adaptation", 0xd3e5a2e8c8bccd2eULL},
     {"Fig 12 — response latency split by server communication", 0x0226bf08a4dc4d8fULL},
@@ -132,7 +127,6 @@ TEST_F(SweepPool, TablesAreCellForCellEqualAtOneAndFourWorkers) {
     ASSERT_GT(a.row_count(), 0u) << a.title();
     for (std::size_t r = 0; r < a.row_count(); ++r) {
       for (std::size_t c = 0; c < a.column_count(); ++c) {
-        if (wall_clock_cell(a, c)) continue;
         EXPECT_EQ(a.cell(r, c), b.cell(r, c)) << a.title() << " row " << r << " col " << c;
       }
     }
@@ -142,7 +136,6 @@ TEST_F(SweepPool, TablesAreCellForCellEqualAtOneAndFourWorkers) {
 TEST_F(SweepPool, TablesMatchTheirPinnedDigests) {
   std::size_t pinned = 0;
   for (const util::Table& table : serial_->tables) {
-    if (table.title().rfind("Fig 9", 0) == 0) continue;
     ASSERT_LT(pinned, std::size(kPinnedTables)) << table.title();
     const PinnedTable& pin = kPinnedTables[pinned++];
     std::ostringstream printed;
@@ -168,7 +161,8 @@ TEST_F(SweepPool, RecorderHoldsTheSameRunsCountersAndPhaseCalls) {
     for (std::size_t s = 0; s < ra.stats.size(); ++s) {
       EXPECT_EQ(ra.stats[s].name, rb.stats[s].name);
       EXPECT_EQ(ra.stats[s].count, rb.stats[s].count) << ra.label << " " << ra.stats[s].name;
-      // Fig. 9's server-assignment samples are wall-clock seconds.
+      // Server-assignment samples (Fig. 9, weekly reassigns) are wall-clock
+      // seconds.
       if (ra.stats[s].name == "server_assignment_seconds") continue;
       EXPECT_EQ(ra.stats[s].mean, rb.stats[s].mean) << ra.label << " " << ra.stats[s].name;
     }

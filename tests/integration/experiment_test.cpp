@@ -55,11 +55,16 @@ TEST(Experiment, SetupLatencyTablesWellFormed) {
                                               ExperimentScale::quick());
   ASSERT_EQ(table.row_count(), 2u);
   ASSERT_EQ(table.column_count(), 5u);
+  constexpr std::size_t kSwapTrialsCol = 3;
   for (std::size_t row = 0; row < table.row_count(); ++row) {
     for (std::size_t col = 1; col < table.column_count(); ++col) {
+      if (col == kSwapTrialsCol) continue;
       EXPECT_GE(cell(table, row, col), 0.0);
-      EXPECT_LT(cell(table, row, col), 60.0);  // everything under a minute
+      EXPECT_LT(cell(table, row, col), 60.0);  // every latency under a minute
     }
+    // Server assignment is a count of swap trials, bounded by h1.
+    EXPECT_GT(cell(table, row, kSwapTrialsCol), 0.0);
+    EXPECT_LE(cell(table, row, kSwapTrialsCol), SystemConfig{}.partitioner_swap_trials);
   }
 }
 

@@ -47,7 +47,7 @@ TEST_F(ObsIntegrationTest, CloudFogRunEmitsOrderedJoinProbeEvents) {
   EXPECT_GT(reg.counter_value("reputation.ratings"), 0u);
 
   // Phase profile covers the instrumented subsystems.
-  for (const char* phase : {"population", "qos.subcycle", "fog.discovery", "fog.probe"}) {
+  for (const char* phase : {"population", "qos.subcycle", "fog.select"}) {
     const auto* stats = rec.profiler().find(phase);
     ASSERT_NE(stats, nullptr) << phase;
     EXPECT_GT(stats->count, 0u) << phase;
@@ -120,6 +120,29 @@ TEST_F(ObsIntegrationTest, FailureInjectionEmitsChurnAndMigration) {
   }
   EXPECT_EQ(churn, 3u);
   EXPECT_EQ(migrations, displaced);
+}
+
+TEST_F(ObsIntegrationTest, FogSelectTimesEverySelectionOnce) {
+  auto& rec = obs::Recorder::global();
+  System sys = make_cloudfog_advanced(small_testbed(), 7);
+  sim::CycleConfig cycles;
+  cycles.total_cycles = 2;
+  cycles.warmup_cycles = 1;
+  sys.run(cycles);
+
+  // Without faults nothing crashes, so no migration probes the cached
+  // candidates: every selection is a full select_with_budget, and each one
+  // ends in exactly one granted claim or one cloud fallback.
+  const auto& reg = rec.registry();
+  ASSERT_EQ(reg.counter_value("system.supernode_failures"), 0u);
+  const std::uint64_t selections =
+      reg.counter_value("fog.claims_granted") + reg.counter_value("fog.cloud_fallbacks");
+  EXPECT_GE(selections, reg.counter_value("system.player_joins"));
+  const auto* select = rec.profiler().find("fog.select");
+  ASSERT_NE(select, nullptr);
+  EXPECT_EQ(select->count, selections);
+  EXPECT_EQ(rec.profiler().find("fog.discovery"), nullptr);
+  EXPECT_EQ(rec.profiler().find("fog.probe"), nullptr);
 }
 
 TEST_F(ObsIntegrationTest, DisabledRecorderLeavesNoTrace) {
