@@ -12,7 +12,6 @@
 #include "core/testbed.hpp"
 #include "obs/obs.hpp"
 #include "forecast/sarima.hpp"
-#include "overlay/join_session.hpp"
 #include "reputation/reputation_store.hpp"
 #include "sim/event_queue.hpp"
 #include "social/community_partitioner.hpp"
@@ -123,31 +122,6 @@ void BM_SarimaObserveForecast(benchmark::State& state) {
 // Bounded iterations: the model keeps its observation history, so an
 // unbounded run would grow memory linearly.
 BENCHMARK(BM_SarimaObserveForecast)->Iterations(100000);
-
-void BM_OverlayJoin(benchmark::State& state) {
-  // One full §3.2.1 join conversation through the event-driven overlay.
-  const net::LatencyModel latency{net::LatencyModelConfig{}};
-  for (auto _ : state) {
-    sim::Simulator sim;
-    overlay::MessageNetwork network(sim, latency);
-    overlay::CloudDirectoryAgent directory(
-        network, net::make_infrastructure_endpoint({2000.0, 0.0}));
-    std::vector<std::unique_ptr<overlay::SupernodeAgent>> sns;
-    for (int i = 0; i < 8; ++i) {
-      sns.push_back(std::make_unique<overlay::SupernodeAgent>(
-          network, net::Endpoint{{10.0 * (i + 1), 0.0}, 2.0}, 5));
-      directory.admit(sns.back()->address(), net::GeoPoint{10.0 * (i + 1), 0.0});
-    }
-    overlay::PlayerAgent player(sim, network, net::Endpoint{{0.0, 0.0}, 5.0});
-    bool connected = false;
-    player.join(directory.address(), overlay::JoinConfig{}, nullptr,
-                [&connected](const overlay::JoinResult& r) { connected = r.fog_connected; },
-                util::Rng(7));
-    sim.run();
-    benchmark::DoNotOptimize(connected);
-  }
-}
-BENCHMARK(BM_OverlayJoin);
 
 void BM_QoeMos(benchmark::State& state) {
   const video::QoeModel model;

@@ -1,13 +1,13 @@
 // Unified retry/backoff policy.
 //
 // Before this layer existed, every protocol that waited on an unreliable
-// peer hand-rolled its own timeout logic: JoinSession had a flat per-stage
-// timeout, ProbeMonitor a period × miss-limit pair, FogManager a fixed
-// detection charge and an unbounded claim loop. RetryPolicy is the one
-// vocabulary for all of them: how many attempts, how long each may take,
-// how the wait between attempts grows (exponential backoff with optional
-// jitter from util::Rng), and a hard deadline budget the whole operation
-// must fit into.
+// peer hand-rolled its own timeout logic: the join conversation had a flat
+// per-stage timeout, liveness probing a period × miss-limit pair,
+// FogManager a fixed detection charge and an unbounded claim loop.
+// RetryPolicy is the one vocabulary for all of them: how many attempts,
+// how long each may take, how the wait between attempts grows (exponential
+// backoff with optional jitter from util::Rng), and a hard deadline budget
+// the whole operation must fit into.
 //
 // RetryBudget tracks one operation's consumption of a policy — attempts
 // started and simulated milliseconds spent — and emits the shared obs
@@ -29,7 +29,7 @@ struct RetryPolicy {
   /// operation is limited only by its own work list and the deadline).
   int max_attempts = 3;
   /// How long one attempt may wait for an answer (ms). Doubles as the
-  /// probe/liveness period for the monitors built on this policy.
+  /// liveness probe period of RetryPolicy::liveness().
   double attempt_timeout_ms = 1000.0;
   /// Backoff before the second attempt (ms); 0 = retry immediately.
   double base_backoff_ms = 0.0;

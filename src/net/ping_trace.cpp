@@ -69,19 +69,11 @@ PingTrace::PingTrace(TraceProfile profile)
       access_mixture_(make_access_mixture(profile)),
       base_jitter_ms_(base_jitter_for(profile)) {}
 
-PingTrace::PingTrace(util::EmpiricalDistribution rtt_histogram, TraceProfile base_profile)
-    : profile_(base_profile),
-      rtt_mixture_(make_rtt_mixture(base_profile)),
-      rtt_histogram_(std::move(rtt_histogram)),
-      access_mixture_(make_access_mixture(base_profile)),
-      base_jitter_ms_(base_jitter_for(base_profile)) {}
-
 double PingTrace::sample_access_latency_ms(util::Rng& rng) const {
   return access_mixture_.sample(rng);
 }
 
 double PingTrace::sample_rtt_ms(util::Rng& rng) const {
-  if (rtt_histogram_.has_value()) return rtt_histogram_->sample(rng);
   return rtt_mixture_.sample(rng);
 }
 

@@ -4,15 +4,14 @@
 // traces from the League of Legends [54] based on each latency's occurrence
 // frequency" (§4.1). The trace itself is not distributable, so we rebuild
 // its published shape: a histogram over 0–300+ ms dominated by the
-// 20–90 ms range with a long tail. PingTrace exposes the two things the
-// experiments consume:
+// 20–90 ms range with a long tail, as a lognormal mixture; the mixture is
+// the only RTT source (no trace file is loaded). PingTrace exposes the two
+// things the experiments consume:
 //   * per-node access (last-mile) latency — sampled once per node;
 //   * per-packet jitter magnitude — drives the continuity metric.
 // The "planetlab" profile has a heavier tail, matching the wide-area
 // variance observed on the real testbed.
 #pragma once
-
-#include <optional>
 
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -27,11 +26,6 @@ enum class TraceProfile {
 class PingTrace {
  public:
   explicit PingTrace(TraceProfile profile);
-
-  /// Uses a measured RTT histogram (e.g. loaded via net::trace_io from
-  /// data/lol_ping_histogram.txt) in place of the synthetic RTT mixture;
-  /// access latencies and jitter still follow `base_profile`.
-  PingTrace(util::EmpiricalDistribution rtt_histogram, TraceProfile base_profile);
 
   TraceProfile profile() const { return profile_; }
 
@@ -52,7 +46,6 @@ class PingTrace {
  private:
   TraceProfile profile_;
   util::LognormalMixture rtt_mixture_;
-  std::optional<util::EmpiricalDistribution> rtt_histogram_;  // overrides mixture
   util::LognormalMixture access_mixture_;
   double base_jitter_ms_;
 };

@@ -99,7 +99,8 @@ class Recorder {
   }
 
   /// Like trace(), but with an explicit domain timestamp in seconds
-  /// (event-driven overlay components own their own sim clock).
+  /// (for components that run their own sim clock, e.g. the fault
+  /// injector).
   void trace_at(double t_seconds, EventKind kind, std::int64_t subject = -1,
                 std::int64_t object = -1, double value = 0.0, Note note = {}) {
     if (!enabled_) return;

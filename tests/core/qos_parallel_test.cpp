@@ -28,18 +28,17 @@ struct RunResult {
   std::uint64_t crashes = 0;
 };
 
-/// Runs `days` full cycles under a freshly reset recorder and returns the
+/// Runs `days` full cycles under a fresh recorder and returns the
 /// per-subcycle QoS plus the raw trace bytes.
 RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int days) {
-  auto& rec = obs::Recorder::global();
-  rec.reset();
+  obs::Recorder rec;
   rec.set_enabled(true);
   std::ostringstream trace;
   rec.trace_buffer().set_sink(&trace);
 
   RunResult result;
   {
-    core::System system(testbed, cfg, 97);
+    core::System system(testbed, cfg, 97, rec);
     const int per_day = testbed.activity().config().subcycles_per_day;
     for (int day = 1; day <= days; ++day) {
       system.begin_cycle(day);
@@ -55,8 +54,6 @@ RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int d
   result.provisioning_rounds = rec.registry().counter_value("system.provisioning_rounds");
   result.crashes = rec.registry().counter_value("system.supernode_failures");
   rec.trace_buffer().set_sink(nullptr);
-  rec.set_enabled(false);
-  rec.reset();
   result.trace = trace.str();
   return result;
 }

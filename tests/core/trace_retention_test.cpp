@@ -24,8 +24,7 @@ struct RetentionSpec {
 /// Runs one day under a fresh recorder with the given retention; returns
 /// the JSONL trace bytes.
 std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
-  auto& rec = obs::Recorder::global();
-  rec.reset();
+  obs::Recorder rec;
   rec.set_enabled(true);
   auto& buf = rec.trace_buffer();
   buf.set_retention(spec.mode, spec.sample_every);
@@ -35,7 +34,7 @@ std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
     core::SystemConfig cfg;
     cfg.architecture = core::Architecture::kCloudFog;
     cfg.supernode_count = 80;
-    core::System system(testbed, cfg, 97);
+    core::System system(testbed, cfg, 97, rec);
     const int per_day = testbed.activity().config().subcycles_per_day;
     system.begin_cycle(1);
     for (int s = 1; s <= per_day; ++s) system.run_subcycle(1, s, false, false);
@@ -45,9 +44,6 @@ std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
   buf.flush();
   EXPECT_EQ(buf.dropped(), 0u);
   buf.set_sink(nullptr);
-  rec.set_enabled(false);
-  rec.reset();
-  buf.set_retention(obs::TraceRetention::kFull);
   return trace.str();
 }
 

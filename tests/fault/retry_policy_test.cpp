@@ -8,8 +8,8 @@ namespace cloudfog::fault {
 namespace {
 
 TEST(RetryPolicy, FactoriesMatchTheLegacyTimeouts) {
-  // These constants are load-bearing: the defaults of the overlay and fog
-  // configs map 1:1 onto the pre-fault-layer timeout behaviour.
+  // These constants are load-bearing: the defaults of the join oracle and
+  // fog configs map 1:1 onto the pre-fault-layer timeout behaviour.
   const RetryPolicy probe = RetryPolicy::liveness();
   EXPECT_DOUBLE_EQ(probe.attempt_timeout_ms, 250.0);
   EXPECT_EQ(probe.max_attempts, 2);

@@ -67,6 +67,18 @@ class FixtureCase(unittest.TestCase):
         self.assertNotIn("fixture.unique_gauge", out)
         self.assertNotIn("fixture.unique_counter", out)
 
+    def test_unreached_fixture(self):
+        out = self.assert_trips("reach_bad", "cloudfog-unreached")
+        flagged = [l for l in out.splitlines() if "[cloudfog-unreached]" in l]
+        self.assertEqual(len(flagged), 1, out)
+        self.assertIn("src/lib/dead.hpp:1:", flagged[0])
+
+    def test_unreached_clean_fixture(self):
+        # Reached directly, through the .cpp of a reached header, or exempt
+        # as a test oracle under src/oracle/.
+        code, out, err = run_lint(os.path.join(FIXTURES, "reach_ok"))
+        self.assertEqual(code, 0, f"reachable tree should pass\n{out}{err}")
+
     def test_raw_rng_fixture(self):
         out = self.assert_trips("raw_rng_bad.cpp", "cloudfog-raw-rng",
                                 min_findings=4)
@@ -147,7 +159,8 @@ class FixtureCase(unittest.TestCase):
         self.assertEqual(code, 0)
         for rule in ("cloudfog-wallclock", "cloudfog-unordered-iter",
                      "cloudfog-pointer-key", "cloudfog-uninit-pod",
-                     "cloudfog-metric-once", "cloudfog-nolint",
+                     "cloudfog-metric-once", "cloudfog-unreached",
+                     "cloudfog-nolint",
                      "cloudfog-raw-rng",
                      "cloudfog-float-reduce", "cloudfog-static-mutable"):
             self.assertIn(rule, out)

@@ -27,6 +27,12 @@ Enforces project-specific invariants that the compiler cannot:
                            is registered at exactly one site; Registry
                            registration is idempotent, so two subsystems
                            silently aliasing one name is a reporting bug.
+  cloudfog-unreached       every header under src/ (outside src/oracle/,
+                           the test oracles) is reached by #include from a
+                           file under bench/, examples/ or perfbench/ —
+                           directly, through other headers, or through the
+                           .cpp beside a reached header. A module no output
+                           reaches is wired in or deleted, not kept.
 
 Determinism rules for stochastic and numeric code (DESIGN.md §13):
 
@@ -81,6 +87,7 @@ RULES = {
     "cloudfog-pointer-key": "pointer-keyed associative container or pointer-order comparator",
     "cloudfog-uninit-pod": "uninitialized POD member in a struct under src/",
     "cloudfog-metric-once": "obs metric name registered at more than one site",
+    "cloudfog-unreached": "src/ header that no bench/, examples/ or perfbench/ file reaches",
     "cloudfog-raw-rng": "raw RNG engine / entropy source outside src/util/rng",
     "cloudfog-float-reduce": "order-sensitive floating accumulation",
     "cloudfog-static-mutable": "non-const namespace/function-scope static under src/",
@@ -507,6 +514,102 @@ def check_metric_once(per_file_sites: dict[str, list[tuple[str, int, str]]],
                 path, line, "cloudfog-metric-once",
                 f"metric '{name}' registered at {len(sites)} sites ({locs}); "
                 "register once and pass the handle"))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# Rule: cloudfog-unreached (whole-tree)
+# --------------------------------------------------------------------------
+
+# The program's entry points live under these directories of a tree; the
+# library lives under its src/. src/oracle/ holds the test oracles, which
+# only tests link.
+REACH_ENTRY_DIRS = ("bench", "examples", "perfbench")
+REACH_EXEMPT_DIR = "oracle"
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+HEADER_EXTENSIONS = (".hpp", ".hh", ".h")
+SOURCE_EXTENSIONS = (".cpp", ".cc", ".cxx")
+
+
+def tree_of(rel_path: str) -> str | None:
+    """Repo-relative directory holding the src/ that `rel_path` lies under
+    ('' for the repository itself), or None outside any src/."""
+    parts = rel_path.split("/")
+    if "src" not in parts[:-1]:
+        return None
+    last = len(parts) - 2 - parts[-2::-1].index("src")
+    return "/".join(parts[:last])
+
+
+def included_files(abs_path: str, src_dir: str) -> list[str]:
+    """Quoted #includes of a file that resolve, beside it or under src/."""
+    found = []
+    with open(abs_path, encoding="utf-8", errors="replace") as f:
+        for line in f:
+            m = INCLUDE_RE.match(line)
+            if not m:
+                continue
+            for base in (os.path.dirname(abs_path), src_dir):
+                cand = os.path.normpath(os.path.join(base, m.group(1)))
+                if os.path.isfile(cand):
+                    found.append(cand)
+                    break
+    return found
+
+
+def reached_files(tree_abs: str) -> set[str] | None:
+    """Absolute paths of every file reached by #include from the tree's
+    entry directories; a reached header also reaches the .cpp beside it
+    (compiled into the same target). None when the tree has no entry
+    directory (a lint fixture directory, say): there is nothing to reach
+    from, so the rule does not apply."""
+    entries = [d for d in REACH_ENTRY_DIRS if os.path.isdir(os.path.join(tree_abs, d))]
+    if not entries:
+        return None
+    src_dir = os.path.join(tree_abs, "src")
+    stack = [ap for d in entries for ap, _ in gather_files([os.path.join(tree_abs, d)])]
+    seen: set[str] = set()
+    while stack:
+        path = stack.pop()
+        for inc in included_files(path, src_dir):
+            if inc in seen:
+                continue
+            seen.add(inc)
+            stack.append(inc)
+            stem, ext = os.path.splitext(inc)
+            if ext in HEADER_EXTENSIONS:
+                for src_ext in SOURCE_EXTENSIONS:
+                    impl = stem + src_ext
+                    if os.path.isfile(impl) and impl not in seen:
+                        seen.add(impl)
+                        stack.append(impl)
+    return seen
+
+
+def check_unreached(paths: list[str],
+                    suppressed: dict[str, dict[int, set[str]]]) -> list[Finding]:
+    reached_by_tree: dict[str, set[str] | None] = {}
+    findings = []
+    for path in paths:
+        if not path.endswith(HEADER_EXTENSIONS):
+            continue
+        tree = tree_of(path)
+        if tree is None:
+            continue
+        if path.startswith(f"{tree}/src/{REACH_EXEMPT_DIR}/".lstrip("/")):
+            continue
+        if tree not in reached_by_tree:
+            reached_by_tree[tree] = reached_files(os.path.join(REPO_ROOT, tree))
+        reached = reached_by_tree[tree]
+        if reached is None or os.path.join(REPO_ROOT, path) in reached:
+            continue
+        if "cloudfog-unreached" in suppressed.get(path, {}).get(1, set()):
+            continue
+        entry = ", ".join(os.path.join(tree, d) + "/" for d in REACH_ENTRY_DIRS)
+        findings.append(Finding(
+            path, 1, "cloudfog-unreached",
+            f"no file under {entry} reaches this header by #include; wire it "
+            "into an output, move a test oracle to src/oracle/, or delete it"))
     return findings
 
 
@@ -957,6 +1060,8 @@ def main(argv: list[str]) -> int:
 
     if "cloudfog-metric-once" in active:
         findings += check_metric_once(per_file_sites, suppressed)
+    if "cloudfog-unreached" in active:
+        findings += check_unreached([scan.path for scan in scans], suppressed)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in findings:
