@@ -180,6 +180,48 @@ BENCHMARK(BM_CandidateDiscoverySaturated)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
+// The join path's lookup (Cloud::candidate_supernodes_for): each player
+// walks its own nearby list and asks the grid only when the list cannot
+// prove the answer. Lists are built in an untimed first pass, as a System
+// builds them on each player's first join; the fleets are the default
+// SystemConfig's 600 nodes and 10k, with `saturated` as in
+// run_candidate_discovery.
+void BM_CandidateDiscoveryNearby(benchmark::State& state) {
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
+  const bool saturated = state.range(1) != 0;
+  auto cfg = core::TestbedConfig::peersim(std::max<std::size_t>(fleet_size, 2000));
+  cfg.supernode_capable_fraction = 1.0;
+  const core::Testbed testbed(cfg, 42);
+  core::Cloud cloud(testbed.make_datacenters(), testbed.latency(), net::IpLocator{});
+  auto fleet = testbed.make_supernode_fleet(fleet_size);
+  util::Rng reg_rng(7);
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    cloud.register_supernode(fleet[i], reg_rng);
+    fleet[i].deployed = true;
+    if (saturated && i % 100 != 0) fleet[i].served = fleet[i].capacity;
+  }
+  constexpr std::size_t kQueries = 1000;
+  std::vector<core::PlayerState> players(kQueries);
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    players[i].info = testbed.players()[i];
+    cloud.candidate_supernodes_for(players[i], fleet, 8, out);
+  }
+  for (auto _ : state) {
+    for (core::PlayerState& player : players) {
+      cloud.candidate_supernodes_for(player, fleet, 8, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kQueries));
+}
+BENCHMARK(BM_CandidateDiscoveryNearby)
+    ->ArgNames({"fleet", "saturated"})
+    ->Args({600, 0})
+    ->Args({600, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
+
 // One end-to-end System subcycle (population churn + demand tallies + QoS
 // pass) on the CloudFog arm: the reference engine (memoize off) against
 // the memoized engine.

@@ -1,27 +1,11 @@
 #include "core/cloud.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/require.hpp"
 
 namespace cloudfog::core {
-
-namespace {
-
-// splitmix64 finalizer — mixes the bit patterns of an endpoint's fields
-// into a hash key for the nearest-datacenter memo.
-std::uint64_t mix64(std::uint64_t v) {
-  v += 0x9e3779b97f4a7c15ull;
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-  return v ^ (v >> 31);
-}
-
-}  // namespace
-
-std::size_t Cloud::EndpointKeyHash::operator()(const EndpointKey& k) const {
-  return static_cast<std::size_t>(mix64(k.x ^ mix64(k.y ^ mix64(k.access))));
-}
 
 Cloud::Cloud(std::vector<DatacenterState> datacenters, const net::LatencyModel& latency,
              net::IpLocator locator)
@@ -40,15 +24,6 @@ const DatacenterState& Cloud::datacenter(std::size_t i) const {
 }
 
 std::size_t Cloud::nearest_datacenter(const net::Endpoint& who) const {
-  // The datacenter set is fixed at construction and endpoints never move,
-  // so the first answer per distinct endpoint is authoritative. Keyed by
-  // exact bit patterns — no tolerance, no false sharing between endpoints.
-  const EndpointKey key{std::bit_cast<std::uint64_t>(who.position.x_km),
-                        std::bit_cast<std::uint64_t>(who.position.y_km),
-                        std::bit_cast<std::uint64_t>(who.access_latency_ms)};
-  const auto hit = nearest_dc_memo_.find(key);
-  if (hit != nearest_dc_memo_.end()) return hit->second;
-
   std::size_t best = 0;
   double best_rtt = latency_.rtt_ms(who, datacenters_[0].endpoint);
   for (std::size_t i = 1; i < datacenters_.size(); ++i) {
@@ -58,7 +33,6 @@ std::size_t Cloud::nearest_datacenter(const net::Endpoint& who) const {
       best = i;
     }
   }
-  nearest_dc_memo_.emplace(key, best);
   return best;
 }
 
@@ -91,6 +65,26 @@ void Cloud::candidate_supernodes_into(const net::Endpoint& player,
   if (count == 0 || fleet.empty()) return;
   ensure_index(fleet);
   index_.nearest_accepting(player.position, count, out);
+}
+
+void Cloud::candidate_supernodes_for(PlayerState& player,
+                                     const std::vector<SupernodeState>& fleet,
+                                     std::size_t count, std::vector<std::size_t>& out) const {
+  if (mode_ == CandidateMode::kLinear || fleet.size() > kMaxNearbyFleet) {
+    candidate_supernodes_into(player.info.endpoint, fleet, count, out);
+    return;
+  }
+  out.clear();
+  if (count == 0 || fleet.empty()) return;
+  ensure_index(fleet);
+  NearbySupernodes& nearby = player.nearby;
+  if (nearby.build != index_builds_) {
+    nearby.size = static_cast<std::uint8_t>(
+        index_.nearest_registered(player.info.endpoint.position, nearby.nodes));
+    nearby.build = index_builds_;
+  }
+  if (index_.accepting_prefix(std::span(nearby.nodes.data(), nearby.size), count, out)) return;
+  index_.nearest_accepting(player.info.endpoint.position, count, out);
 }
 
 void Cloud::note_seat_change(const std::vector<SupernodeState>& fleet, std::size_t i) const {
@@ -146,6 +140,7 @@ void Cloud::ensure_index(const std::vector<SupernodeState>& fleet) const {
   indexed_fleet_ = fleet.data();
   indexed_size_ = fleet.size();
   indexed_epoch_ = registry_epoch_;
+  ++index_builds_;
 }
 
 }  // namespace cloudfog::core

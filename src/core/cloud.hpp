@@ -9,20 +9,24 @@
 // has work to do.
 //
 // Candidate discovery runs on a geo-grid spatial index by default
-// (SupernodeIndex, DESIGN.md §10); the exact-equivalent linear scan is
+// (SupernodeIndex, DESIGN.md §10.1); the exact-equivalent linear scan is
 // kept as the engine of record for property tests and the tracked bench
 // baseline. The index keeps the table's "available capacities" column as
 // accepting counts, so every path that can flip a node's accepting() —
 // a seat claim or release, a crash or its clear, a provisioning deploy —
-// reports the node through note_seat_change. nearest_datacenter memoizes
-// per distinct endpoint — endpoints and the datacenter set are immutable
-// after construction.
+// reports the node through note_seat_change.
+//
+// The join path asks through candidate_supernodes_for, which first walks
+// the player's own list of its nearest registered supernodes
+// (PlayerState::nearby, built here on the player's first query after each
+// index rebuild) and falls back to the grid only when that list cannot
+// prove the answer. Players and geolocations never move during a run, so
+// most joins never touch the grid.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "core/entities.hpp"
@@ -50,7 +54,7 @@ class Cloud {
 
   /// Index of the datacenter with the lowest RTT to `who` — where the
   /// player's game state lives and where direct streaming comes from.
-  /// Memoized per distinct endpoint (both sides are immutable).
+  /// One RTT per datacenter; callers ask once per endpoint and keep it.
   std::size_t nearest_datacenter(const net::Endpoint& who) const;
 
   /// Registers a supernode in the table (geolocating its IP).
@@ -66,11 +70,24 @@ class Cloud {
                                                 const std::vector<SupernodeState>& fleet,
                                                 std::size_t count) const;
 
-  /// Allocation-free variant: fills `out` (cleared first). This is the
-  /// join/migration hot path — callers own the scratch buffer.
+  /// Allocation-free variant: fills `out` (cleared first); callers own
+  /// the scratch buffer. Asks the grid directly, for callers that hold
+  /// only an endpoint (the join path uses candidate_supernodes_for).
   void candidate_supernodes_into(const net::Endpoint& player,
                                  const std::vector<SupernodeState>& fleet, std::size_t count,
                                  std::vector<std::size_t>& out) const;
+
+  /// Fleets above this size bypass the nearby lists (16-bit indices).
+  static constexpr std::size_t kMaxNearbyFleet = std::numeric_limits<std::uint16_t>::max();
+
+  /// The join path's lookup: exactly candidate_supernodes_into's answer
+  /// for `player.info.endpoint`. Walks `player.nearby` (rebuilt on the
+  /// player's first query after each index rebuild) filtered by the
+  /// accepting bytes, and asks the grid only when the list cannot prove
+  /// the answer. kLinear and fleets above kMaxNearbyFleet go straight to
+  /// candidate_supernodes_into. A PlayerState is queried through one Cloud.
+  void candidate_supernodes_for(PlayerState& player, const std::vector<SupernodeState>& fleet,
+                                std::size_t count, std::vector<std::size_t>& out) const;
 
   /// Reference implementation: full linear scan, ordered by
   /// (distance, index). Element-for-element identical to the grid path.
@@ -86,8 +103,8 @@ class Cloud {
   void note_seat_change(const std::vector<SupernodeState>& fleet, std::size_t i) const;
 
   /// Invariant check for tests: false iff the index is built for `fleet`
-  /// and its accepting bytes, per-cell counts or total differ from a
-  /// recount of `accepting()` — a seat change that bypassed
+  /// and its accepting bytes, per-cell counts or accepting set differ
+  /// from a recount of `accepting()` — a seat change that bypassed
   /// note_seat_change. Rebuilds nothing.
   bool seat_index_consistent(const std::vector<SupernodeState>& fleet) const;
 
@@ -104,17 +121,6 @@ class Cloud {
   /// True when the index was built for this fleet vector at this epoch.
   bool indexed_for(const std::vector<SupernodeState>& fleet) const;
 
-  struct EndpointKey {
-    std::uint64_t x = 0;
-    std::uint64_t y = 0;
-    std::uint64_t access = 0;
-
-    friend bool operator==(const EndpointKey&, const EndpointKey&) = default;
-  };
-  struct EndpointKeyHash {
-    std::size_t operator()(const EndpointKey& k) const;
-  };
-
   std::vector<DatacenterState> datacenters_;
   const net::LatencyModel& latency_;
   net::IpLocator locator_;
@@ -126,9 +132,11 @@ class Cloud {
   mutable const SupernodeState* indexed_fleet_ = nullptr;
   mutable std::size_t indexed_size_ = 0;
   mutable std::uint64_t indexed_epoch_ = 0;
+  /// Counts index rebuilds; a nearby list is valid only for the build it
+  /// was made for (NearbySupernodes::build, 0 = none).
+  mutable std::uint64_t index_builds_ = 0;
   /// Linear-scan scratch, reused across calls (single-threaded contract).
   mutable std::vector<std::pair<double, std::size_t>> linear_scratch_;
-  mutable std::unordered_map<EndpointKey, std::size_t, EndpointKeyHash> nearest_dc_memo_;
 };
 
 }  // namespace cloudfog::core

@@ -1,8 +1,11 @@
 // Runtime entities of a gaming system: players, supernodes, datacenters
 // and CDN servers, plus the serving relationship between them. These are
 // plain state holders; behaviour lives in Cloud / FogManager / QosEngine.
+// A player's nearby-supernode list (NearbySupernodes) is kept inline, so
+// 10k players add no heap blocks for it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -41,6 +44,18 @@ struct PlayerInfo {
   net::IpAddress ip = 0;
 };
 
+/// The registered supernodes nearest a player by geolocated distance,
+/// accepting or not, in (distance, fleet index) order: the list that
+/// Cloud::candidate_supernodes_for filters to answer §3.2.1 step 1. Valid
+/// only for the cloud's index build it was made for. 16 entries answer
+/// most joins on their own (DESIGN.md §10.1); 48 bytes per player.
+struct NearbySupernodes {
+  static constexpr std::size_t kCapacity = 16;
+  std::array<std::uint16_t, kCapacity> nodes{};
+  std::uint8_t size = 0;    ///< entries in use: min(kCapacity, fleet size)
+  std::uint64_t build = 0;  ///< index build the list was made for; 0 = none
+};
+
 /// Mutable per-player simulation state.
 struct PlayerState {
   PlayerInfo info;
@@ -56,6 +71,7 @@ struct PlayerState {
   std::optional<video::StreamSession> session;
   reputation::ReputationStore reputation;  ///< this player's private ratings
   std::vector<std::size_t> candidate_supernodes;  ///< cached cloud answer
+  NearbySupernodes nearby;  ///< discovery's per-player list (Cloud-owned)
   /// Memoized Cloud::nearest_datacenter answer for this player's endpoint
   /// (immutable after testbed construction); -1 until first computed.
   std::int64_t nearest_dc_cache = -1;

@@ -188,8 +188,8 @@ SelectionOutcome FogManager::select_with_budget(PlayerState& player,
   const double cloud_rtt =
       latency_.rtt_ms(player.info.endpoint, cloud_.datacenter(dc).endpoint);
   budget.charge_ms(cloud_rtt);
-  cloud_.candidate_supernodes_into(player.info.endpoint, fleet, cfg_.candidate_count,
-                                   player.candidate_supernodes);
+  cloud_.candidate_supernodes_for(player, fleet, cfg_.candidate_count,
+                                  player.candidate_supernodes);
 
   const double lmax_ms = catalog.game(player.game).latency_requirement_ms *
                          cfg_.lmax_fraction_of_requirement;

@@ -1,5 +1,5 @@
 // Geo-grid spatial index over registered supernode positions (perf layer
-// behind Cloud::candidate_supernodes, DESIGN.md §10).
+// behind Cloud::candidate_supernodes, DESIGN.md §10.1).
 //
 // The index answers exact k-nearest-accepting queries: bucket every
 // supernode's *geolocated* position (the registry's noisy view, not the
@@ -11,12 +11,19 @@
 //
 // The index is also the capacity side of the §3.2.1 registry table: it
 // keeps one accepting byte per node, an accepting count per cell and a
-// fleet-wide accepting total. rebuild() reads them from the fleet; after
-// that every change to a node's accepting() must be reported through
-// set_accepting (Cloud::note_seat_change is the caller-facing hook). A
-// query never reads the fleet: it skips a cell whose count is 0 without
-// touching its nodes, and stops expanding rings once it holds every
-// accepting node, so a saturated fleet costs what its free seats cost.
+// compact, unordered set of the accepting nodes, all computed by
+// rebuild(); after that every change to a node's accepting() must be
+// reported through set_accepting (Cloud::note_seat_change is the
+// caller-facing hook). A query never reads the fleet. While at most
+// kSaturatedScan nodes accept, it scans that set and skips the rings;
+// otherwise it skips a cell whose count is 0 without touching its nodes
+// and stops expanding rings once it holds every accepting node, so a
+// nearly full fleet costs what its free seats cost.
+//
+// Two more queries serve the per-player nearby lists of the join path
+// (Cloud::candidate_supernodes_for): nearest_registered ranks every node,
+// accepting or not, and accepting_prefix filters such a list by the
+// accepting bytes and says whether the filtered list is the exact answer.
 //
 // Cells live in a dense CSR layout over the populated bounding box and
 // rings are clamped to that box.
@@ -27,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,6 +50,10 @@ class SupernodeIndex {
   /// suits metro-clustered fleets on the GeoPlane (≈60 km metro sigma).
   explicit SupernodeIndex(double cell_km = 150.0);
 
+  /// Accepting-node count at or below which nearest_accepting scans the
+  /// accepting set instead of walking rings (a saturated fleet).
+  static constexpr std::size_t kSaturatedScan = 64;
+
   /// Rebuilds from scratch: node `i` of the fleet sits at `positions[i]`
   /// and accepts iff `fleet[i].accepting()`.
   void rebuild(const std::vector<net::GeoPoint>& positions,
@@ -53,9 +65,9 @@ class SupernodeIndex {
   /// player. Idempotent: the counts move only when the value changes.
   void set_accepting(std::size_t i, bool accepting);
 
-  /// True iff the accepting bytes, per-cell counts and total all equal a
-  /// fresh recount of `fleet[i].accepting()` — i.e. no seat change was
-  /// missed since rebuild(). Reads only; rebuilds nothing.
+  /// True iff the accepting bytes, per-cell counts and accepting set all
+  /// equal a fresh recount of `fleet[i].accepting()` — i.e. no seat change
+  /// was missed since rebuild(). Reads only; rebuilds nothing.
   bool accepting_matches(const std::vector<SupernodeState>& fleet) const;
 
   /// Appends to `out` (cleared first) the indices of the `count` nearest
@@ -64,10 +76,32 @@ class SupernodeIndex {
   void nearest_accepting(const net::GeoPoint& from, std::size_t count,
                          std::vector<std::size_t>& out) const;
 
+  /// Fills the front of `out` with the registered nodes nearest `from`,
+  /// accepting or not, ordered by (distance, index); returns how many
+  /// (min(out.size(), size())). Node indices must fit the element type.
+  std::size_t nearest_registered(const net::GeoPoint& from,
+                                 std::span<std::uint16_t> out) const;
+
+  /// Fills `out` (cleared first) with the accepting nodes of `list`, in
+  /// list order, up to `count`. `list` must be a nearest_registered answer
+  /// for the query point. Returns true iff `out` is then exactly
+  /// nearest_accepting's answer: it holds `count` nodes, or `list` holds
+  /// the whole fleet, or `out` holds every accepting node.
+  bool accepting_prefix(std::span<const std::uint16_t> list, std::size_t count,
+                        std::vector<std::size_t>& out) const;
+
  private:
   std::int64_t cell_of(double v) const;
   std::size_t cell_index(const net::GeoPoint& p) const;
+  /// Ring walk collecting into scratch_ every accepting node (or every
+  /// node) of the rings needed for an exact `count`-nearest answer.
+  template <bool kAcceptingOnly>
+  void walk_rings(const net::GeoPoint& from, std::size_t count) const;
+  template <bool kAcceptingOnly>
   void scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoPoint& from) const;
+  /// The saturated regime: scratch_ becomes the `count` nearest members
+  /// of accepting_set_, sorted, by bounded insertion.
+  void scan_accepting_set(const net::GeoPoint& from, std::size_t count) const;
 
   double cell_km_ = 150.0;
   std::vector<net::GeoPoint> positions_;
@@ -83,11 +117,14 @@ class SupernodeIndex {
   std::int64_t width_ = 0;
   /// Capacity side of the table: accepting_[i] is node i's accepting()
   /// as last reported, cell_accepting_[c] counts those bytes over cell c
-  /// (whose index node_cell_[i] is kept so updates are O(1)).
+  /// (whose index node_cell_[i] is kept so updates are O(1)), and
+  /// accepting_set_ lists the accepting nodes in no order, node i at
+  /// accepting_set_[set_slot_[i]] (swap-remove keeps updates O(1)).
   std::vector<std::uint8_t> accepting_;
   std::vector<std::uint32_t> node_cell_;
   std::vector<std::uint32_t> cell_accepting_;
-  std::size_t accepting_total_ = 0;
+  std::vector<std::uint32_t> accepting_set_;
+  std::vector<std::uint32_t> set_slot_;
   /// Query scratch, reused across calls (single-threaded contract).
   mutable std::vector<std::pair<double, std::size_t>> scratch_;
 };

@@ -4,31 +4,6 @@ namespace cloudfog::net {
 
 namespace {
 
-// Mixture parameters are fitted to the published LoL latency histogram
-// buckets: ~30 % of sessions in 20–50 ms, ~40 % in 50–90 ms, ~20 % in
-// 90–150 ms, ~10 % above. lognormal(mu, sigma) has median e^mu.
-util::LognormalMixture make_rtt_mixture(TraceProfile profile) {
-  using C = util::LognormalMixture::Component;
-  switch (profile) {
-    case TraceProfile::kLeagueOfLegends:
-      return util::LognormalMixture({
-          C{0.30, 3.55, 0.25},  // median ~35 ms
-          C{0.40, 4.22, 0.20},  // median ~68 ms
-          C{0.20, 4.75, 0.20},  // median ~115 ms
-          C{0.10, 5.30, 0.35},  // median ~200 ms tail
-      });
-    case TraceProfile::kPlanetLab:
-      // PlanetLab paths cross academic backbones; fatter tail, higher base.
-      return util::LognormalMixture({
-          C{0.25, 3.70, 0.30},  // median ~40 ms
-          C{0.35, 4.40, 0.25},  // median ~81 ms
-          C{0.25, 4.95, 0.25},  // median ~141 ms
-          C{0.15, 5.55, 0.40},  // median ~257 ms tail
-      });
-  }
-  return util::LognormalMixture({C{1.0, 4.0, 0.3}});
-}
-
 util::LognormalMixture make_access_mixture(TraceProfile profile) {
   using C = util::LognormalMixture::Component;
   switch (profile) {
@@ -65,24 +40,11 @@ double base_jitter_for(TraceProfile profile) {
 
 PingTrace::PingTrace(TraceProfile profile)
     : profile_(profile),
-      rtt_mixture_(make_rtt_mixture(profile)),
       access_mixture_(make_access_mixture(profile)),
       base_jitter_ms_(base_jitter_for(profile)) {}
 
 double PingTrace::sample_access_latency_ms(util::Rng& rng) const {
   return access_mixture_.sample(rng);
-}
-
-double PingTrace::sample_rtt_ms(util::Rng& rng) const {
-  return rtt_mixture_.sample(rng);
-}
-
-double PingTrace::rtt_fraction_within(double ms, util::Rng& rng, int samples) const {
-  int within = 0;
-  for (int i = 0; i < samples; ++i) {
-    if (sample_rtt_ms(rng) <= ms) ++within;
-  }
-  return static_cast<double>(within) / static_cast<double>(samples);
 }
 
 }  // namespace cloudfog::net

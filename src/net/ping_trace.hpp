@@ -2,15 +2,14 @@
 //
 // The paper samples pairwise communication latency "from the ping latency
 // traces from the League of Legends [54] based on each latency's occurrence
-// frequency" (§4.1). The trace itself is not distributable, so we rebuild
-// its published shape: a histogram over 0–300+ ms dominated by the
-// 20–90 ms range with a long tail, as a lognormal mixture; the mixture is
-// the only RTT source (no trace file is loaded). PingTrace exposes the two
-// things the experiments consume:
-//   * per-node access (last-mile) latency — sampled once per node;
+// frequency" (§4.1). The trace itself is not distributable; pairwise
+// latency comes from the latency model's geometry, and PingTrace supplies
+// the two per-node terms the experiments consume:
+//   * per-node access (last-mile) latency — a heavy-tailed lognormal
+//     mixture, sampled once per node;
 //   * per-packet jitter magnitude — drives the continuity metric.
-// The "planetlab" profile has a heavier tail, matching the wide-area
-// variance observed on the real testbed.
+// The "planetlab" profile has a heavier access tail and more jitter,
+// matching the wide-area variance observed on the real testbed.
 #pragma once
 
 #include "util/distributions.hpp"
@@ -33,19 +32,11 @@ class PingTrace {
   /// most nodes 3–15 ms, a tail of poorly connected ones.
   double sample_access_latency_ms(util::Rng& rng) const;
 
-  /// End-to-end RTT sample in ms, as the original trace would yield.
-  double sample_rtt_ms(util::Rng& rng) const;
-
   /// Mean of per-packet delay jitter (ms) under an uncongested path.
   double base_jitter_ms() const { return base_jitter_ms_; }
 
-  /// Fraction of trace RTTs at or below `ms` (empirical CDF, analytic
-  /// evaluation over the mixture).
-  double rtt_fraction_within(double ms, util::Rng& rng, int samples = 4096) const;
-
  private:
   TraceProfile profile_;
-  util::LognormalMixture rtt_mixture_;
   util::LognormalMixture access_mixture_;
   double base_jitter_ms_;
 };

@@ -6,6 +6,9 @@
 // determinism gate compares runs that may differ only in mode. The index
 // keeps its own accepting counts, so every churn step here reports each
 // node through Cloud::note_seat_change, as the System's seat paths do.
+// The join path's per-player nearby lists (Cloud::candidate_supernodes_for)
+// are held to the same linear answer, across churn, saturation, index
+// rebuilds and the 16-bit fleet bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,6 +74,36 @@ class SupernodeIndexProperty : public ::testing::Test {
     cloud.set_candidate_mode(core::CandidateMode::kLinear);
     cloud.candidate_supernodes_into(player, fleet, count, linear_);
     EXPECT_EQ(grid_, linear_);
+  }
+
+  /// The join path for `player` (its nearby list, then the grid) against
+  /// the linear scan; the same PlayerState is reused across calls.
+  void expect_list_agrees(core::Cloud& cloud, const std::vector<core::SupernodeState>& fleet,
+                          core::PlayerState& player, std::size_t count) {
+    cloud.set_candidate_mode(core::CandidateMode::kGrid);
+    cloud.candidate_supernodes_for(player, fleet, count, grid_);
+    cloud.candidate_supernodes_linear(player.info.endpoint, fleet, count, linear_);
+    EXPECT_EQ(grid_, linear_) << "player " << player.info.id << ", count " << count;
+  }
+
+  /// PlayerStates for `n` testbed players (every 7th), lists not yet built.
+  std::vector<core::PlayerState> make_players(std::size_t n) const {
+    std::vector<core::PlayerState> players(n);
+    for (std::size_t i = 0; i < n; ++i) players[i].info = testbed_.players()[i * 7];
+    return players;
+  }
+
+  /// Deploys every node, fills every seat, then frees exactly `free` nodes
+  /// chosen by `rng`, each reported through the seat-change hook.
+  static void saturate_leaving(const core::Cloud& cloud,
+                               std::vector<core::SupernodeState>& fleet, std::size_t free,
+                               util::Rng& rng) {
+    saturate(fleet);
+    std::vector<std::size_t> order(fleet.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (std::size_t k = 0; k < free; ++k) fleet[order[k]].served = 0;
+    for (std::size_t i = 0; i < fleet.size(); ++i) cloud.note_seat_change(fleet, i);
   }
 
   core::Testbed testbed_;
@@ -235,6 +268,140 @@ TEST_F(SupernodeIndexProperty, MissedSeatChangeFailsTheConsistencyCheck) {
   // Reporting it restores consistency.
   cloud.note_seat_change(fleet, 0);
   EXPECT_TRUE(cloud.seat_index_consistent(fleet));
+}
+
+TEST_F(SupernodeIndexProperty, NearbyListMatchesLinearAcrossChurnAndSaturation) {
+  util::Rng rng(77);
+  // Below, at and above the list's 16 entries, up to past the default 600.
+  const std::size_t fleet_sizes[] = {1, 7, 15, 16, 17, 60, 600, 2000};
+  const std::size_t counts[] = {1, 8, 16, 32};
+  for (const std::size_t size : fleet_sizes) {
+    core::Cloud cloud = make_cloud();
+    auto fleet = testbed_.make_supernode_fleet(size);
+    util::Rng reg_rng(rng.next_u64());
+    register_and_churn(cloud, fleet, reg_rng);
+    auto players = make_players(24);
+    for (int round = 0; round < 6; ++round) {
+      for (core::PlayerState& player : players) {
+        for (const std::size_t count : counts) expect_list_agrees(cloud, fleet, player, count);
+      }
+      // Alternate light churn with a nearly full fleet, so lists answer
+      // alone, fall back to the ring walk, and fall back to the set scan.
+      if (round % 2 == 0) {
+        churn(cloud, fleet, rng);
+      } else {
+        saturate_leaving(cloud, fleet, static_cast<std::size_t>(rng.uniform_int(
+                                           0, static_cast<std::int64_t>(size))) / 4,
+                         rng);
+      }
+      EXPECT_TRUE(cloud.seat_index_consistent(fleet));
+    }
+  }
+}
+
+TEST_F(SupernodeIndexProperty, SaturatedScanBoundaryMatchesLinear) {
+  // kSaturatedScan accepting nodes take the set scan, one more the ring
+  // walk; both the endpoint path and the list path must equal linear.
+  ASSERT_EQ(core::SupernodeIndex::kSaturatedScan, 64u);
+  util::Rng rng(64);
+  core::Cloud cloud = make_cloud();
+  auto fleet = testbed_.make_supernode_fleet(600);
+  for (auto& sn : fleet) cloud.register_supernode(sn, rng);
+  auto players = make_players(40);
+  for (const std::size_t free : {63u, 64u, 65u, 66u}) {
+    saturate_leaving(cloud, fleet, free, rng);
+    ASSERT_TRUE(cloud.seat_index_consistent(fleet));
+    for (core::PlayerState& player : players) {
+      for (const std::size_t count : {1u, 8u, 16u, 32u}) {
+        expect_modes_agree(cloud, fleet, player.info.endpoint, count);
+        expect_list_agrees(cloud, fleet, player, count);
+      }
+    }
+  }
+}
+
+TEST_F(SupernodeIndexProperty, NearbyListIsRebuiltAfterUnregisterAndFleetSwitch) {
+  core::Cloud cloud = make_cloud();
+  util::Rng rng(88);
+  auto fleet_a = testbed_.make_supernode_fleet(600);
+  register_and_churn(cloud, fleet_a, rng);
+  auto fleet_b = testbed_.make_supernode_fleet(90);
+  register_and_churn(cloud, fleet_b, rng);
+  auto players = make_players(16);
+
+  for (core::PlayerState& player : players) expect_list_agrees(cloud, fleet_a, player, 8);
+  const std::uint64_t first_build = players[0].nearby.build;
+  ASSERT_NE(first_build, 0u);
+
+  // Unregistering moves the epoch: each list must be rebuilt before use.
+  // Player 0's nearest node goes, the last node taking its index, so a
+  // stale list would name the wrong node.
+  const std::size_t gone = players[0].nearby.nodes[0];
+  std::swap(fleet_a[gone], fleet_a.back());
+  cloud.unregister_supernode(fleet_a.back());
+  fleet_a.pop_back();
+  for (core::PlayerState& player : players) expect_list_agrees(cloud, fleet_a, player, 8);
+  EXPECT_NE(players[0].nearby.build, first_build);
+
+  // Another fleet vector behind the same cloud, then back again.
+  for (int round = 0; round < 2; ++round) {
+    for (core::PlayerState& player : players) {
+      expect_list_agrees(cloud, fleet_b, player, 8);
+      EXPECT_LE(player.nearby.size, fleet_b.size());
+      for (std::size_t k = 0; k < player.nearby.size; ++k) {
+        EXPECT_LT(player.nearby.nodes[k], fleet_b.size());
+      }
+    }
+    for (core::PlayerState& player : players) expect_list_agrees(cloud, fleet_a, player, 16);
+    churn(cloud, fleet_a, rng);
+  }
+}
+
+TEST_F(SupernodeIndexProperty, NearbyListCoversSixteenBitFleetsOnly) {
+  // 65,536 nodes: one past what 16-bit list entries can name. Copies of a
+  // 2000-node fleet, each copy geolocated with fresh noise, except that
+  // the 16 nodes just below index 65,535 sit together far off the plane.
+  constexpr std::size_t kMax = core::Cloud::kMaxNearbyFleet;
+  constexpr std::size_t kFar = core::NearbySupernodes::kCapacity;
+  const net::GeoPoint far_off{-3000.0, -3000.0};
+  const auto base = testbed_.make_supernode_fleet(2000);
+  std::vector<core::SupernodeState> fleet;
+  fleet.reserve(kMax + 1);
+  while (fleet.size() <= kMax) {
+    core::SupernodeState sn = base[fleet.size() % base.size()];
+    sn.id = fleet.size();
+    sn.deployed = true;
+    if (fleet.size() >= kMax - kFar && fleet.size() < kMax) sn.endpoint.position = far_off;
+    fleet.push_back(sn);
+  }
+  core::Cloud cloud = make_cloud();
+  util::Rng rng(65536);
+  for (auto& sn : fleet) cloud.register_supernode(sn, rng);
+  auto players = make_players(4);
+  players[3].info.endpoint.position = far_off;
+
+  // Above the bound the list is bypassed and never built.
+  for (core::PlayerState& player : players) {
+    expect_list_agrees(cloud, fleet, player, 8);
+    EXPECT_EQ(player.nearby.build, 0u);
+  }
+  // At the bound it is used; the far player's list names exactly the far
+  // nodes, the last of them index 65,534.
+  cloud.unregister_supernode(fleet.back());
+  fleet.pop_back();
+  ASSERT_EQ(fleet.size(), kMax);
+  for (core::PlayerState& player : players) {
+    expect_list_agrees(cloud, fleet, player, 8);
+    EXPECT_NE(player.nearby.build, 0u);
+    EXPECT_EQ(player.nearby.size, kFar);
+  }
+  std::vector<std::size_t> far_list(players[3].nearby.nodes.begin(),
+                                    players[3].nearby.nodes.end());
+  std::sort(far_list.begin(), far_list.end());
+  EXPECT_EQ(far_list.front(), kMax - kFar);
+  EXPECT_EQ(far_list.back(), kMax - 1);
+  saturate_leaving(cloud, fleet, 40, rng);
+  for (core::PlayerState& player : players) expect_list_agrees(cloud, fleet, player, 8);
 }
 
 }  // namespace

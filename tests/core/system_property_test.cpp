@@ -34,7 +34,9 @@ void PrintTo(const SystemCase& c, std::ostream* os) { *os << c.name; }
 
 class SystemInvariants : public ::testing::TestWithParam<SystemCase> {};
 
-void check_invariants(const System& sys) {
+/// `listed` holds copies of four players, kept across calls so their
+/// nearby lists live as long as the System's own do (filled on first use).
+void check_invariants(const System& sys, std::vector<PlayerState>& listed) {
   // 1. Supernode seat accounting: Σ served == fog-attached online players,
   //    and no supernode exceeds its capacity or serves while undeployed.
   std::size_t fog_players = 0;
@@ -87,18 +89,27 @@ void check_invariants(const System& sys) {
   ASSERT_EQ(cdn_seats, cdn_players);
 
   // 5. Discovery's accepting counts saw every seat change (claim, release,
-  //    crash, clear, deploy, withdrawal), and the grid answers exactly what
-  //    the linear scan of the live fleet answers.
+  //    crash, clear, deploy, withdrawal), and the grid and the join path's
+  //    nearby lists answer exactly what the linear scan of the live fleet
+  //    answers.
   const Cloud& cloud = sys.cloud();
   ASSERT_TRUE(cloud.seat_index_consistent(sys.fleet()));
   ASSERT_EQ(cloud.candidate_mode(), CandidateMode::kGrid);
+  if (listed.empty()) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      listed.push_back(sys.players()[k * sys.players().size() / 4]);
+    }
+  }
   std::vector<std::size_t> grid;
+  std::vector<std::size_t> nearby;
   std::vector<std::size_t> linear;
-  for (std::size_t k = 0; k < 4; ++k) {
-    const auto& who = sys.players()[k * sys.players().size() / 4].info.endpoint;
+  for (PlayerState& player : listed) {
+    const auto& who = player.info.endpoint;
     cloud.candidate_supernodes_into(who, sys.fleet(), 8, grid);
+    cloud.candidate_supernodes_for(player, sys.fleet(), 8, nearby);
     cloud.candidate_supernodes_linear(who, sys.fleet(), 8, linear);
     ASSERT_EQ(grid, linear);
+    ASSERT_EQ(nearby, linear);
   }
 }
 
@@ -120,6 +131,7 @@ TEST(SystemSeatIndex, CrashOfAnIdleNodeIsReportedToDiscovery) {
   spec.duration_s = 2.0 * 3600.0;
   cfg.faults.extra_specs.push_back(spec);
   System sys(property_testbed(), cfg, 99);
+  std::vector<PlayerState> listed;
 
   sys.begin_cycle(1);
   for (int sub = 1; sub <= 6; ++sub) {
@@ -132,7 +144,7 @@ TEST(SystemSeatIndex, CrashOfAnIdleNodeIsReportedToDiscovery) {
     if (sub == 4) {
       ASSERT_TRUE(sys.fleet()[kVictim].failed);
     }
-    check_invariants(sys);
+    check_invariants(sys, listed);
   }
   ASSERT_FALSE(sys.fleet()[kVictim].failed);
 }
@@ -164,12 +176,13 @@ TEST_P(SystemInvariants, HoldAtEverySubcycle) {
     }
   }
   System sys(property_testbed(), cfg, 1234);
+  std::vector<PlayerState> listed;
 
   for (int day = 1; day <= 3; ++day) {
     sys.begin_cycle(day);
     for (int sub = 1; sub <= 24; ++sub) {
       const auto qos = sys.run_subcycle(day, sub, day == 1, sub >= 20);
-      check_invariants(sys);
+      check_invariants(sys, listed);
       // 3. Aggregates stay on their scales.
       ASSERT_GE(qos.avg_continuity, 0.0);
       ASSERT_LE(qos.avg_continuity, 1.0);
@@ -193,7 +206,7 @@ TEST_P(SystemInvariants, HoldAtEverySubcycle) {
       }
     }
     sys.end_cycle(day);
-    check_invariants(sys);
+    check_invariants(sys, listed);
   }
 }
 

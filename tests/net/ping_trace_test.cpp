@@ -26,17 +26,6 @@ TEST(PingTrace, AccessMedianInLastMileRange) {
   EXPECT_LT(samples.median(), 15.0);
 }
 
-TEST(PingTrace, RttsCoverTheLolHistogramRange) {
-  const PingTrace trace(TraceProfile::kLeagueOfLegends);
-  util::Rng rng(3);
-  util::SampleSet samples;
-  for (int i = 0; i < 50000; ++i) samples.add(trace.sample_rtt_ms(rng));
-  // The published histogram: bulk between 20 and 150 ms with a tail.
-  EXPECT_GT(samples.median(), 30.0);
-  EXPECT_LT(samples.median(), 110.0);
-  EXPECT_GT(samples.percentile(0.95), 120.0);
-}
-
 TEST(PingTrace, PlanetLabHasHeavierTail) {
   const PingTrace lol(TraceProfile::kLeagueOfLegends);
   const PingTrace pl(TraceProfile::kPlanetLab);
@@ -45,22 +34,13 @@ TEST(PingTrace, PlanetLabHasHeavierTail) {
   util::SampleSet s_lol;
   util::SampleSet s_pl;
   for (int i = 0; i < 50000; ++i) {
-    s_lol.add(lol.sample_rtt_ms(r1));
-    s_pl.add(pl.sample_rtt_ms(r2));
+    s_lol.add(lol.sample_access_latency_ms(r1));
+    s_pl.add(pl.sample_access_latency_ms(r2));
   }
+  // Access-mixture component medians e^μ: 8.0/16.9/33.1 ms on PlanetLab
+  // against 6.0/14.0/27.9 ms on LoL, with a heavier top weight.
   EXPECT_GT(s_pl.percentile(0.9), s_lol.percentile(0.9));
   EXPECT_GT(pl.base_jitter_ms(), lol.base_jitter_ms());
-}
-
-TEST(PingTrace, FractionWithinIsMonotone) {
-  const PingTrace trace(TraceProfile::kLeagueOfLegends);
-  util::Rng rng(5);
-  const double at50 = trace.rtt_fraction_within(50.0, rng);
-  const double at100 = trace.rtt_fraction_within(100.0, rng);
-  const double at300 = trace.rtt_fraction_within(300.0, rng);
-  EXPECT_LE(at50, at100);
-  EXPECT_LE(at100, at300);
-  EXPECT_GT(at300, 0.8);
 }
 
 }  // namespace
