@@ -9,9 +9,8 @@
 //   --seed <n>           override the experiment seed;
 //   --jobs <n>           run each sweep's cells on n worker threads
 //                        (default: every CPU); outputs do not depend on it;
-//   --trace <file>       stream the structured event trace;
-//   --trace-format <f>   trace encoding: jsonl (default) or binary (the
-//                        fixed-width format tools/trace/tracecat decodes);
+//   --trace <file>       stream the structured event trace in the binary
+//                        format (tools/trace/tracecat turns it into JSONL);
 //   --trace-sample <n>   sampled retention: keep every nth non-structural
 //                        event (decided by a deterministic counter, so the
 //                        sampled trace is identical across runs);
@@ -55,9 +54,8 @@ namespace cloudfog::bench {
 /// The observability options parse_args hands to the ObsSession.
 struct ObsOptions {
   std::string trace_path;
-  std::string trace_format = "jsonl";  ///< "jsonl" or "binary"
-  std::uint64_t trace_sample = 0;      ///< >0 selects sampled retention
-  bool trace_agg = false;              ///< aggregated retention
+  std::uint64_t trace_sample = 0;  ///< >0 selects sampled retention
+  bool trace_agg = false;          ///< aggregated retention
   std::string report_path;
   std::string runstore_dir;
   obs::RunKey run_key{"local", "unknown", "unknown"};
@@ -83,16 +81,10 @@ class ObsSession {
       buf.set_retention(obs::TraceRetention::kAggregated);
     }
     if (!opts_.trace_path.empty()) {
-      const bool binary = opts_.trace_format == "binary";
-      trace_out_.open(opts_.trace_path,
-                      binary ? std::ios::binary | std::ios::out : std::ios::out);
+      trace_out_.open(opts_.trace_path, std::ios::binary | std::ios::out);
       if (trace_out_) {
-        if (binary) {
-          binary_sink_ = std::make_unique<obs::BinaryTraceSink>(trace_out_);
-          buf.set_event_sink(binary_sink_.get());
-        } else {
-          buf.set_sink(&trace_out_);
-        }
+        sink_ = std::make_unique<obs::BinaryTraceSink>(trace_out_);
+        buf.set_event_sink(sink_.get());
       } else {
         std::cerr << "warning: cannot open trace file " << opts_.trace_path << '\n';
         opts_.trace_path.clear();
@@ -111,8 +103,7 @@ class ObsSession {
       buf.close_aggregation_window();
       buf.flush();
       buf.set_event_sink(nullptr);
-      buf.set_sink(nullptr);
-      binary_sink_.reset();
+      sink_.reset();
       trace_out_.close();
     }
     if (!opts_.report_path.empty()) {
@@ -130,8 +121,8 @@ class ObsSession {
   ObsSession() = default;
 
   /// One run-store row per process: per-run metric means (plus p95 where
-  /// recorded) and the trace accounting, one column per metric so
-  /// scripts/bench_trend.py can trend each independently.
+  /// recorded) and the trace accounting, one column per metric
+  /// (tools/runstore_query reads them back).
   void append_runstore(const obs::Recorder& rec) {
     obs::RunStore store(opts_.runstore_dir);
     const std::uint64_t row = store.begin_row(opts_.run_key);
@@ -150,7 +141,7 @@ class ObsSession {
 
   ObsOptions opts_;
   std::ofstream trace_out_;
-  std::unique_ptr<obs::BinaryTraceSink> binary_sink_;
+  std::unique_ptr<obs::BinaryTraceSink> sink_;
   bool finalized_ = false;
 };
 
@@ -229,12 +220,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       args.seed = count_arg("--seed", value, 0, kMax);
     } else if (flag_value(argc, argv, &i, "--jobs", &value)) {
       args.jobs = static_cast<int>(count_arg("--jobs", value, 1, 1024));
-    } else if (flag_value(argc, argv, &i, "--trace-format", &value)) {
-      opts.trace_format = value;
-      if (opts.trace_format != "jsonl" && opts.trace_format != "binary") {
-        std::cerr << "error: --trace-format must be jsonl or binary\n";
-        std::exit(2);
-      }
     } else if (flag_value(argc, argv, &i, "--trace-sample", &value)) {
       opts.trace_sample = count_arg("--trace-sample", value, 1, kMax);
     } else if (std::strcmp(argv[i], "--trace-agg") == 0) {

@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Bench trending: compare a fresh benchmark run against run-store history.
+"""Bench trending: gate a fresh perfbench run against run-store history.
 
-Reads the columnar run-store written by the bench binaries (obs::RunStore,
-see src/obs/run_store.hpp for the on-disk format) and compares the newest
-run's metric values against the median of the stored history for the same
-configuration (matched by config hash, so quick and full runs trend
-separately). Direction is inferred from the metric name: time/byte-like
-columns (``*_ms``, ``*_ns``, ``*_us``, ``*per_event``, ``*_bytes``) must
-not grow, speedup/ratio-like columns must not shrink; anything else is
-reported but never gated.
+CI runs ``python3 perfbench/run.py`` on each workload and appends each
+result line to the columnar run-store (``append_result``; on-disk format in
+src/obs/run_store.hpp), one row per workload with the workload as config
+hash. This script compares the fresh run's end-to-end metrics with the
+median of the stored history of the same config, so workloads trend
+apart. Each metric's direction (``better``) and tolerance (``bound``) come
+from BENCHMARK.json.
 
 Usage:
-  scripts/bench_trend.py --runstore data/runstore [--bench BENCH_PR6.json]
-                         [--run-id <id>] [--tolerance 0.10]
+  scripts/bench_trend.py --runstore <dir> --run-id <id>
                          [--min-history 2] [--mode warn|enforce]
 
-Exit status: 0 when clean (or ``--mode warn``), 1 when a regression is
-flagged under ``--mode enforce``, 2 on usage errors. CI runs warn mode on
+Exit status: 1 when a fresh result is incorrect (``correct`` false or
+``failed`` > 0) in either mode, or when a regression is flagged under
+``--mode enforce``; 0 otherwise; 2 on usage errors. CI runs warn mode on
 pull requests and enforce mode on main.
 """
 
@@ -29,13 +28,13 @@ import statistics
 import struct
 import sys
 
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                              "BENCHMARK.json")
+
 COLUMN_MAGIC = b"CFRC"
 COLUMN_VERSION = 1
 COLUMN_HEADER = struct.Struct("<4sHH")
 COLUMN_RECORD = struct.Struct("<Qd")
-
-LOWER_IS_BETTER = ("_ms", "_ns", "_us", "per_event", "_bytes")
-HIGHER_IS_BETTER = ("speedup", "ratio", "per_second")
 
 
 def read_manifest(store_dir):
@@ -118,14 +117,23 @@ def append_run(store_dir, key, values):
     return row
 
 
-def direction(column):
-    """'down' (lower is better), 'up', or None (untrended)."""
-    if any(column.endswith(suffix) or suffix in column.rsplit(".", 1)[-1]
-           for suffix in HIGHER_IS_BETTER):
-        return "up"
-    if any(column.endswith(suffix) for suffix in LOWER_IS_BETTER):
-        return "down"
-    return None
+def append_result(store_dir, key, result):
+    """Appends one perfbench result line (the parsed JSON) as one row.
+
+    Every end-to-end metric becomes a column, next to ``correct`` (1 or 0),
+    ``attempted`` and ``failed``.
+    """
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    values["correct"] = 1.0 if result["correct"] else 0.0
+    values["attempted"] = result["attempted"]
+    values["failed"] = result["failed"]
+    return append_run(store_dir, key, values)
+
+
+def load_metrics():
+    """BENCHMARK.json's end-to-end metrics: name -> (better, bound)."""
+    with open(BENCHMARK_JSON, encoding="utf-8") as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
 def per_row_value(records, row_ids):
@@ -137,100 +145,106 @@ def per_row_value(records, row_ids):
     return {row: statistics.median(series) for row, series in grouped.items()}
 
 
-def trend(store_dir, fresh_run_id, tolerance, min_history):
+def fresh_rows(manifest, fresh_run_id):
+    rows = [r for r in manifest if r["run_id"] == fresh_run_id]
+    if not rows:
+        raise ValueError(f"run id {fresh_run_id!r} has no manifest rows")
+    return rows
+
+
+def trend(store_dir, fresh_run_id, min_history):
     """Compares the fresh run against history; returns a list of findings.
 
-    Each finding: dict with column, status ('ok', 'regression',
-    'improvement', 'no-history', 'untrended'), fresh, baseline, delta.
+    Each finding: dict with config, column, status ('ok', 'regression',
+    'improvement', 'no-history'), fresh, baseline, delta, bound, history.
     """
+    metrics = load_metrics()
     manifest = read_manifest(store_dir)
-    fresh_rows = [r for r in manifest if r["run_id"] == fresh_run_id]
-    if not fresh_rows:
-        raise ValueError(f"run id {fresh_run_id!r} has no manifest rows in {store_dir}")
-    config_hashes = {r["config_hash"] for r in fresh_rows}
-    fresh_ids = {r["row"] for r in fresh_rows}
-    history_ids = {
-        r["row"] for r in manifest
-        if r["config_hash"] in config_hashes and r["run_id"] != fresh_run_id
-    }
-
+    fresh = fresh_rows(manifest, fresh_run_id)
+    records = {column: read_column(store_dir, column) for column in metrics}
     findings = []
-    for column in list_columns(store_dir):
-        records = read_column(store_dir, column)
-        fresh_values = per_row_value(records, fresh_ids)
-        if not fresh_values:
-            continue  # this run did not produce the column
-        fresh = statistics.median(fresh_values.values())
-        history = sorted(per_row_value(records, history_ids).values())
-        finding = {"column": column, "fresh": fresh, "baseline": None,
-                   "delta": None, "status": "ok", "history": len(history)}
-        sense = direction(column)
-        if len(history) < min_history:
-            finding["status"] = "no-history"
+    for config in sorted({r["config_hash"] for r in fresh}):
+        fresh_ids = {r["row"] for r in fresh if r["config_hash"] == config}
+        history_ids = {
+            r["row"] for r in manifest
+            if r["config_hash"] == config and r["run_id"] != fresh_run_id
+        }
+        for column, (better, bound) in metrics.items():
+            fresh_values = per_row_value(records[column], fresh_ids)
+            if not fresh_values:
+                continue  # this config did not produce the column
+            history = per_row_value(records[column], history_ids).values()
+            finding = {"config": config, "column": column,
+                       "fresh": statistics.median(fresh_values.values()),
+                       "baseline": None, "delta": None, "bound": bound,
+                       "status": "ok", "history": len(history)}
             findings.append(finding)
-            continue
-        baseline = statistics.median(history)
-        finding["baseline"] = baseline
-        if baseline != 0:
-            finding["delta"] = (fresh - baseline) / abs(baseline)
-        if sense is None:
-            finding["status"] = "untrended"
-        elif finding["delta"] is None:
-            finding["status"] = "ok"
-        elif sense == "down" and finding["delta"] > tolerance:
-            finding["status"] = "regression"
-        elif sense == "up" and finding["delta"] < -tolerance:
-            finding["status"] = "regression"
-        elif sense == "down" and finding["delta"] < -tolerance:
-            finding["status"] = "improvement"
-        elif sense == "up" and finding["delta"] > tolerance:
-            finding["status"] = "improvement"
-        findings.append(finding)
+            if len(history) < min_history:
+                finding["status"] = "no-history"
+                continue
+            baseline = statistics.median(history)
+            finding["baseline"] = baseline
+            if baseline == 0:
+                continue
+            # Positive `worse` is a move in the wrong direction.
+            delta = (finding["fresh"] - baseline) / abs(baseline)
+            finding["delta"] = delta
+            worse = delta if better == "lower" else -delta
+            if worse > bound:
+                finding["status"] = "regression"
+            elif worse < -bound:
+                finding["status"] = "improvement"
     return findings
+
+
+def incorrect(store_dir, fresh_run_id):
+    """Configs whose fresh result was wrong: correct false or a failed check."""
+    configs = {r["row"]: r["config_hash"]
+               for r in fresh_rows(read_manifest(store_dir), fresh_run_id)}
+    bad = {configs[row] for row, value in read_column(store_dir, "correct")
+           if row in configs and value == 0}
+    bad |= {configs[row] for row, value in read_column(store_dir, "failed")
+            if row in configs and value > 0}
+    return sorted(bad)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runstore", required=True, help="run-store directory")
-    parser.add_argument("--bench", help="fresh BENCH_*.json (source of the run id)")
-    parser.add_argument("--run-id", help="fresh run id (overrides --bench context)")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="allowed relative drift (default 0.10)")
+    parser.add_argument("--run-id", required=True, help="fresh run id")
     parser.add_argument("--min-history", type=int, default=2,
                         help="history rows required before gating (default 2)")
     parser.add_argument("--mode", choices=("warn", "enforce"), default="warn",
                         help="warn: report only; enforce: exit 1 on regression")
     args = parser.parse_args(argv)
 
-    run_id = args.run_id
-    if run_id is None and args.bench:
-        with open(args.bench, encoding="utf-8") as fh:
-            run_id = json.load(fh).get("context", {}).get("run_id")
-    if run_id is None:
-        parser.error("need --run-id or a --bench file with context.run_id")
-
     try:
-        findings = trend(args.runstore, run_id, args.tolerance, args.min_history)
+        bad = incorrect(args.runstore, args.run_id)
+        findings = trend(args.runstore, args.run_id, args.min_history)
     except ValueError as err:
         print(f"bench_trend: {err}", file=sys.stderr)
         return 1 if args.mode == "enforce" else 0
 
-    regressions = [f for f in findings if f["status"] == "regression"]
-    width = max((len(f["column"]) for f in findings), default=10)
-    print(f"bench_trend: run {run_id} vs stored history "
-          f"(tolerance {args.tolerance:.0%}, min history {args.min_history})")
+    width = max((len(f["config"]) + len(f["column"]) + 1 for f in findings), default=10)
+    print(f"bench_trend: run {args.run_id} vs stored history "
+          f"(bounds from BENCHMARK.json, min history {args.min_history})")
     for f in findings:
+        name = f"{f['config']}/{f['column']}"
         fresh = f"{f['fresh']:.6g}"
         if f["baseline"] is None:
-            print(f"  {f['column']:<{width}}  {fresh:>12}  "
+            print(f"  {name:<{width}}  {fresh:>12}  "
                   f"[{f['status']}: {f['history']} stored run(s)]")
         else:
             delta = "n/a" if f["delta"] is None else f"{f['delta']:+.1%}"
-            print(f"  {f['column']:<{width}}  {fresh:>12}  vs median "
-                  f"{f['baseline']:.6g}  {delta:>8}  [{f['status']}]")
+            print(f"  {name:<{width}}  {fresh:>12}  vs median {f['baseline']:.6g}  "
+                  f"{delta:>8} (bound {f['bound']:.0%})  [{f['status']}]")
+    if bad:
+        print(f"bench_trend: incorrect result on {', '.join(bad)}", file=sys.stderr)
+        return 1
+    regressions = [f for f in findings if f["status"] == "regression"]
     if regressions:
-        print(f"bench_trend: {len(regressions)} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance", file=sys.stderr)
+        print(f"bench_trend: {len(regressions)} regression(s) beyond their bound",
+              file=sys.stderr)
         return 1 if args.mode == "enforce" else 0
     print("bench_trend: no regressions")
     return 0

@@ -5,7 +5,7 @@
 #   2. format check on tracked sources (when clang-format is available)
 #   3. plain build (warnings-as-errors by default) + tier-1 ctest
 #   4. determinism gate: cloudfog_figs fig7 and the seeded chaos smoke run
-#      twice; traces must be byte-identical and reports identical after
+#      twice; binary traces must be byte-identical and reports identical after
 #      canonicalization (wall-clock phase timings are the only sanctioned
 #      difference — tools/determinism/canonicalize_report.py); fig7 at
 #      --jobs 1 and --jobs 4 must print the same tables and canonical
@@ -18,20 +18,21 @@
 #      envelope fail; and one scenario (regional-outage) replays seeded —
 #      double-run traces byte-identical, reports identical after
 #      canonicalization
-#   6. binary trace gate: both workloads re-run with --trace-format=binary;
-#      tools/trace/tracecat must reproduce the JSONL byte-for-byte
+#   6. trace pin: the tracecat JSONL of the stage-4 fig7 and chaos traces
+#      must match the sha256 pinned below (FIG7_TRACE_SHA256,
+#      CHAOS_TRACE_SHA256)
 #   7. run-store gate: two seeded fig7 runs append to a scratch run-store;
 #      tools/runstore_query and the scripts/bench_trend.py reader must
 #      agree, and the identical runs must have appended identical values
 #   8. bench smoke: observability export schema checks, including zero
-#      trace drops while a sink is attached
+#      trace drops while a sink is attached and a monotone tracecat JSONL
 #   9. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
 #      ctest (the sweep-pool test included), a traced and a 4-worker TSan
 #      fig7 cross-checked against the plain run, the chaos
 #      smoke re-run under ASan, and a standalone UBSan build
 #      (with the probed float-divide-by-zero / implicit-integer-sign-change
 #      checks) driving fig7, the seeded chaos replay and the full scenario
-#      smoke — all cross-checked byte-for-byte against the plain traces
+#      smoke — all cross-checked byte-for-byte against the plain binary traces
 #
 #   scripts/check.sh            everything
 #   scripts/check.sh --quick    stages 1–8 only (no sanitizer builds)
@@ -68,14 +69,12 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "== determinism gate: double-run fig7 =="
 ./build/bench/cloudfog_figs fig7 --quick \
   --report-json "$SMOKE_DIR/fig7_report_a.json" \
-  --trace "$SMOKE_DIR/fig7_trace_a.jsonl" >"$SMOKE_DIR/fig7_stdout_a.txt"
+  --trace "$SMOKE_DIR/fig7_trace_a.bin" >"$SMOKE_DIR/fig7_stdout_a.txt"
 ./build/bench/cloudfog_figs fig7 --quick \
   --report-json "$SMOKE_DIR/fig7_report_b.json" \
-  --trace "$SMOKE_DIR/fig7_trace_b.jsonl" >"$SMOKE_DIR/fig7_stdout_b.txt"
-cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_b.jsonl" || {
+  --trace "$SMOKE_DIR/fig7_trace_b.bin" >"$SMOKE_DIR/fig7_stdout_b.txt"
+cmp "$SMOKE_DIR/fig7_trace_a.bin" "$SMOKE_DIR/fig7_trace_b.bin" >&2 || {
   echo "determinism gate FAILED: fig7 trace differs between identical runs" >&2
-  diff <(head -c 2000 "$SMOKE_DIR/fig7_trace_a.jsonl") \
-       <(head -c 2000 "$SMOKE_DIR/fig7_trace_b.jsonl") | head -10 >&2 || true
   exit 1
 }
 cmp -s "$SMOKE_DIR/fig7_stdout_a.txt" "$SMOKE_DIR/fig7_stdout_b.txt" || {
@@ -102,13 +101,14 @@ echo "fig7: --jobs 1 and --jobs 4 give identical tables and canonical reports"
 echo "== determinism gate: double-run seeded chaos =="
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick \
   --report-json "$SMOKE_DIR/chaos_report_a.json" \
-  --trace "$SMOKE_DIR/chaos_trace_a.jsonl" >/dev/null
+  --trace "$SMOKE_DIR/chaos_trace_a.bin" >/dev/null
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick \
   --report-json "$SMOKE_DIR/chaos_report_b.json" \
-  --trace "$SMOKE_DIR/chaos_trace_b.jsonl" >/dev/null
+  --trace "$SMOKE_DIR/chaos_trace_b.bin" >/dev/null
+./build/tools/tracecat "$SMOKE_DIR/chaos_trace_a.bin" -o "$SMOKE_DIR/chaos_trace_a.jsonl"
 grep -q '"kind":"fault_' "$SMOKE_DIR/chaos_trace_a.jsonl" || {
   echo "chaos run injected no faults" >&2; exit 1; }
-cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_b.jsonl" || {
+cmp -s "$SMOKE_DIR/chaos_trace_a.bin" "$SMOKE_DIR/chaos_trace_b.bin" || {
   echo "determinism gate FAILED: seeded chaos replay diverged (full trace)" >&2; exit 1; }
 python3 tools/determinism/canonicalize_report.py --check \
   "$SMOKE_DIR/chaos_report_a.json" "$SMOKE_DIR/chaos_report_b.json" || {
@@ -160,13 +160,14 @@ tail -1 "$SMOKE_DIR/scenario_ablation.txt"
 echo "== scenario gate: seeded replay (regional-outage) =="
 ./build/bench/bench_scenarios --scenario regional-outage --smoke \
   --report-json "$SMOKE_DIR/scen_report_a.json" \
-  --trace "$SMOKE_DIR/scen_trace_a.jsonl" >"$SMOKE_DIR/scen_stdout_a.txt"
+  --trace "$SMOKE_DIR/scen_trace_a.bin" >"$SMOKE_DIR/scen_stdout_a.txt"
 ./build/bench/bench_scenarios --scenario regional-outage --smoke \
   --report-json "$SMOKE_DIR/scen_report_b.json" \
-  --trace "$SMOKE_DIR/scen_trace_b.jsonl" >"$SMOKE_DIR/scen_stdout_b.txt"
+  --trace "$SMOKE_DIR/scen_trace_b.bin" >"$SMOKE_DIR/scen_stdout_b.txt"
+./build/tools/tracecat "$SMOKE_DIR/scen_trace_a.bin" -o "$SMOKE_DIR/scen_trace_a.jsonl"
 grep -q '"kind":"fault_' "$SMOKE_DIR/scen_trace_a.jsonl" || {
   echo "scenario replay injected no faults" >&2; exit 1; }
-cmp -s "$SMOKE_DIR/scen_trace_a.jsonl" "$SMOKE_DIR/scen_trace_b.jsonl" || {
+cmp -s "$SMOKE_DIR/scen_trace_a.bin" "$SMOKE_DIR/scen_trace_b.bin" || {
   echo "determinism gate FAILED: scenario replay diverged (full trace)" >&2; exit 1; }
 cmp -s "$SMOKE_DIR/scen_stdout_a.txt" "$SMOKE_DIR/scen_stdout_b.txt" || {
   echo "determinism gate FAILED: scenario stdout (envelope tables) differs" >&2; exit 1; }
@@ -175,21 +176,23 @@ python3 tools/determinism/canonicalize_report.py --check \
   echo "determinism gate FAILED: scenario report differs beyond phase timings" >&2; exit 1; }
 echo "scenario: seeded replay byte-identical, canonical report identical"
 
-echo "== binary trace gate: tracecat round-trip vs JSONL =="
-# The binary format is a pure transport: converting a binary trace back
-# with tools/trace/tracecat must reproduce the JSONL byte-for-byte, for
-# both workloads.
-./build/bench/cloudfog_figs fig7 --quick --trace-format=binary \
-  --trace "$SMOKE_DIR/fig7_trace.bin" >/dev/null
-./build/tools/tracecat "$SMOKE_DIR/fig7_trace.bin" -o "$SMOKE_DIR/fig7_trace_conv.jsonl"
-cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_conv.jsonl" || {
-  echo "binary trace gate FAILED: fig7 tracecat output differs from JSONL" >&2; exit 1; }
-CLOUDFOG_FAULT_SEED=424242 ./build/bench/cloudfog_figs chaos --quick --trace-format=binary \
-  --trace "$SMOKE_DIR/chaos_trace.bin" >/dev/null
-./build/tools/tracecat "$SMOKE_DIR/chaos_trace.bin" -o "$SMOKE_DIR/chaos_trace_conv.jsonl"
-cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_trace_conv.jsonl" || {
-  echo "binary trace gate FAILED: chaos tracecat output differs from JSONL" >&2; exit 1; }
-echo "tracecat: fig7 + chaos binary traces byte-identical to JSONL"
+echo "== trace pin: tracecat JSONL pinned across changes =="
+# sha256 of the tracecat JSONL of the stage-4 traces: fig7 --quick --trace
+# and CLOUDFOG_FAULT_SEED=424242 chaos --quick --trace. A run writes only
+# the binary format, and tools/trace/tracecat is the only JSONL producer,
+# so these pins catch a change to either the events or their JSONL form.
+# A change that moves a trace must update the constant and say why in
+# CHANGES.md. CI reads both constants from these lines.
+FIG7_TRACE_SHA256=acfa145eb78021cacd626b531f048352a622ffddbc2af33b1e6f7e015d2f32ed
+CHAOS_TRACE_SHA256=337d5b85d357be0e1b5b85a20784b12b73d82e9a0cdf130c3c5eff762a9631a3
+./build/tools/tracecat "$SMOKE_DIR/fig7_trace_a.bin" -o "$SMOKE_DIR/fig7_trace_a.jsonl"
+actual=$(sha256sum "$SMOKE_DIR/fig7_trace_a.jsonl" | cut -d' ' -f1)
+[ "$actual" = "$FIG7_TRACE_SHA256" ] || {
+  echo "trace pin FAILED: fig7 trace sha256 $actual, pinned $FIG7_TRACE_SHA256" >&2; exit 1; }
+actual=$(sha256sum "$SMOKE_DIR/chaos_trace_a.jsonl" | cut -d' ' -f1)
+[ "$actual" = "$CHAOS_TRACE_SHA256" ] || {
+  echo "trace pin FAILED: chaos trace sha256 $actual, pinned $CHAOS_TRACE_SHA256" >&2; exit 1; }
+echo "tracecat: fig7 + chaos traces match their pinned JSONL digests"
 
 echo "== run-store gate: C++ writer vs C++ and python readers =="
 ./build/bench/cloudfog_figs fig7 --quick --runstore "$SMOKE_DIR/runstore" \
@@ -289,8 +292,8 @@ if [ "$QUICK" -eq 0 ]; then
 
   echo "== TSan leg: fig7 race check + trace cross-check =="
   ./build-tsan/bench/cloudfog_figs fig7 --quick \
-    --trace "$SMOKE_DIR/fig7_tsan.jsonl" >/dev/null
-  cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_tsan.jsonl" || {
+    --trace "$SMOKE_DIR/fig7_tsan.bin" >/dev/null
+  cmp -s "$SMOKE_DIR/fig7_trace_a.bin" "$SMOKE_DIR/fig7_tsan.bin" || {
     echo "fig7 trace diverged between plain and TSan builds" >&2; exit 1; }
   ./build-tsan/bench/cloudfog_figs fig7 --quick --jobs 4 \
     >"$SMOKE_DIR/fig7_tsan_j4.txt"
@@ -300,8 +303,8 @@ if [ "$QUICK" -eq 0 ]; then
 
   echo "== chaos smoke under ASan (lifetime bugs hide in fault paths) =="
   CLOUDFOG_FAULT_SEED=424242 ./build-asan/bench/cloudfog_figs chaos --quick \
-    --trace "$SMOKE_DIR/chaos_asan.jsonl" >/dev/null
-  cmp -s "$SMOKE_DIR/chaos_asan.jsonl" "$SMOKE_DIR/chaos_trace_a.jsonl" || {
+    --trace "$SMOKE_DIR/chaos_asan.bin" >/dev/null
+  cmp -s "$SMOKE_DIR/chaos_asan.bin" "$SMOKE_DIR/chaos_trace_a.bin" || {
     echo "seeded chaos replay diverged between plain and ASan builds" >&2; exit 1; }
   echo "ASan chaos replay matches the plain build byte-for-byte"
 
@@ -315,12 +318,12 @@ if [ "$QUICK" -eq 0 ]; then
 
   echo "== UBSan pipeline leg: fig7 + seeded chaos + scenario smoke =="
   ./build-ubsan/bench/cloudfog_figs fig7 --quick \
-    --trace "$SMOKE_DIR/fig7_ubsan.jsonl" >/dev/null
-  cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_ubsan.jsonl" || {
+    --trace "$SMOKE_DIR/fig7_ubsan.bin" >/dev/null
+  cmp -s "$SMOKE_DIR/fig7_trace_a.bin" "$SMOKE_DIR/fig7_ubsan.bin" || {
     echo "fig7 trace diverged between plain and UBSan builds" >&2; exit 1; }
   CLOUDFOG_FAULT_SEED=424242 ./build-ubsan/bench/cloudfog_figs chaos --quick \
-    --trace "$SMOKE_DIR/chaos_ubsan.jsonl" >/dev/null
-  cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_ubsan.jsonl" || {
+    --trace "$SMOKE_DIR/chaos_ubsan.bin" >/dev/null
+  cmp -s "$SMOKE_DIR/chaos_trace_a.bin" "$SMOKE_DIR/chaos_ubsan.bin" || {
     echo "seeded chaos replay diverged between plain and UBSan builds" >&2; exit 1; }
   ./build-ubsan/bench/bench_scenarios --all --smoke --obs-off >/dev/null || {
     echo "scenario suite failed under UBSan" >&2; exit 1; }

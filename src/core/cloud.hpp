@@ -10,9 +10,9 @@
 //
 // Candidate discovery runs on a geo-grid spatial index by default
 // (SupernodeIndex, DESIGN.md §10.1); the exact-equivalent linear scan is
-// kept as the engine of record for property tests and the tracked bench
-// baseline. The index keeps the table's "available capacities" column as
-// accepting counts, so every path that can flip a node's accepting() —
+// kept only as the reference the equality tests compare against. The
+// index keeps the table's "available capacities" column as accepting
+// counts, so every path that can flip a node's accepting() —
 // a seat claim or release, a crash or its clear, a provisioning deploy —
 // reports the node through note_seat_change.
 //
@@ -37,8 +37,8 @@
 namespace cloudfog::core {
 
 /// Which engine answers candidate_supernodes. kGrid and kLinear return
-/// identical results (machine-checked by the grid/linear property test);
-/// kLinear exists as the reference + recorded perf baseline.
+/// identical results; kLinear is the reference scan that the grid/linear
+/// equality tests compare against, and nothing else selects it.
 enum class CandidateMode { kGrid, kLinear };
 
 class Cloud {

@@ -56,9 +56,9 @@ struct QosEngineConfig {
   int substeps = 6;                     ///< adaptation intervals per subcycle
   double substep_seconds = 2.0;         ///< adapter estimation interval
   /// Path-term & observation memoization (exact caches, DESIGN.md §10).
-  /// false = reference mode: recompute everything every substep — the
-  /// engine of record for the memo equality test and the tracked bench
-  /// baseline. Both modes produce byte-identical results.
+  /// false = reference mode: recompute everything every substep — kept
+  /// only as what the memo equality tests compare against. Both modes
+  /// produce byte-identical results.
   bool memoize = true;
 };
 

@@ -108,8 +108,8 @@ struct SystemConfig {
   std::size_t cdn_server_count = 300;  ///< CDN arms
 
   /// Candidate-discovery data structure (DESIGN.md §10). kLinear is the
-  /// reference scan kept for equality tests and the tracked bench
-  /// baseline; both produce identical candidate lists.
+  /// reference scan kept only for the equality tests; both produce
+  /// identical candidate lists.
   CandidateMode discovery = CandidateMode::kGrid;
 };
 

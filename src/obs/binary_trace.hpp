@@ -1,10 +1,10 @@
 // Fixed-width binary trace format (DESIGN.md §11).
 //
-// The JSONL trace is the compatibility format; at million-player scale its
-// per-event formatting cost (shortest-round-trip double printing, string
-// allocation) dominates the subcycle. The binary format writes each event
-// as one fixed 44-byte little-endian record, with note texts interned into
-// a per-file string table so the hot path never formats or allocates.
+// The only trace format a run writes. JSONL's per-event formatting cost
+// (shortest-round-trip double printing, string allocation) would dominate
+// the subcycle, so each event is one fixed 44-byte little-endian record,
+// with note texts interned into a per-file string table: the hot path
+// never formats or allocates.
 //
 // File layout (all integers little-endian, regardless of host):
 //
@@ -30,9 +30,9 @@
 //        41 u8   flags (bit 0: note argument present)
 //        42 u16  note id (file-local; 0 = no note text)
 //
-// tools/trace/tracecat converts a binary trace back to JSONL that is
-// byte-identical to what JsonlTraceSink would have written for the same
-// events — doubles and note texts round-trip exactly.
+// tools/trace/tracecat converts a binary trace to JSONL offline, one
+// TraceBuffer::write_jsonl line per event — doubles and note texts
+// round-trip exactly.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +51,16 @@ inline constexpr std::size_t kBinaryTraceRecordBytes = 44;
 inline constexpr std::uint8_t kBinaryFrameString = 0x01;
 inline constexpr std::uint8_t kBinaryFrameEvent = 0x02;
 
-/// Streaming binary writer. Events are encoded into an internal buffer and
-/// written to the stream in large blocks; flush() drains the buffer.
-class BinaryTraceSink final : public TraceSink {
+/// Streaming binary writer, the TraceBuffer's sink: write() takes each
+/// retained event in trace order and encodes it into an internal buffer,
+/// which goes to the stream in large blocks; flush() drains the buffer.
+class BinaryTraceSink {
  public:
   explicit BinaryTraceSink(std::ostream& os);
-  ~BinaryTraceSink() override;
+  ~BinaryTraceSink();
 
-  void write(const TraceEvent& event) override;
-  void flush() override;
+  void write(const TraceEvent& event);
+  void flush();
 
  private:
   std::uint16_t file_note_id(NoteId note);

@@ -1,11 +1,11 @@
 // Append-only columnar store of per-run metrics (DESIGN.md §11).
 //
-// BENCH_*.json is a point sample; the run-store is the trajectory. Every
-// bench binary can append its per-cycle metrics and report summary into a
-// small column store on disk (one file per metric column, in the spirit of
-// leanstore's profiling tables), keyed by (run id, git sha, config hash).
-// scripts/bench_trend.py and tools/runstore_query read it back to compare
-// a fresh run against history.
+// One benchmark result is a point sample; the run-store is the trajectory.
+// The bench binaries (--runstore) and CI's perfbench job append per-run
+// metrics into a small column store on disk (one file per metric column,
+// in the spirit of leanstore's profiling tables), keyed by (run id, git
+// sha, config hash). scripts/bench_trend.py and tools/runstore_query read
+// it back to compare a fresh run against history.
 //
 // On-disk layout under the store directory:
 //

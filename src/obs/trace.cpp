@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include "obs/binary_trace.hpp"
 #include "obs/json.hpp"
 #include "util/require.hpp"
 
@@ -28,10 +29,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kFogReturn: return "fog_return";
   }
   return "unknown";
-}
-
-void JsonlTraceSink::write(const TraceEvent& event) {
-  TraceBuffer::write_jsonl(*os_, event);
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity) {}
@@ -120,21 +117,9 @@ void TraceBuffer::retain(TraceEvent event) {
   ++size_;
 }
 
-void TraceBuffer::set_event_sink(TraceSink* sink) {
-  owned_jsonl_.reset();
+void TraceBuffer::set_event_sink(BinaryTraceSink* sink) {
   sink_ = sink;
   if (sink_ != nullptr) flush();
-}
-
-void TraceBuffer::set_sink(std::ostream* os) {
-  if (os == nullptr) {
-    set_event_sink(nullptr);
-    return;
-  }
-  auto jsonl = std::make_unique<JsonlTraceSink>(*os);
-  sink_ = jsonl.get();
-  owned_jsonl_ = std::move(jsonl);
-  flush();
 }
 
 void TraceBuffer::flush() {

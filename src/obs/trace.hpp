@@ -22,16 +22,14 @@
 //                   seen in the closed window (note "agg", subject=count,
 //                   value=sum, stamped at the boundary time).
 //
-// Sinks serialize retained events: JsonlTraceSink writes the historical
-// JSONL lines; obs::BinaryTraceSink (binary_trace.hpp) writes the
-// fixed-width binary format that tools/trace/tracecat converts back to
-// byte-identical JSONL.
+// The sink is obs::BinaryTraceSink (binary_trace.hpp): it writes the
+// fixed-width binary format, and tools/trace/tracecat turns that back into
+// JSONL offline with write_jsonl.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -76,26 +74,7 @@ struct TraceEvent {
   Note note{};  ///< interned note text + optional integer argument
 };
 
-/// Destination for retained trace events. write() is called once per event
-/// in trace order; flush() must leave every written event visible to the
-/// underlying stream (sinks may buffer internally between calls).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void write(const TraceEvent& event) = 0;
-  virtual void flush() {}
-};
-
-/// The historical JSONL sink: one JSON object per line, fields omitted
-/// when unset, written straight through to the stream.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream& os) : os_(&os) {}
-  void write(const TraceEvent& event) override;
-
- private:
-  std::ostream* os_;
-};
+class BinaryTraceSink;
 
 enum class TraceRetention : std::uint8_t { kFull, kSampled, kAggregated };
 
@@ -109,11 +88,7 @@ class TraceBuffer {
 
   /// Attaches a sink (not owned; nullptr detaches). The buffer flushes
   /// current contents immediately when a sink is attached.
-  void set_event_sink(TraceSink* sink);
-
-  /// Convenience: attaches an owned JSONL sink over `os` (nullptr
-  /// detaches), preserving the original TraceBuffer API.
-  void set_sink(std::ostream* os);
+  void set_event_sink(BinaryTraceSink* sink);
 
   bool has_sink() const { return sink_ != nullptr; }
 
@@ -157,6 +132,8 @@ class TraceBuffer {
 
   void clear();
 
+  /// One JSON object per line, fields omitted when unset: the text form
+  /// tracecat prints for each decoded event.
   static void write_jsonl(std::ostream& os, const TraceEvent& event);
 
  private:
@@ -182,8 +159,7 @@ class TraceBuffer {
   bool window_open_ = false;
   double window_last_t_ = 0.0;
 
-  TraceSink* sink_ = nullptr;
-  std::unique_ptr<JsonlTraceSink> owned_jsonl_;
+  BinaryTraceSink* sink_ = nullptr;
 };
 
 }  // namespace cloudfog::obs

@@ -2,8 +2,8 @@
 // and the memoization tiers are pure performance features — every
 // SubcycleQos field and every trace byte must be identical to the
 // linear-discovery, memoization-free reference engine. The comparisons
-// here are exact (EXPECT_EQ on doubles, byte-equal traces): "close" is a
-// bug.
+// here are exact (EXPECT_EQ on doubles, byte-equal binary traces, which
+// mean what byte-equal JSONL traces meant): "close" is a bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 #include "core/system.hpp"
 #include "core/testbed.hpp"
+#include "obs/binary_trace.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -29,12 +30,13 @@ struct RunResult {
 };
 
 /// Runs `days` full cycles under a fresh recorder and returns the
-/// per-subcycle QoS plus the raw trace bytes.
+/// per-subcycle QoS plus the raw binary trace bytes.
 RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int days) {
   obs::Recorder rec;
   rec.set_enabled(true);
-  std::ostringstream trace;
-  rec.trace_buffer().set_sink(&trace);
+  std::ostringstream trace(std::ios::binary);
+  obs::BinaryTraceSink sink(trace);
+  rec.trace_buffer().set_event_sink(&sink);
 
   RunResult result;
   {
@@ -53,9 +55,20 @@ RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int d
   result.cloud_fallbacks = rec.registry().counter_value("fog.cloud_fallbacks");
   result.provisioning_rounds = rec.registry().counter_value("system.provisioning_rounds");
   result.crashes = rec.registry().counter_value("system.supernode_failures");
-  rec.trace_buffer().set_sink(nullptr);
+  rec.trace_buffer().set_event_sink(nullptr);
   result.trace = trace.str();
   return result;
+}
+
+bool has_injected_fault(const std::string& trace) {
+  std::istringstream is(trace, std::ios::binary);
+  obs::BinaryTraceReader reader(is);
+  obs::TraceEvent event;
+  while (reader.next(&event)) {
+    if (event.kind == obs::EventKind::kFaultInjected) return true;
+  }
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  return false;
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
@@ -73,13 +86,12 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.qos[i].cloud_served, b.qos[i].cloud_served);
     EXPECT_EQ(a.qos[i].cdn_served, b.qos[i].cdn_served);
   }
-  // Not EXPECT_EQ: gtest would diff two multi-megabyte strings line by
-  // line. Report the first differing byte instead.
+  // Not EXPECT_EQ: gtest would dump two multi-megabyte binary strings.
+  // Report the first differing byte instead.
   const auto diff = std::mismatch(a.trace.begin(), a.trace.end(), b.trace.begin(), b.trace.end());
   const auto at = static_cast<std::size_t>(diff.first - a.trace.begin());
-  EXPECT_TRUE(a.trace == b.trace) << "traces differ at byte " << at << ": \""
-                                  << a.trace.substr(at, 80) << "\" vs \""
-                                  << b.trace.substr(at, 80) << "\"";
+  EXPECT_TRUE(a.trace == b.trace) << "traces differ at byte " << at << " of " << a.trace.size()
+                                  << " vs " << b.trace.size();
 }
 
 core::SystemConfig cloudfog_config() {
@@ -165,7 +177,7 @@ TEST_F(QosParallelEquality, OptimizedStackMatchesReferenceUnderFaults) {
   cfg.discovery = core::CandidateMode::kGrid;
   cfg.qos.memoize = true;
   const RunResult optimized = run_system(testbed_, cfg, 3);
-  ASSERT_NE(reference.trace.find("\"kind\":\"fault_"), std::string::npos);
+  ASSERT_TRUE(has_injected_fault(reference.trace));
   expect_identical(reference, optimized);
 }
 

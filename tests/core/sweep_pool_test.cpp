@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/binary_trace.hpp"
 #include "obs/obs.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "util/rng.hpp"
@@ -207,14 +208,15 @@ TEST_F(SweepPool, RecorderHoldsTheSameRunsCountersAndPhaseCalls) {
 
 TEST(SweepPoolTrace, TracedSweepRunsInPlaceAndIsByteIdentical) {
   const auto traced = [](int jobs) {
-    std::ostringstream os;
+    std::ostringstream os(std::ios::binary);
+    obs::BinaryTraceSink sink(os);
     obs::Recorder rec;
     rec.set_enabled(true);
-    rec.trace_buffer().set_sink(&os);
+    rec.trace_buffer().set_event_sink(&sink);
     const auto tables =
         candidate_count_ablation(kPlanetLab, {2, 5, 8}, scale_with_jobs(jobs), rec);
     rec.trace_buffer().flush();
-    rec.trace_buffer().set_sink(nullptr);
+    rec.trace_buffer().set_event_sink(nullptr);
     EXPECT_EQ(rec.runs().size(), 3u);
     return os.str();
   };

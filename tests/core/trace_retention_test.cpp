@@ -1,7 +1,8 @@
 // Trace retention determinism (DESIGN.md §11): sampling decisions are a
 // pure function of the deterministic event arrival sequence — never wall
 // clock or RNG — so a sampled (or aggregated) trace must be byte-identical
-// across repeat runs, exactly like the full trace.
+// across repeat runs, exactly like the full trace. Runs write the binary
+// trace; the content checks read it back as tracecat's JSONL.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -22,14 +23,15 @@ struct RetentionSpec {
 };
 
 /// Runs one day under a fresh recorder with the given retention; returns
-/// the JSONL trace bytes.
+/// the binary trace bytes.
 std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
   obs::Recorder rec;
   rec.set_enabled(true);
   auto& buf = rec.trace_buffer();
   buf.set_retention(spec.mode, spec.sample_every);
-  std::ostringstream trace;
-  buf.set_sink(&trace);
+  std::ostringstream trace(std::ios::binary);
+  obs::BinaryTraceSink sink(trace);
+  buf.set_event_sink(&sink);
   {
     core::SystemConfig cfg;
     cfg.architecture = core::Architecture::kCloudFog;
@@ -43,8 +45,19 @@ std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
   buf.close_aggregation_window();
   buf.flush();
   EXPECT_EQ(buf.dropped(), 0u);
-  buf.set_sink(nullptr);
+  buf.set_event_sink(nullptr);
   return trace.str();
+}
+
+/// A binary trace as JSONL, one line per event, as tracecat prints it.
+std::string to_jsonl(const std::string& binary) {
+  std::istringstream is(binary, std::ios::binary);
+  obs::BinaryTraceReader reader(is);
+  std::ostringstream os;
+  obs::TraceEvent event;
+  while (reader.next(&event)) obs::TraceBuffer::write_jsonl(os, event);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  return os.str();
 }
 
 class TraceRetention : public ::testing::Test {
@@ -62,8 +75,9 @@ TEST_F(TraceRetention, SampledTraceIsIdenticalAcrossRuns) {
 }
 
 TEST_F(TraceRetention, SampledTraceIsASubsetKeepingStructure) {
-  const std::string full = run_traced(testbed_, {});
-  const std::string sampled = run_traced(testbed_, {obs::TraceRetention::kSampled, 16});
+  const std::string full = to_jsonl(run_traced(testbed_, {}));
+  const std::string sampled =
+      to_jsonl(run_traced(testbed_, {obs::TraceRetention::kSampled, 16}));
   ASSERT_LT(sampled.size(), full.size() / 4);
   // Every sampled line exists verbatim in the full trace, in order.
   std::istringstream lines(sampled);
@@ -90,7 +104,7 @@ TEST_F(TraceRetention, AggregatedTraceIsIdenticalAcrossRuns) {
   const std::string first = run_traced(testbed_, agg);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, run_traced(testbed_, agg));
-  EXPECT_NE(first.find("\"note\":\"agg\""), std::string::npos);
+  EXPECT_NE(to_jsonl(first).find("\"note\":\"agg\""), std::string::npos);
 }
 
 }  // namespace

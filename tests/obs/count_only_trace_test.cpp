@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/binary_trace.hpp"
 #include "obs/obs.hpp"
 
 namespace cloudfog::obs {
@@ -37,8 +38,9 @@ std::uint64_t feed(Recorder& rec) {
 TEST(CountOnlyTrace, CountsEveryCallAndStoresNothing) {
   Recorder rec(0);
   rec.set_enabled(true);
-  std::ostringstream sunk;
-  rec.trace_buffer().set_sink(&sunk);  // a sink does not make it keep events
+  std::ostringstream sunk(std::ios::binary);
+  BinaryTraceSink sink(sunk);
+  rec.trace_buffer().set_event_sink(&sink);  // a sink does not make it keep events
   const std::uint64_t n = feed(rec);
   for (int i = 0; i < 1000; ++i) {
     rec.trace(EventKind::kProbeSent, i, i);
@@ -51,8 +53,8 @@ TEST(CountOnlyTrace, CountsEveryCallAndStoresNothing) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.total_sunk(), 0u);
   EXPECT_TRUE(t.events().empty());
-  EXPECT_TRUE(sunk.str().empty());
-  rec.trace_buffer().set_sink(nullptr);
+  EXPECT_EQ(sunk.str().size(), kBinaryTraceHeaderBytes);  // the header, no event
+  rec.trace_buffer().set_event_sink(nullptr);
 }
 
 TEST(CountOnlyTrace, DisabledCountOnlyRecorderCountsNothing) {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/binary_trace.hpp"
 #include "obs/json.hpp"
 
 namespace cloudfog::obs {
@@ -40,32 +41,37 @@ TEST(TraceBuffer, WrapsAroundDroppingOldestWithoutSink) {
 }
 
 TEST(TraceBuffer, SinkStreamsEveryEvent) {
-  std::ostringstream os;
+  std::ostringstream os(std::ios::binary);
+  BinaryTraceSink sink(os);
   TraceBuffer buf(4);
-  buf.set_sink(&os);
+  buf.set_event_sink(&sink);
   for (int i = 0; i < 10; ++i) buf.push(at(i));
   buf.flush();
+  buf.set_event_sink(nullptr);
   EXPECT_EQ(buf.dropped(), 0u);
   EXPECT_EQ(buf.total_sunk(), 10u);
-  std::istringstream is(os.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(is, line)) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    ++lines;
+  std::istringstream is(os.str(), std::ios::binary);
+  BinaryTraceReader reader(is);
+  TraceEvent e;
+  int events = 0;
+  while (reader.next(&e)) {
+    EXPECT_DOUBLE_EQ(e.t, events);
+    ++events;
   }
-  EXPECT_EQ(lines, 10);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(events, 10);
 }
 
 TEST(TraceBuffer, AttachingSinkFlushesBufferedEvents) {
   TraceBuffer buf(8);
   buf.push(at(1.0));
   buf.push(at(2.0));
-  std::ostringstream os;
-  buf.set_sink(&os);
+  std::ostringstream os(std::ios::binary);
+  BinaryTraceSink sink(os);
+  buf.set_event_sink(&sink);
   EXPECT_EQ(buf.total_sunk(), 2u);
   EXPECT_EQ(buf.size(), 0u);
+  buf.set_event_sink(nullptr);
 }
 
 TEST(TraceBuffer, JsonlFieldsAndOptionalOmission) {

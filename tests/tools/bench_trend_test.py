@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for scripts/bench_trend.py: the bench trending gate must flag a
-synthetic 20% subcycle-time regression, pass a clean run, respect the
-warn/enforce modes, and read exactly the column format obs::RunStore
-writes (the append_run writer here is byte-compatible by construction and
-cross-checked against the C++ reader in scripts/check.sh)."""
+"""Tests for scripts/bench_trend.py: the trend gate over perfbench result
+lines must flag an end-to-end metric that moves past its BENCHMARK.json
+bound in the direction BENCHMARK.json calls worse, pass a clean run,
+respect the warn/enforce modes, fail an incorrect result in either mode,
+and read exactly the column format obs::RunStore writes (the append_run
+writer here is byte-compatible by construction and cross-checked against
+the C++ reader in scripts/check.sh)."""
 
 import os
 import shutil
@@ -14,15 +16,26 @@ import unittest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "scripts"))
 import bench_trend  # noqa: E402
 
+BASE = {
+    "setup_s": 0.50,
+    "wall_s": 3.00,
+    "sim_player_hours_per_s": 9000.0,
+    "call_ms_p50": 20.0,
+    "call_ms_p95": 40.0,
+    "peak_rss_mb": 30.0,
+}
 
-def seed_history(store, runs=3):
+
+def result(correct=True, failed=0, **overrides):
+    """A perfbench result line, as perfbench/run.py prints it."""
+    values = dict(BASE, **overrides)
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {name: {"value": v, "unit": "-"} for name, v in values.items()}}
+
+
+def seed_history(store, runs=3, config="daily-social"):
     for i in range(runs):
-        bench_trend.append_run(store, (f"hist{i}", f"sha{i}", "cfgA"), {
-            "scale.subcycle.fleet10000.baseline_ms": 100.0 + i,
-            "scale.subcycle.fleet10000.speedup_nt": 3.0 + 0.05 * i,
-            "scale.trace.time_ratio": 4.0 + 0.1 * i,
-            "fig7.latency.mean": 80.0,
-        })
+        bench_trend.append_result(store, (f"hist{i}", f"sha{i}", config), result())
 
 
 class BenchTrendTest(unittest.TestCase):
@@ -30,106 +43,104 @@ class BenchTrendTest(unittest.TestCase):
         self.store = tempfile.mkdtemp(prefix="bench_trend_test_")
         self.addCleanup(shutil.rmtree, self.store, ignore_errors=True)
 
-    def fresh(self, **overrides):
-        values = {
-            "scale.subcycle.fleet10000.baseline_ms": 101.0,
-            "scale.subcycle.fleet10000.speedup_nt": 3.05,
-            "scale.trace.time_ratio": 4.1,
-            "fig7.latency.mean": 80.0,
-        }
-        values.update(overrides)
-        bench_trend.append_run(self.store, ("fresh", "shaF", "cfgA"), values)
+    def fresh(self, config="daily-social", **overrides):
+        bench_trend.append_result(self.store, ("fresh", "shaF", config), result(**overrides))
 
-    def test_flags_20pct_subcycle_regression(self):
+    def status(self, column, config="daily-social"):
+        findings = bench_trend.trend(self.store, "fresh", 2)
+        by_key = {(f["config"], f["column"]): f for f in findings}
+        return by_key[(config, column)]["status"]
+
+    def main(self, mode):
+        return bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
+                                 "--mode", mode])
+
+    def test_bounds_and_directions_come_from_benchmark_json(self):
+        metrics = bench_trend.load_metrics()
+        self.assertEqual(set(metrics), set(BASE))
+        self.assertEqual(metrics["wall_s"][0], "lower")
+        self.assertEqual(metrics["sim_player_hours_per_s"][0], "higher")
+        self.assertEqual(metrics["peak_rss_mb"][1], 0.1)
+
+    def test_flags_regression_and_enforce_fails(self):
         seed_history(self.store)
-        self.fresh(**{"scale.subcycle.fleet10000.baseline_ms": 121.2})  # +20%
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        by_col = {f["column"]: f for f in findings}
-        self.assertEqual(
-            by_col["scale.subcycle.fleet10000.baseline_ms"]["status"], "regression")
-        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
-                               "--mode", "enforce"])
-        self.assertEqual(rc, 1)
+        self.fresh(wall_s=3.9)  # +30 %
+        self.assertEqual(self.status("wall_s"), "regression")
+        self.assertEqual(self.main("enforce"), 1)
 
     def test_warn_mode_reports_but_passes(self):
         seed_history(self.store)
-        self.fresh(**{"scale.subcycle.fleet10000.baseline_ms": 121.2})
-        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
-                               "--mode", "warn"])
-        self.assertEqual(rc, 0)
+        self.fresh(wall_s=3.9)
+        self.assertEqual(self.main("warn"), 0)
 
     def test_clean_run_passes_enforce(self):
         seed_history(self.store)
-        self.fresh()
-        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
-                               "--mode", "enforce"])
-        self.assertEqual(rc, 0)
+        self.fresh(wall_s=3.1, peak_rss_mb=30.5)
+        self.assertEqual(self.main("enforce"), 0)
 
-    def test_speedup_drop_is_a_regression(self):
+    def test_throughput_drop_is_a_regression(self):
         seed_history(self.store)
-        self.fresh(**{"scale.trace.time_ratio": 3.0})  # -26% on a ratio column
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        by_col = {f["column"]: f for f in findings}
-        self.assertEqual(by_col["scale.trace.time_ratio"]["status"], "regression")
+        self.fresh(sim_player_hours_per_s=6300.0)  # -30 %
+        self.assertEqual(self.status("sim_player_hours_per_s"), "regression")
+
+    def test_peak_rss_uses_its_own_bound(self):
+        seed_history(self.store)
+        self.fresh(peak_rss_mb=33.6)  # +12 %, beyond its 0.10 bound
+        self.assertEqual(self.status("peak_rss_mb"), "regression")
+
+    def test_peak_rss_within_its_bound_passes(self):
+        seed_history(self.store)
+        self.fresh(peak_rss_mb=32.4)  # +8 %
+        self.assertEqual(self.status("peak_rss_mb"), "ok")
+        self.assertEqual(self.main("enforce"), 0)
 
     def test_lower_time_is_an_improvement_not_a_regression(self):
         seed_history(self.store)
-        self.fresh(**{"scale.subcycle.fleet10000.baseline_ms": 80.0})  # -21%
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        by_col = {f["column"]: f for f in findings}
-        self.assertEqual(
-            by_col["scale.subcycle.fleet10000.baseline_ms"]["status"], "improvement")
+        self.fresh(wall_s=2.1)  # -30 %
+        self.assertEqual(self.status("wall_s"), "improvement")
+
+    def test_incorrect_result_fails_in_warn_mode(self):
+        seed_history(self.store)
+        self.fresh(correct=False)
+        self.assertEqual(bench_trend.incorrect(self.store, "fresh"), ["daily-social"])
+        self.assertEqual(self.main("warn"), 1)
+
+    def test_failed_checks_fail_in_warn_mode(self):
+        seed_history(self.store)
+        self.fresh(failed=1)
+        self.assertEqual(self.main("warn"), 1)
 
     def test_insufficient_history_never_gates(self):
         seed_history(self.store, runs=1)
-        self.fresh(**{"scale.subcycle.fleet10000.baseline_ms": 500.0})
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
+        self.fresh(wall_s=30.0)
+        findings = bench_trend.trend(self.store, "fresh", 2)
         self.assertTrue(all(f["status"] == "no-history" for f in findings))
-        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
-                               "--mode", "enforce"])
-        self.assertEqual(rc, 0)
+        self.assertEqual(self.main("enforce"), 0)
 
-    def test_new_series_without_history_never_gates(self):
-        # A benchmark added to the run (a new micro column) has no stored
-        # history yet: it is reported, not gated, and the known columns
-        # still trend as usual.
-        seed_history(self.store)
-        self.fresh(**{"micro.BM_ModularitySwapTrial_10000.real_time_ns": 250.0})
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        by_col = {f["column"]: f for f in findings}
-        new = by_col["micro.BM_ModularitySwapTrial_10000.real_time_ns"]
-        self.assertEqual(new["status"], "no-history")
-        self.assertEqual(new["history"], 0)
-        self.assertEqual(
-            by_col["scale.subcycle.fleet10000.baseline_ms"]["status"], "ok")
-        rc = bench_trend.main(["--runstore", self.store, "--run-id", "fresh",
-                               "--mode", "enforce"])
-        self.assertEqual(rc, 0)
-
-    def test_config_hash_separates_histories(self):
-        # Quick-mode history must not gate a full-mode run: the fresh run's
-        # config hash matches nothing, so there is no usable history.
-        for i in range(3):
-            bench_trend.append_run(self.store, (f"q{i}", "sha", "cfgQuick"),
-                                   {"scale.subcycle.fleet10000.baseline_ms": 5.0})
-        bench_trend.append_run(self.store, ("fresh", "sha", "cfgFull"),
-                               {"scale.subcycle.fleet10000.baseline_ms": 100.0})
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        self.assertEqual(findings[0]["status"], "no-history")
+    def test_configs_trend_apart(self):
+        # Each workload is its own config: figures history must not gate
+        # arrival-chaos, and one run holding every workload trends each
+        # against its own history.
+        seed_history(self.store, config="figures")
+        bench_trend.append_result(self.store, ("fresh", "shaF", "figures"), result())
+        bench_trend.append_result(self.store, ("fresh", "shaF", "arrival-chaos"),
+                                  result(wall_s=30.0))
+        self.assertEqual(self.status("wall_s", "figures"), "ok")
+        self.assertEqual(self.status("wall_s", "arrival-chaos"), "no-history")
+        self.assertEqual(self.main("enforce"), 0)
 
     def test_per_row_series_uses_the_median(self):
         for i in range(2):
             bench_trend.append_run(self.store, (f"hist{i}", "sha", "cfgA"),
-                                   {"subcycle_ms": [9.0, 10.0, 11.0]})
+                                   {"wall_s": [9.0, 10.0, 11.0]})
         bench_trend.append_run(self.store, ("fresh", "sha", "cfgA"),
-                               {"subcycle_ms": [9.5, 10.5, 200.0]})
-        findings = bench_trend.trend(self.store, "fresh", 0.10, 2)
-        self.assertEqual(findings[0]["status"], "ok")  # median 10.5 vs 10.0
+                               {"wall_s": [9.5, 10.5, 200.0]})
+        self.assertEqual(self.status("wall_s", "cfgA"), "ok")  # median 10.5 vs 10.0
 
     def test_unknown_run_id_errors(self):
         seed_history(self.store)
         with self.assertRaises(ValueError):
-            bench_trend.trend(self.store, "missing", 0.10, 2)
+            bench_trend.trend(self.store, "missing", 2)
 
 
 if __name__ == "__main__":

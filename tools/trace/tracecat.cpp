@@ -1,7 +1,6 @@
-// tracecat: convert a binary trace (obs::BinaryTraceSink, "CFTR") back to
-// the JSONL form, byte-identical to what JsonlTraceSink would have written
-// for the same events. Reuses TraceBuffer::write_jsonl so the two paths
-// cannot drift.
+// tracecat: convert a binary trace (obs::BinaryTraceSink, "CFTR", the only
+// format a run writes) to JSONL, one TraceBuffer::write_jsonl line per
+// event. It is the only producer of JSONL traces.
 //
 //   tracecat <trace.bin> [-o out.jsonl]     convert (default: stdout)
 //   tracecat --count <trace.bin>            print the event count only
