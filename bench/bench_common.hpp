@@ -18,11 +18,6 @@
 //                        {count, value-sum} summary events only;
 //   --report-json <file> write the run report (metrics + counters +
 //                        phase profile) on exit;
-//   --runstore <dir>     append this run's metric summaries to the
-//                        columnar run-store (obs::RunStore) on exit;
-//   --run-id <s>         run-store manifest fields (defaults: "local",
-//   --git-sha <s>        "unknown", "unknown");
-//   --config-hash <s>
 //   --obs-off            disable the observability recorder entirely.
 // Flags taking a value accept both "--flag value" and "--flag=value", and
 // numeric values must be whole decimal numbers ("42x" is an error). A bare
@@ -47,7 +42,6 @@
 #include "core/experiment.hpp"
 #include "obs/binary_trace.hpp"
 #include "obs/obs.hpp"
-#include "obs/run_store.hpp"
 
 namespace cloudfog::bench {
 
@@ -57,14 +51,11 @@ struct ObsOptions {
   std::uint64_t trace_sample = 0;  ///< >0 selects sampled retention
   bool trace_agg = false;          ///< aggregated retention
   std::string report_path;
-  std::string runstore_dir;
-  obs::RunKey run_key{"local", "unknown", "unknown"};
 };
 
-/// Owns the trace sink and writes the run report (and run-store row) when
-/// the process exits. Instantiated only after Recorder::global() (a
-/// Meyer's singleton), so its destructor runs before the recorder is torn
-/// down.
+/// Owns the trace sink and writes the run report when the process exits.
+/// Instantiated only after Recorder::global() (a Meyer's singleton), so its
+/// destructor runs before the recorder is torn down.
 class ObsSession {
  public:
   static ObsSession& instance() {
@@ -114,30 +105,10 @@ class ObsSession {
         std::cerr << "warning: cannot open report file " << opts_.report_path << '\n';
       }
     }
-    if (!opts_.runstore_dir.empty()) append_runstore(rec);
   }
 
  private:
   ObsSession() = default;
-
-  /// One run-store row per process: per-run metric means (plus p95 where
-  /// recorded) and the trace accounting, one column per metric
-  /// (tools/runstore_query reads them back).
-  void append_runstore(const obs::Recorder& rec) {
-    obs::RunStore store(opts_.runstore_dir);
-    const std::uint64_t row = store.begin_row(opts_.run_key);
-    for (const obs::RunSummary& run : rec.runs()) {
-      for (const obs::StatSummary& s : run.stats) {
-        store.append(row, run.label + "." + s.name + ".mean", s.mean);
-        if (s.has_percentiles) {
-          store.append(row, run.label + "." + s.name + ".p95", s.p95);
-        }
-      }
-    }
-    const auto& buf = rec.trace_buffer();
-    store.append(row, "trace.pushed", static_cast<double>(buf.total_pushed()));
-    store.append(row, "trace.dropped", static_cast<double>(buf.dropped()));
-  }
 
   ObsOptions opts_;
   std::ofstream trace_out_;
@@ -228,14 +199,6 @@ inline BenchArgs parse_args(int argc, char** argv,
       opts.trace_path = value;
     } else if (flag_value(argc, argv, &i, "--report-json", &value)) {
       opts.report_path = value;
-    } else if (flag_value(argc, argv, &i, "--runstore", &value)) {
-      opts.runstore_dir = value;
-    } else if (flag_value(argc, argv, &i, "--run-id", &value)) {
-      opts.run_key.run_id = value;
-    } else if (flag_value(argc, argv, &i, "--git-sha", &value)) {
-      opts.run_key.git_sha = value;
-    } else if (flag_value(argc, argv, &i, "--config-hash", &value)) {
-      opts.run_key.config_hash = value;
     } else if (std::strcmp(argv[i], "--obs-off") == 0) {
       obs_off = true;
     } else if (std::find(names.begin(), names.end(), argv[i]) != names.end()) {
@@ -259,7 +222,7 @@ inline BenchArgs parse_args(int argc, char** argv,
     std::exit(2);
   }
   // Touch the recorder singleton before the session singleton so the
-  // session's destructor (flush + report + run-store) runs first at exit.
+  // session's destructor (flush + report) runs first at exit.
   obs::Recorder::global().set_enabled(!obs_off);
   ObsSession::instance().configure(obs_off ? ObsOptions{} : opts);
   return args;

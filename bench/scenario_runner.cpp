@@ -9,9 +9,9 @@
 // --expect-fail inverts it (0 iff at least one envelope failed) — CI uses
 // that to prove the adversary scenarios actually bite when the reputation
 // defence is switched off. Observability flags (--trace, --report-json,
-// --runstore…) work like every other bench binary; each
-// scenario contributes one "scenario.<name>" run summary with
-// envelope.pass / envelope.margin.* stats for trend tracking.
+// --obs-off…) work like every other bench binary; each scenario
+// contributes one "scenario.<name>" run summary with envelope.pass /
+// envelope.margin.* stats to the run report.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>

@@ -2,12 +2,30 @@
 """Bench trending: gate a fresh perfbench run against run-store history.
 
 CI runs ``python3 perfbench/run.py`` on each workload and appends each
-result line to the columnar run-store (``append_result``; on-disk format in
-src/obs/run_store.hpp), one row per workload with the workload as config
-hash. This script compares the fresh run's end-to-end metrics with the
-median of the stored history of the same config, so workloads trend
-apart. Each metric's direction (``better``) and tolerance (``bound``) come
-from BENCHMARK.json.
+result line to the columnar run-store (``append_result``), one row per
+workload with the workload as config hash. This script compares the fresh
+run's end-to-end metrics with the median of the stored history of the same
+config, so workloads trend apart. Each metric's direction (``better``) and
+tolerance (``bound``) come from BENCHMARK.json.
+
+The run-store is append-only, one file per metric column, keyed by
+(run id, git sha, config hash). On-disk layout under the store directory:
+
+  manifest.tsv            one row per run, tab-separated:
+                            row-index \t run_id \t git_sha \t config_hash
+                          (fields sanitized: tabs/newlines become '_')
+  columns/<name>.col      binary column file:
+                            header (8 bytes): magic "CFRC", u16 version,
+                            u16 reserved
+                            then 16-byte little-endian records:
+                            u64 row-index, f64 value
+
+Appending the same column several times for one row forms an in-run
+series (records keep append order; the trend takes the row's median).
+Everything is plain append, so concurrent histories merge by concatenation
+and a partial write can lose at most the tail record, which
+``read_column`` drops. A missing or empty store reads as no rows and no
+columns.
 
 Usage:
   scripts/bench_trend.py --runstore <dir> --run-id <id>
@@ -93,11 +111,10 @@ def list_columns(store_dir):
 
 
 def append_run(store_dir, key, values):
-    """Python-side writer (tests, backfills): one manifest row + values.
+    """The run-store writer: one manifest row + values.
 
     ``key`` is a (run_id, git_sha, config_hash) triple; ``values`` maps
-    column name -> float or list of floats. Matches the C++ writer
-    byte-for-byte.
+    column name -> float or list of floats.
     """
     os.makedirs(os.path.join(store_dir, "columns"), exist_ok=True)
     manifest = os.path.join(store_dir, "manifest.tsv")
@@ -107,7 +124,12 @@ def append_run(store_dir, key, values):
         fh.write("\t".join([str(row)] + sane) + "\n")
     for name, value in values.items():
         path = os.path.join(store_dir, "columns", name + ".col")
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        fresh = size < COLUMN_HEADER.size
+        # Cut a torn tail (a write cut short) so new records stay aligned.
+        whole = 0 if fresh else size - (size - COLUMN_HEADER.size) % COLUMN_RECORD.size
+        if whole != size:
+            os.truncate(path, whole)
         with open(path, "ab") as fh:
             if fresh:
                 fh.write(COLUMN_HEADER.pack(COLUMN_MAGIC, COLUMN_VERSION, 0))

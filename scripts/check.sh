@@ -11,7 +11,9 @@
 #      --jobs 1 and --jobs 4 must print the same tables and canonical
 #      report; the quick-scale stdout of every figure but fig9 must match
 #      the sha256 pinned below (CATALOGUE_SHA256) with the recorder off and
-#      on; and fig9's own quick-scale stdout must match FIG9_SHA256.
+#      on; fig9's own quick-scale stdout must match FIG9_SHA256; and the
+#      default-scale stdout of the whole catalogue, fig9 included, must
+#      match CATALOGUE_DEFAULT_SHA256.
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -21,12 +23,9 @@
 #   6. trace pin: the tracecat JSONL of the stage-4 fig7 and chaos traces
 #      must match the sha256 pinned below (FIG7_TRACE_SHA256,
 #      CHAOS_TRACE_SHA256)
-#   7. run-store gate: two seeded fig7 runs append to a scratch run-store;
-#      tools/runstore_query and the scripts/bench_trend.py reader must
-#      agree, and the identical runs must have appended identical values
-#   8. bench smoke: observability export schema checks, including zero
+#   7. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached and a monotone tracecat JSONL
-#   9. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
+#   8. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
 #      ctest (the sweep-pool test included), a traced and a 4-worker TSan
 #      fig7 cross-checked against the plain run, the chaos
 #      smoke re-run under ASan, and a standalone UBSan build
@@ -35,7 +34,7 @@
 #      smoke — all cross-checked byte-for-byte against the plain binary traces
 #
 #   scripts/check.sh            everything
-#   scripts/check.sh --quick    stages 1–8 only (no sanitizer builds)
+#   scripts/check.sh --quick    stages 1–7 only (no sanitizer builds)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -120,11 +119,14 @@ echo "== determinism gate: figure catalogue pinned across changes =="
 # from the 19 per-figure binaries that cloudfog_figs replaced,
 # concatenated in catalogue order. It must hold with the recorder off and on: tracing
 # never changes a table. FIG9_SHA256 pins fig9 on its own (its
-# server-assignment column counts swap trials). A change that moves any
-# table must update the constant and say why in CHANGES.md. CI reads both
+# server-assignment column counts swap trials). CATALOGUE_DEFAULT_SHA256
+# pins the stdout of the whole catalogue, fig9 included, at default scale
+# (no names, --obs-off; about 15 s on 4 CPUs). A change that moves any
+# table must update the constant and say why in CHANGES.md. CI reads the
 # constants from these lines.
 CATALOGUE_SHA256=ca52f67b522840b8aeaa2eee5499d5aac0d33945bfa88ea8c6d1a488028463bf
 FIG9_SHA256=8c38ddd659ddad2a5de5f154cf45a0a0c91f3e2302ef8dc9e6ed66ca60a70021
+CATALOGUE_DEFAULT_SHA256=600eaf10015d527691f18ca66f39b975373350f0791744ad8de6120dc8ebc141
 PINNED_FIGURES="fig4 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16
   malicious incentives epsilon forecast failures chaos candidates"
 for obs in --obs-off ""; do
@@ -142,7 +144,15 @@ actual=$(sha256sum "$SMOKE_DIR/fig9.txt" | cut -d' ' -f1)
 [ "$actual" = "$FIG9_SHA256" ] || {
   echo "determinism gate FAILED: fig9 sha256 $actual, pinned $FIG9_SHA256" >&2
   exit 1; }
-echo "catalogue: every figure matches its pinned digest, with the recorder off and on"
+env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs --jobs "$JOBS" --obs-off \
+  >"$SMOKE_DIR/catalogue_default.txt"
+actual=$(sha256sum "$SMOKE_DIR/catalogue_default.txt" | cut -d' ' -f1)
+[ "$actual" = "$CATALOGUE_DEFAULT_SHA256" ] || {
+  echo "determinism gate FAILED: default-scale catalogue sha256 $actual," \
+    "pinned $CATALOGUE_DEFAULT_SHA256" >&2
+  exit 1; }
+echo "catalogue: every figure matches its pinned digest (quick scale with the" \
+  "recorder off and on, default scale)"
 
 echo "== scenario gate: bundled suite, envelopes enforced =="
 ./build/bench/bench_scenarios --all --smoke --obs-off >"$SMOKE_DIR/scenario_suite.txt" || {
@@ -193,45 +203,6 @@ actual=$(sha256sum "$SMOKE_DIR/chaos_trace_a.jsonl" | cut -d' ' -f1)
 [ "$actual" = "$CHAOS_TRACE_SHA256" ] || {
   echo "trace pin FAILED: chaos trace sha256 $actual, pinned $CHAOS_TRACE_SHA256" >&2; exit 1; }
 echo "tracecat: fig7 + chaos traces match their pinned JSONL digests"
-
-echo "== run-store gate: C++ writer vs C++ and python readers =="
-./build/bench/cloudfog_figs fig7 --quick --runstore "$SMOKE_DIR/runstore" \
-  --run-id check-a --git-sha check --config-hash quick >/dev/null
-./build/bench/cloudfog_figs fig7 --quick --runstore "$SMOKE_DIR/runstore" \
-  --run-id check-b --git-sha check --config-hash quick >/dev/null
-./build/tools/runstore_query "$SMOKE_DIR/runstore" rows >"$SMOKE_DIR/runstore_rows.tsv"
-python3 - "$SMOKE_DIR/runstore" <<'EOF'
-import sys, os
-sys.path.insert(0, "scripts")
-import bench_trend
-store = sys.argv[1]
-rows = bench_trend.read_manifest(store)
-assert [r["run_id"] for r in rows] == ["check-a", "check-b"], rows
-columns = bench_trend.list_columns(store)
-assert columns, "bench run appended no columns"
-for name in columns:
-    records = bench_trend.read_column(store, name)
-    assert records, f"empty column {name}"
-    assert {row for row, _ in records} <= {0, 1}, f"bad row ids in {name}"
-print(f"run-store OK ({len(rows)} rows, {len(columns)} columns, python reader agrees)")
-EOF
-# Identical seeded runs must append identical values: the two rows of any
-# column agree record-for-record (cross-checked through the C++ reader).
-python3 - "$SMOKE_DIR/runstore" <<'EOF'
-import subprocess, sys
-store = sys.argv[1]
-columns = subprocess.run(["./build/tools/runstore_query", store, "columns"],
-                         capture_output=True, text=True, check=True).stdout.split()
-for name in columns:
-    out = subprocess.run(["./build/tools/runstore_query", store, "column", name],
-                         capture_output=True, text=True, check=True).stdout
-    by_row = {"0": [], "1": []}
-    for line in out.splitlines():
-        row, value = line.split("\t")
-        by_row[row].append(value)
-    assert by_row["0"] == by_row["1"], f"rows disagree in {name}"
-print(f"runstore_query OK ({len(columns)} columns, identical seeded rows agree)")
-EOF
 
 echo "== bench smoke: observability exports =="
 python3 - "$SMOKE_DIR/fig7_report_a.json" "$SMOKE_DIR/fig7_trace_a.jsonl" <<'EOF'

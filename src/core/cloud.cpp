@@ -41,11 +41,6 @@ void Cloud::register_supernode(SupernodeState& sn, util::Rng& rng) {
   ++registry_epoch_;
 }
 
-void Cloud::unregister_supernode(const SupernodeState& sn) {
-  locator_.unregister_node(sn.ip);
-  ++registry_epoch_;
-}
-
 std::vector<std::size_t> Cloud::candidate_supernodes(const net::Endpoint& player,
                                                      const std::vector<SupernodeState>& fleet,
                                                      std::size_t count) const {

@@ -50,7 +50,6 @@ class Cloud {
   DatacenterState& datacenter(std::size_t i);
   const DatacenterState& datacenter(std::size_t i) const;
   std::vector<DatacenterState>& datacenters() { return datacenters_; }
-  const std::vector<DatacenterState>& datacenters() const { return datacenters_; }
 
   /// Index of the datacenter with the lowest RTT to `who` — where the
   /// player's game state lives and where direct streaming comes from.
@@ -59,9 +58,6 @@ class Cloud {
 
   /// Registers a supernode in the table (geolocating its IP).
   void register_supernode(SupernodeState& sn, util::Rng& rng);
-
-  /// Removes a supernode from the table.
-  void unregister_supernode(const SupernodeState& sn);
 
   /// §3.2.1 candidate lookup: among supernodes that are deployed, alive
   /// and have spare capacity, the `count` closest to the player by

@@ -52,7 +52,6 @@ void add_peak_crash_burst(fault::FaultPlanConfig& faults, const sim::CycleConfig
 }  // namespace
 
 sim::CycleConfig to_cycle_config(const ExperimentScale& scale) {
-  CLOUDFOG_REQUIRE(scale.warmup < scale.cycles, "warm-up must leave measured cycles");
   sim::CycleConfig cfg;
   cfg.total_cycles = scale.cycles;
   cfg.warmup_cycles = scale.warmup;

@@ -710,6 +710,15 @@ void System::end_cycle(int day) {
 }
 
 const RunMetrics& System::run(const sim::CycleConfig& cycles) {
+  CLOUDFOG_REQUIRE(cycles.total_cycles > 0, "need at least one cycle");
+  CLOUDFOG_REQUIRE(cycles.warmup_cycles >= 0 && cycles.warmup_cycles < cycles.total_cycles,
+                   "warm-up must leave at least one measured cycle");
+  CLOUDFOG_REQUIRE(cycles.subcycles_per_cycle > 0, "need at least one subcycle");
+  CLOUDFOG_REQUIRE(cycles.subcycle_seconds > 0.0, "subcycle length must be positive");
+  CLOUDFOG_REQUIRE(cycles.peak_start_subcycle >= 1 &&
+                       cycles.peak_end_subcycle <= cycles.subcycles_per_cycle &&
+                       cycles.peak_start_subcycle <= cycles.peak_end_subcycle,
+                   "peak window out of range");
   const char* label = arm_label(cfg_);
   if (rec_.enabled()) rec_.begin_run(label);
   for (int day = 1; day <= cycles.total_cycles; ++day) {
@@ -755,29 +764,6 @@ std::vector<double> System::supernode_join_latencies() const {
   out.reserve(fleet_.size());
   for (const auto& sn : fleet_) out.push_back(fog_.supernode_join_latency_ms(sn));
   return out;
-}
-
-double System::coverage(double network_latency_req_ms) const {
-  std::size_t covered = 0;
-  for (const auto& p : players_) {
-    double best_rtt = std::numeric_limits<double>::infinity();
-    for (const auto& dc : cloud_.datacenters()) {
-      best_rtt = std::min(best_rtt, testbed_.latency().rtt_ms(p.info.endpoint, dc.endpoint));
-    }
-    if (cfg_.architecture == Architecture::kCloudFog) {
-      for (const auto& sn : fleet_) {
-        if (!sn.deployed || sn.failed) continue;
-        best_rtt = std::min(best_rtt, testbed_.latency().rtt_ms(p.info.endpoint, sn.endpoint));
-      }
-    } else if (cfg_.architecture == Architecture::kCdn) {
-      for (const auto& edge : cdn_) {
-        best_rtt = std::min(best_rtt, testbed_.latency().rtt_ms(p.info.endpoint, edge.endpoint));
-      }
-    }
-    if (best_rtt <= network_latency_req_ms) ++covered;
-  }
-  return players_.empty() ? 0.0
-                          : static_cast<double>(covered) / static_cast<double>(players_.size());
 }
 
 }  // namespace cloudfog::core

@@ -26,7 +26,7 @@
 #include "fault/fault.hpp"
 #include "obs/recorder.hpp"
 #include "scenario/adversary.hpp"
-#include "sim/cycle_driver.hpp"
+#include "sim/cycle_config.hpp"
 #include "sim/simulator.hpp"
 #include "social/community_partitioner.hpp"
 #include "video/rate_adapter.hpp"
@@ -135,6 +135,8 @@ class System {
   const RunMetrics& metrics() const { return collector_.metrics(); }
 
   /// Runs the full cycle schedule and returns the collected metrics.
+  /// Throws ConfigError for a schedule with no measured cycle (no cycles,
+  /// or a warm-up as long as the run) or a peak window outside the day.
   const RunMetrics& run(const sim::CycleConfig& cycles);
 
   /// Manual driving (used by the scenario engine, which pokes the system
@@ -183,11 +185,6 @@ class System {
 
   /// Fig. 9: simulated join latency of every fleet supernode.
   std::vector<double> supernode_join_latencies() const;
-
-  /// Fig. 4/5: fraction of players within `network_latency_req_ms` RTT of
-  /// any serving point of this architecture (datacenters always count;
-  /// deployed supernodes / CDN servers per the architecture).
-  double coverage(double network_latency_req_ms) const;
 
  private:
   void roll_daily_sessions(int day);

@@ -18,25 +18,6 @@ double TimeSeries::back(std::size_t lag) const {
   return values_[values_.size() - 1 - lag];
 }
 
-std::vector<double> TimeSeries::difference() const {
-  CLOUDFOG_REQUIRE(values_.size() >= 2, "need two points to difference");
-  std::vector<double> out;
-  out.reserve(values_.size() - 1);
-  for (std::size_t i = 1; i < values_.size(); ++i) out.push_back(values_[i] - values_[i - 1]);
-  return out;
-}
-
-std::vector<double> TimeSeries::seasonal_difference(std::size_t period) const {
-  CLOUDFOG_REQUIRE(period >= 1, "period must be at least 1");
-  CLOUDFOG_REQUIRE(values_.size() > period, "series shorter than period");
-  std::vector<double> out;
-  out.reserve(values_.size() - period);
-  for (std::size_t i = period; i < values_.size(); ++i) {
-    out.push_back(values_[i] - values_[i - period]);
-  }
-  return out;
-}
-
 double rmse(const std::vector<double>& actual, const std::vector<double>& predicted) {
   CLOUDFOG_REQUIRE(actual.size() == predicted.size(), "length mismatch");
   CLOUDFOG_REQUIRE(!actual.empty(), "empty series");

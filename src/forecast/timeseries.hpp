@@ -28,12 +28,6 @@ class TimeSeries {
 
   const std::vector<double>& values() const { return values_; }
 
-  /// First difference (length size()-1).
-  std::vector<double> difference() const;
-
-  /// Seasonal difference with the given period (length size()-period).
-  std::vector<double> seasonal_difference(std::size_t period) const;
-
  private:
   std::vector<double> values_;
 };

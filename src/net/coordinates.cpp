@@ -57,17 +57,4 @@ std::vector<GeoPoint> GeoPlane::datacenter_sites(std::size_t n) const {
   return {dc_sites_.begin(), dc_sites_.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
-std::size_t GeoPlane::nearest_metro(const GeoPoint& p) const {
-  std::size_t best = 0;
-  double best_d = distance_km(p, metros_[0]);
-  for (std::size_t i = 1; i < metros_.size(); ++i) {
-    const double d = distance_km(p, metros_[i]);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace cloudfog::net

@@ -55,9 +55,6 @@ class GeoPlane {
   /// Requires n <= 64.
   std::vector<GeoPoint> datacenter_sites(std::size_t n) const;
 
-  /// Index of the metro nearest to `p`.
-  std::size_t nearest_metro(const GeoPoint& p) const;
-
  private:
   GeoPlaneConfig cfg_;
   std::vector<GeoPoint> metros_;      // ordered by (synthetic) population

@@ -17,8 +17,6 @@ IpAddress IpLocator::register_node(GeoPoint true_position, util::Rng& rng) {
   return ip;
 }
 
-void IpLocator::unregister_node(IpAddress ip) { table_.erase(ip); }
-
 std::optional<GeoPoint> IpLocator::locate(IpAddress ip) const {
   const auto it = table_.find(ip);
   if (it == table_.end()) return std::nullopt;

@@ -29,13 +29,9 @@ class IpLocator {
   /// and records its (noisy) geolocation entry.
   IpAddress register_node(GeoPoint true_position, util::Rng& rng);
 
-  /// Removes an address from the registry (node left the system).
-  void unregister_node(IpAddress ip);
-
   /// Geolocates an address; nullopt if the address is unknown.
   std::optional<GeoPoint> locate(IpAddress ip) const;
 
-  std::size_t registered_count() const { return table_.size(); }
   double error_sigma_km() const { return error_sigma_km_; }
 
  private:

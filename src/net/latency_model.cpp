@@ -24,10 +24,6 @@ double LatencyModel::rtt_ms(const Endpoint& a, const Endpoint& b) const {
   return 2.0 * one_way_ms(a, b);
 }
 
-double LatencyModel::wan_throughput_mbps(const Endpoint& a, const Endpoint& b) const {
-  return wan_throughput_mbps(rtt_ms(a, b));
-}
-
 double LatencyModel::wan_throughput_mbps(double rtt_ms) const {
   CLOUDFOG_REQUIRE(rtt_ms > 0.0, "RTT must be positive");
   const double rtt_s = rtt_ms / 1000.0;

@@ -57,11 +57,8 @@ class LatencyModel {
   /// Round-trip time in ms (2 × one-way; the paths are symmetric here).
   double rtt_ms(const Endpoint& a, const Endpoint& b) const;
 
-  /// Sustainable per-flow throughput in Mbps across the path — the
-  /// RTT-limited TCP-friendly rate, capped at max_flow_mbps.
-  double wan_throughput_mbps(const Endpoint& a, const Endpoint& b) const;
-
-  /// Same, but from a precomputed RTT (ms).
+  /// Sustainable per-flow throughput in Mbps over a path with this RTT
+  /// (ms) — the RTT-limited TCP-friendly rate, capped at max_flow_mbps.
   double wan_throughput_mbps(double rtt_ms) const;
 
  private:

@@ -50,11 +50,6 @@ class InternTable {
     return entries_.at(index).second;
   }
 
-  std::size_t size() const {
-    const util::MutexLock lock(mu_);
-    return entries_.size();
-  }
-
  private:
   mutable util::Mutex mu_;
   // std::map (not unordered) keeps lookups deterministic-friendly and the

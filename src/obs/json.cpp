@@ -98,14 +98,4 @@ void JsonWriter::value(std::uint64_t v) {
   os_ << v;
 }
 
-void JsonWriter::value(std::int64_t v) {
-  separator();
-  os_ << v;
-}
-
-void JsonWriter::value(bool b) {
-  separator();
-  os_ << (b ? "true" : "false");
-}
-
 }  // namespace cloudfog::obs

@@ -37,9 +37,6 @@ class JsonWriter {
   void value(const char* s) { value(std::string_view(s)); }
   void value(double v);
   void value(std::uint64_t v);
-  void value(std::int64_t v);
-  void value(int v) { value(static_cast<std::int64_t>(v)); }
-  void value(bool b);
 
   template <typename T>
   void field(std::string_view k, T&& v) {

@@ -30,8 +30,6 @@ NoteId intern_note(std::string_view text) {
 
 std::string_view note_text(NoteId id) { return table().text(id.index); }
 
-std::size_t note_count() { return table().size(); }
-
 std::string Note::text() const {
   std::string out(note_text(id));
   if (has_arg) out += std::to_string(arg);

@@ -33,9 +33,6 @@ NoteId intern_note(std::string_view text);
 /// Text of an interned note. Valid for the process lifetime.
 std::string_view note_text(NoteId id);
 
-/// Number of distinct interned notes (including the empty note).
-std::size_t note_count();
-
 /// A note as attached to a trace event: an interned text plus an optional
 /// integer argument. The serialized note is the text with the argument's
 /// decimal representation appended ("wanted=" + 42 -> "wanted=42"), which

@@ -7,22 +7,6 @@
 
 namespace cloudfog::obs {
 
-RegistrySnapshot RegistrySnapshot::delta_since(const RegistrySnapshot& earlier) const {
-  RegistrySnapshot out = *this;
-  for (std::size_t i = 0; i < out.counters.size() && i < earlier.counters.size(); ++i) {
-    out.counters[i] -= std::min(earlier.counters[i], out.counters[i]);
-  }
-  for (std::size_t h = 0; h < out.histogram_counts.size() && h < earlier.histogram_counts.size();
-       ++h) {
-    auto& bins = out.histogram_counts[h];
-    const auto& old_bins = earlier.histogram_counts[h];
-    for (std::size_t b = 0; b < bins.size() && b < old_bins.size(); ++b) {
-      bins[b] -= std::min(old_bins[b], bins[b]);
-    }
-  }
-  return out;
-}
-
 namespace {
 
 struct HistogramSpec {
@@ -129,16 +113,6 @@ std::uint64_t Registry::counter_value(std::string_view name) const {
 
 double Registry::gauge_value(std::string_view name) const {
   return gauge_value(GaugeId{gauge_names().find(name)});
-}
-
-RegistrySnapshot Registry::snapshot() const {
-  RegistrySnapshot snap;
-  snap.counters = counters_;
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& g : gauges_) snap.gauges.push_back(g.value_or(0.0));
-  snap.histogram_counts.reserve(histograms_.size());
-  for (const auto& cell : histograms_) snap.histogram_counts.push_back(cell.counts);
-  return snap;
 }
 
 void Registry::reset_values() {

@@ -7,11 +7,8 @@
 // the per-component handle structs are function-local statics resolved
 // once, while each System reports into the registry of its own recorder.
 // A registry grows its value slots on first use of a handle, and
-// merge_from() folds another registry's values into this one.
-//
-// The registry also supports whole-registry snapshots and snapshot deltas,
-// which is how per-subcycle metric rates are derived from cumulative
-// counters (snapshot at subcycle boundaries, subtract).
+// merge_from() folds another registry's values into this one. Values are
+// cumulative: the run report (obs/report.hpp) reads them once, at exit.
 //
 // A registry is single-threaded, like the System that reports into it;
 // only the name tables are shared.
@@ -34,19 +31,6 @@ struct GaugeId {
 };
 struct HistogramId {
   std::uint32_t index = 0;
-};
-
-/// Point-in-time copy of every metric value (names live in the Registry).
-struct RegistrySnapshot {
-  std::vector<std::uint64_t> counters;
-  std::vector<double> gauges;
-  std::vector<std::vector<std::uint64_t>> histogram_counts;
-
-  /// Counter/histogram increments since `earlier` (gauges keep the current
-  /// value — deltas of instantaneous readings are meaningless). `earlier`
-  /// may be older and therefore smaller: metrics registered in between
-  /// count from zero.
-  RegistrySnapshot delta_since(const RegistrySnapshot& earlier) const;
 };
 
 class Registry {
@@ -102,8 +86,6 @@ class Registry {
   /// Value of a counter by name; 0 if never registered (test convenience).
   std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;
-
-  RegistrySnapshot snapshot() const;
 
   /// Zeroes every value; names and handles stay valid.
   void reset_values();

@@ -68,11 +68,4 @@ std::vector<SupernodeId> ReputationStore::rated_supernodes() const {
   return out;
 }
 
-void ReputationStore::prune(int current_day, double min_weight) {
-  std::erase_if(ratings_, [&](const Rating& r) {
-    const int age = std::max(0, current_day - r.day);
-    return std::pow(aging_factor_, static_cast<double>(age)) < min_weight;
-  });
-}
-
 }  // namespace cloudfog::reputation

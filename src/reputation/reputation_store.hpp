@@ -58,10 +58,6 @@ class ReputationStore {
   /// Supernodes with at least one rating, ascending.
   std::vector<SupernodeId> rated_supernodes() const;
 
-  /// Drops ratings whose weight λ^age has decayed below `min_weight`
-  /// (housekeeping; keeps the store bounded over long runs).
-  void prune(int current_day, double min_weight = 1e-4);
-
  private:
   struct Rating {
     double value = 0.0;    ///< in [0,1]

@@ -1,38 +1,28 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace cloudfog::sim {
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+void EventQueue::schedule(SimTime at, Callback cb) {
   CLOUDFOG_REQUIRE(at >= 0.0, "cannot schedule before time zero");
   CLOUDFOG_REQUIRE(static_cast<bool>(cb), "null event callback");
-  const EventId id = next_id_++;
-  heap_.push(Entry{at, next_seq_++, id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
+  heap_.push_back(Entry{at, next_seq_++, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-bool EventQueue::cancel(EventId id) { return callbacks_.erase(id) > 0; }
-
-void EventQueue::drop_dead_entries() {
-  while (!heap_.empty() && !callbacks_.contains(heap_.top().id)) heap_.pop();
-}
-
-SimTime EventQueue::next_time() {
-  drop_dead_entries();
+SimTime EventQueue::next_time() const {
   CLOUDFOG_REQUIRE(!heap_.empty(), "next_time on empty queue");
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 EventQueue::PoppedEvent EventQueue::pop() {
-  drop_dead_entries();
   CLOUDFOG_REQUIRE(!heap_.empty(), "pop on empty queue");
-  const Entry top = heap_.top();
-  heap_.pop();
-  auto it = callbacks_.find(top.id);
-  PoppedEvent out{top.time, top.id, std::move(it->second)};
-  callbacks_.erase(it);
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  PoppedEvent out{heap_.back().time, std::move(heap_.back().callback)};
+  heap_.pop_back();
   return out;
 }
 

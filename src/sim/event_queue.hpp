@@ -1,13 +1,12 @@
 // Priority queue of timestamped events with stable FIFO ordering among
 // simultaneous events — equal-time events fire in the order they were
 // scheduled, which keeps runs deterministic regardless of heap internals.
-// Cancellation is lazy: cancelled entries are skipped at pop time.
+// An event, once scheduled, always fires: each heap entry holds its own
+// callback.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace cloudfog::sim {
@@ -15,29 +14,20 @@ namespace cloudfog::sim {
 /// Simulation time, in seconds since the start of the run.
 using SimTime = double;
 
-/// Opaque handle returned by schedule(); can be used to cancel.
-using EventId = std::uint64_t;
-
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
   /// Schedules `cb` to fire at absolute time `at`. Requires at >= 0.
-  EventId schedule(SimTime at, Callback cb);
+  void schedule(SimTime at, Callback cb);
 
-  /// Cancels a pending event. Returns false if the event already fired,
-  /// was already cancelled, or never existed. Amortized O(1).
-  bool cancel(EventId id);
-
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t size() const { return callbacks_.size(); }
+  bool empty() const { return heap_.empty(); }
 
   /// Time of the earliest pending event; requires !empty().
-  SimTime next_time();
+  SimTime next_time() const;
 
   struct PoppedEvent {
     SimTime time;
-    EventId id;
     Callback callback;
   };
 
@@ -48,21 +38,16 @@ class EventQueue {
   struct Entry {
     SimTime time{};
     std::uint64_t seq = 0;  // tie-break: schedule order
-    EventId id;
+    Callback callback;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap order: the earliest (time, seq) sits at the front.
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;  // erased on cancel/pop
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-
-  void drop_dead_entries();
 };
 
 }  // namespace cloudfog::sim

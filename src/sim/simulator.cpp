@@ -4,14 +4,14 @@
 
 namespace cloudfog::sim {
 
-EventId Simulator::schedule_in(SimTime delay, EventQueue::Callback cb) {
+void Simulator::schedule_in(SimTime delay, EventQueue::Callback cb) {
   CLOUDFOG_REQUIRE(delay >= 0.0, "negative delay");
-  return queue_.schedule(now_ + delay, std::move(cb));
+  queue_.schedule(now_ + delay, std::move(cb));
 }
 
-EventId Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
+void Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
   CLOUDFOG_REQUIRE(at >= now_, "cannot schedule in the past");
-  return queue_.schedule(at, std::move(cb));
+  queue_.schedule(at, std::move(cb));
 }
 
 std::size_t Simulator::run_until(SimTime until) {
@@ -26,44 +26,6 @@ std::size_t Simulator::run_until(SimTime until) {
   // schedule_in calls are relative to the end of the window.
   if (until > now_) now_ = until;
   return executed;
-}
-
-std::size_t Simulator::run() {
-  std::size_t executed = 0;
-  while (step()) ++executed;
-  return executed;
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  now_ = ev.time;
-  ev.callback();
-  return true;
-}
-
-PeriodicTask::PeriodicTask(Simulator& sim, SimTime start, SimTime period,
-                           std::function<void(SimTime)> body)
-    : sim_(sim), period_(period), body_(std::move(body)) {
-  CLOUDFOG_REQUIRE(period > 0.0, "period must be positive");
-  CLOUDFOG_REQUIRE(static_cast<bool>(body_), "null periodic body");
-  arm(start < sim_.now() ? sim_.now() : start);
-}
-
-PeriodicTask::~PeriodicTask() { stop(); }
-
-void PeriodicTask::arm(SimTime at) {
-  pending_ = sim_.schedule_at(at, [this, at] {
-    if (!running_) return;
-    body_(at);
-    if (running_) arm(at + period_);
-  });
-}
-
-void PeriodicTask::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(pending_);
 }
 
 }  // namespace cloudfog::sim

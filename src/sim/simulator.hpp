@@ -1,10 +1,8 @@
-// Discrete-event simulator core. This plus CycleDriver is the functional
-// replacement for PeerSim used by the paper's evaluation: event-driven
-// scheduling for protocol timing (joins, probes, migrations) and a
-// cycle/subcycle overlay for the day/hour structure of the workload.
+// Discrete-event simulator core: the event clock that the fault injector
+// (and the join oracle in src/oracle) schedule on. The day/hour schedule
+// of the paper's evaluation (§4.1) is System::run's loop; the simulator
+// only supplies event-driven timing inside it.
 #pragma once
-
-#include <functional>
 
 #include "sim/event_queue.hpp"
 
@@ -18,57 +16,19 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedules `cb` to run `delay` seconds from now. Requires delay >= 0.
-  EventId schedule_in(SimTime delay, EventQueue::Callback cb);
+  void schedule_in(SimTime delay, EventQueue::Callback cb);
 
   /// Schedules `cb` at an absolute time >= now().
-  EventId schedule_at(SimTime at, EventQueue::Callback cb);
-
-  /// Cancels a pending event; see EventQueue::cancel.
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  void schedule_at(SimTime at, EventQueue::Callback cb);
 
   /// Runs until the queue drains or `until` is reached (events at exactly
-  /// `until` are executed). Returns the number of events executed.
+  /// `until` are executed), then sets the clock to `until` if it is later.
+  /// Returns the number of events executed.
   std::size_t run_until(SimTime until);
-
-  /// Runs until the queue drains. Returns the number of events executed.
-  std::size_t run();
-
-  /// Executes at most one event; returns false if the queue is empty.
-  bool step();
-
-  bool pending() const { return !queue_.empty(); }
-  std::size_t pending_count() const { return queue_.size(); }
 
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;
-};
-
-/// Repeats `body` every `period` seconds, starting at `start`, until
-/// cancelled. Returns the id of the *first* occurrence; the task reschedules
-/// itself, so to stop it the body should capture and flip a flag (helper:
-/// PeriodicTask).
-class PeriodicTask {
- public:
-  /// `body` receives the firing time. The task is live until stop().
-  PeriodicTask(Simulator& sim, SimTime start, SimTime period,
-               std::function<void(SimTime)> body);
-  ~PeriodicTask();
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void stop();
-  bool running() const { return running_; }
-
- private:
-  void arm(SimTime at);
-
-  Simulator& sim_;
-  SimTime period_;
-  std::function<void(SimTime)> body_;
-  EventId pending_ = 0;
-  bool running_ = true;
 };
 
 }  // namespace cloudfog::sim

@@ -8,19 +8,6 @@
 
 namespace cloudfog::util {
 
-ParetoDistribution::ParetoDistribution(double scale, double shape)
-    : scale_(scale), shape_(shape) {
-  CLOUDFOG_REQUIRE(scale > 0.0, "Pareto scale must be positive");
-  CLOUDFOG_REQUIRE(shape > 0.0, "Pareto shape must be positive");
-}
-
-double ParetoDistribution::sample(Rng& rng) const {
-  // Inverse CDF: x = x_m / U^{1/alpha}. Guard U = 0.
-  double u = rng.next_double();
-  while (u == 0.0) u = rng.next_double();
-  return scale_ / std::pow(u, 1.0 / shape_);
-}
-
 BoundedParetoDistribution::BoundedParetoDistribution(double lo, double hi, double shape)
     : lo_(lo), hi_(hi), shape_(shape) {
   CLOUDFOG_REQUIRE(lo > 0.0, "bounded Pareto lower bound must be positive");

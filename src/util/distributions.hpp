@@ -1,5 +1,5 @@
 // Random distributions used throughout the CloudFog evaluation:
-//  * Pareto / bounded Pareto    — supernode capacities (§4.1, [46,47,51–53])
+//  * Bounded Pareto             — supernode capacities (§4.1, [46,47,51–53])
 //  * Zipf / power-law degrees   — friend counts (skew 1.5, [49]) and the
 //                                 rank-harmonic supernode pick (Eq. 16)
 //  * Poisson                    — player arrivals (5 players/s, [50])
@@ -13,20 +13,6 @@
 #include "util/rng.hpp"
 
 namespace cloudfog::util {
-
-/// Unbounded Pareto with scale x_m > 0 and shape alpha > 0.
-/// mean = alpha*x_m/(alpha-1) for alpha > 1.
-class ParetoDistribution {
- public:
-  ParetoDistribution(double scale, double shape);
-  double sample(Rng& rng) const;
-  double scale() const { return scale_; }
-  double shape() const { return shape_; }
-
- private:
-  double scale_;
-  double shape_;
-};
 
 /// Pareto truncated to [lo, hi] by inverse-CDF of the truncated law
 /// (not rejection, so sampling cost is constant).

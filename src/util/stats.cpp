@@ -99,41 +99,6 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-void P2Quantile::merge(const P2Quantile& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  if (other.count_ < 5) {
-    // The other side still retains raw observations — replay them exactly.
-    for (std::size_t i = 0; i < other.count_; ++i) add(other.heights_[i]);
-    return;
-  }
-  if (count_ < 5) {
-    double mine[5];
-    const std::size_t n = count_;
-    std::copy(heights_, heights_ + n, mine);
-    *this = other;
-    for (std::size_t i = 0; i < n; ++i) add(mine[i]);
-    return;
-  }
-  // Both warmed up: count-weighted average of marker heights. This is an
-  // approximation — the exact pooled quantile would need the raw streams.
-  const auto w1 = static_cast<double>(count_);
-  const auto w2 = static_cast<double>(other.count_);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = (heights_[i] * w1 + other.heights_[i] * w2) / (w1 + w2);
-    positions_[i] += other.positions_[i] - static_cast<double>(i + 1);
-  }
-  count_ += other.count_;
-  double inc[5];
-  p2_increments(p_, inc);
-  for (int i = 0; i < 5; ++i) {
-    desired_[i] = 1.0 + 4.0 * inc[i] + static_cast<double>(count_ - 5) * inc[i];
-  }
-}
-
 void RunningStats::add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;
@@ -149,28 +114,6 @@ void RunningStats::add(double x) {
   p95_.add(x);
   p99_.add(x);
 }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  p50_.merge(other.p50_);
-  p95_.merge(other.p95_);
-  p99_.merge(other.p99_);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
 
 double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
@@ -210,47 +153,5 @@ double SampleSet::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_(0.0), counts_(bins, 0) {
-  // Validate before deriving width: bins == 0 must throw, not divide.
-  CLOUDFOG_REQUIRE(hi > lo, "histogram range inverted");
-  CLOUDFOG_REQUIRE(bins > 0, "histogram needs at least one bin");
-  width_ = (hi - lo) / static_cast<double>(bins);
-}
-
-void Histogram::add(double x) {
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  CLOUDFOG_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::cdf(double x) const {
-  if (total_ == 0) return 0.0;
-  if (x <= lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  const double pos = (x - lo_) / width_;
-  const auto full = static_cast<std::size_t>(pos);
-  std::size_t below = 0;
-  for (std::size_t i = 0; i < full && i < counts_.size(); ++i) below += counts_[i];
-  double acc = static_cast<double>(below);
-  if (full < counts_.size()) {
-    acc += (pos - static_cast<double>(full)) * static_cast<double>(counts_[full]);
-  }
-  return acc / static_cast<double>(total_);
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  CLOUDFOG_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin) + width_; }
 
 }  // namespace cloudfog::util

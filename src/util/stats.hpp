@@ -1,7 +1,6 @@
-// Small statistics toolkit: streaming moments, exact percentiles over
-// retained samples, and fixed-width histograms. Used by the metrics
-// collector and by the benchmark harnesses that regenerate the paper's
-// figures.
+// Small statistics toolkit: streaming moments and exact percentiles over
+// retained samples. Used by the metrics collector and by the benchmark
+// harnesses that regenerate the paper's figures.
 #pragma once
 
 #include <cstddef>
@@ -22,11 +21,6 @@ class P2Quantile {
   double value() const;
   std::size_t count() const { return count_; }
 
-  /// Approximate merge: with both estimators past their warm-up, marker
-  /// heights are combined as count-weighted averages — the result is an
-  /// estimate of the pooled quantile, not the exact pooled statistic.
-  void merge(const P2Quantile& other);
-
  private:
   double p_;
   std::size_t count_ = 0;
@@ -40,8 +34,6 @@ class P2Quantile {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
-  void reset();
 
   std::size_t count() const { return count_; }
   double mean() const;
@@ -52,8 +44,7 @@ class RunningStats {
   double max() const;
   double sum() const { return mean() * static_cast<double>(count_); }
 
-  /// P²-estimated percentiles (exact for ≤ 5 samples; after merge(),
-  /// approximate — see P2Quantile::merge).
+  /// P²-estimated percentiles (exact for ≤ 5 samples).
   double p50() const { return p50_.value(); }
   double p95() const { return p95_.value(); }
   double p99() const { return p99_.value(); }
@@ -89,28 +80,6 @@ class SampleSet {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool dirty_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  /// Fraction of samples with value < x (linear within the containing bin).
-  double cdf(double x) const;
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace cloudfog::util

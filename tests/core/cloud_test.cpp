@@ -81,16 +81,6 @@ TEST_F(CloudTest, CandidateCountIsCapped) {
             3u);
 }
 
-TEST_F(CloudTest, UnregisteredSupernodeFallsBackToTruePosition) {
-  auto sn = make_sn(400.0);
-  cloud_->unregister_supernode(fleet_[0]);
-  // Still a candidate (the table fallback uses its true endpoint).
-  const auto cands =
-      cloud_->candidate_supernodes(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 5);
-  EXPECT_EQ(cands.size(), 1u);
-  (void)sn;
-}
-
 TEST_F(CloudTest, DatacenterIndexValidated) {
   EXPECT_THROW(cloud_->datacenter(2), ConfigError);
 }

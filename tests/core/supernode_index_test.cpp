@@ -178,8 +178,8 @@ TEST_F(SupernodeIndexProperty, RebuildsWhenFleetIdentityChanges) {
     expect_modes_agree(cloud, fleet_a, testbed_.players()[round].endpoint, 8);
     expect_modes_agree(cloud, fleet_b, testbed_.players()[round + 8].endpoint, 8);
   }
-  // Unregistering bumps the registry epoch; queries must still agree.
-  cloud.unregister_supernode(fleet_b.back());
+  // A shrunk fleet behind the same vector is a new fleet; queries must
+  // still agree.
   fleet_b.pop_back();
   expect_modes_agree(cloud, fleet_b, testbed_.players()[30].endpoint, 8);
 }
@@ -320,7 +320,7 @@ TEST_F(SupernodeIndexProperty, SaturatedScanBoundaryMatchesLinear) {
   }
 }
 
-TEST_F(SupernodeIndexProperty, NearbyListIsRebuiltAfterUnregisterAndFleetSwitch) {
+TEST_F(SupernodeIndexProperty, NearbyListIsRebuiltAfterRemovalAndFleetSwitch) {
   core::Cloud cloud = make_cloud();
   util::Rng rng(88);
   auto fleet_a = testbed_.make_supernode_fleet(600);
@@ -333,12 +333,11 @@ TEST_F(SupernodeIndexProperty, NearbyListIsRebuiltAfterUnregisterAndFleetSwitch)
   const std::uint64_t first_build = players[0].nearby.build;
   ASSERT_NE(first_build, 0u);
 
-  // Unregistering moves the epoch: each list must be rebuilt before use.
-  // Player 0's nearest node goes, the last node taking its index, so a
-  // stale list would name the wrong node.
+  // Removing a node rebuilds the index: each list must be rebuilt before
+  // use. Player 0's nearest node goes, the last node taking its index, so
+  // a stale list would name the wrong node.
   const std::size_t gone = players[0].nearby.nodes[0];
   std::swap(fleet_a[gone], fleet_a.back());
-  cloud.unregister_supernode(fleet_a.back());
   fleet_a.pop_back();
   for (core::PlayerState& player : players) expect_list_agrees(cloud, fleet_a, player, 8);
   EXPECT_NE(players[0].nearby.build, first_build);
@@ -387,7 +386,6 @@ TEST_F(SupernodeIndexProperty, NearbyListCoversSixteenBitFleetsOnly) {
   }
   // At the bound it is used; the far player's list names exactly the far
   // nodes, the last of them index 65,534.
-  cloud.unregister_supernode(fleet.back());
   fleet.pop_back();
   ASSERT_EQ(fleet.size(), kMax);
   for (core::PlayerState& player : players) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/baselines.hpp"
 #include "util/require.hpp"
 
@@ -53,6 +56,142 @@ TEST(System, JoinLatenciesRecorded) {
   EXPECT_GT(sys.metrics().player_join_latency_ms.mean(), 0.0);
   // Player joins finish within a couple of seconds of protocol time.
   EXPECT_LT(sys.metrics().player_join_latency_ms.mean(), 3000.0);
+}
+
+// One schedule per check System::run makes before the first subcycle: a
+// run with no measured cycle, or a peak window outside the day, throws
+// instead of printing an all-zero table.
+struct BadSchedule {
+  const char* name;
+  sim::CycleConfig cycles;
+};
+void PrintTo(const BadSchedule& s, std::ostream* os) { *os << s.name; }
+
+sim::CycleConfig with(void (*edit)(sim::CycleConfig&)) {
+  sim::CycleConfig cfg = short_run();
+  edit(cfg);
+  return cfg;
+}
+
+class SystemRunRejects : public ::testing::TestWithParam<BadSchedule> {};
+
+TEST_P(SystemRunRejects, BeforeAnySubcycleRuns) {
+  System sys = make_cloudfog_basic(small_testbed(), 3);
+  EXPECT_THROW(sys.run(GetParam().cycles), ConfigError);
+  EXPECT_EQ(sys.collector().recorded_subcycles(), 0u);
+  EXPECT_EQ(sys.metrics().online_sessions.count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, SystemRunRejects,
+    ::testing::Values(
+        BadSchedule{"WarmupOutlastsRun",
+                    with([](sim::CycleConfig& c) { c.total_cycles = 2; c.warmup_cycles = 3; })},
+        BadSchedule{"WarmupIsWholeRun",
+                    with([](sim::CycleConfig& c) { c.total_cycles = 2; c.warmup_cycles = 2; })},
+        BadSchedule{"NoCycles",
+                    with([](sim::CycleConfig& c) { c.total_cycles = 0; c.warmup_cycles = 0; })},
+        BadSchedule{"NegativeCyclesAndWarmup",
+                    with([](sim::CycleConfig& c) { c.total_cycles = -1; c.warmup_cycles = -5; })},
+        BadSchedule{"NegativeWarmup", with([](sim::CycleConfig& c) { c.warmup_cycles = -1; })},
+        BadSchedule{"NoSubcycles", with([](sim::CycleConfig& c) { c.subcycles_per_cycle = 0; })},
+        BadSchedule{"ZeroSubcycleLength",
+                    with([](sim::CycleConfig& c) { c.subcycle_seconds = 0.0; })},
+        BadSchedule{"NegativeSubcycleLength",
+                    with([](sim::CycleConfig& c) { c.subcycle_seconds = -3600.0; })},
+        BadSchedule{"PeakStartsBeforeDay",
+                    with([](sim::CycleConfig& c) { c.peak_start_subcycle = 0; })},
+        BadSchedule{"PeakEndsAfterDay",
+                    with([](sim::CycleConfig& c) {
+                      c.peak_end_subcycle = c.subcycles_per_cycle + 1;
+                    })},
+        BadSchedule{"PeakWindowInverted",
+                    with([](sim::CycleConfig& c) {
+                      c.peak_start_subcycle = 22; c.peak_end_subcycle = 21;
+                    })}),
+    [](const ::testing::TestParamInfo<BadSchedule>& param) { return std::string(param.param.name); });
+
+// System::run is the one cycle loop: it must equal the day/hour walk a
+// caller would write by hand — every day begun and ended once, its
+// subcycles in order, the first `warmup_cycles` days flagged warm-up and
+// the configured window flagged peak.
+struct Schedule {
+  const char* name;
+  sim::CycleConfig cycles;
+};
+void PrintTo(const Schedule& s, std::ostream* os) { *os << s.name; }
+
+class SystemRunSchedule : public ::testing::TestWithParam<Schedule> {};
+
+// Arrivals follow the peak/off-peak rate, so the walk's peak flags show in
+// the metrics (the daily-session workload ignores them).
+System arrivals_system(std::uint64_t seed) {
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(), 30);
+  cfg.workload = WorkloadMode::kArrivalRates;
+  cfg.arrivals = ArrivalWorkload{1.0, 8.0};
+  return System(small_testbed(), cfg, seed);
+}
+
+TEST_P(SystemRunSchedule, EqualsTheHandWrittenDayHourWalk) {
+  const sim::CycleConfig& cycles = GetParam().cycles;
+  System looped = arrivals_system(21);
+  const RunMetrics& a = looped.run(cycles);
+
+  System manual = arrivals_system(21);
+  for (int day = 1; day <= cycles.total_cycles; ++day) {
+    manual.begin_cycle(day);
+    for (int sub = 1; sub <= cycles.subcycles_per_cycle; ++sub) {
+      manual.run_subcycle(day, sub, day <= cycles.warmup_cycles,
+                          sub >= cycles.peak_start_subcycle && sub <= cycles.peak_end_subcycle);
+    }
+    manual.end_cycle(day);
+  }
+  const RunMetrics& b = manual.metrics();
+
+  const auto measured = static_cast<std::size_t>(cycles.total_cycles - cycles.warmup_cycles) *
+                        static_cast<std::size_t>(cycles.subcycles_per_cycle);
+  EXPECT_EQ(looped.collector().recorded_subcycles(), measured);
+  EXPECT_EQ(manual.collector().recorded_subcycles(), measured);
+  EXPECT_EQ(a.online_sessions.count(), b.online_sessions.count());
+  EXPECT_DOUBLE_EQ(a.online_sessions.mean(), b.online_sessions.mean());
+  EXPECT_DOUBLE_EQ(a.response_latency_ms.mean(), b.response_latency_ms.mean());
+  EXPECT_DOUBLE_EQ(a.continuity.mean(), b.continuity.mean());
+  EXPECT_DOUBLE_EQ(a.cloud_egress_mbps.mean(), b.cloud_egress_mbps.mean());
+  EXPECT_EQ(a.player_join_latency_ms.count(), b.player_join_latency_ms.count());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, SystemRunSchedule,
+    ::testing::Values(
+        Schedule{"ShortRun", short_run()},
+        Schedule{"OneCycleNoWarmup",
+                 with([](sim::CycleConfig& c) { c.total_cycles = 1; c.warmup_cycles = 0; })},
+        Schedule{"WarmupLeavesOneCycle",
+                 with([](sim::CycleConfig& c) { c.total_cycles = 3; c.warmup_cycles = 2; })},
+        Schedule{"PeakIsFirstSubcycle",
+                 with([](sim::CycleConfig& c) {
+                   c.peak_start_subcycle = 1; c.peak_end_subcycle = 1;
+                 })},
+        Schedule{"PeakIsWholeDay",
+                 with([](sim::CycleConfig& c) {
+                   c.peak_start_subcycle = 1; c.peak_end_subcycle = c.subcycles_per_cycle;
+                 })},
+        Schedule{"MorningPeak",
+                 with([](sim::CycleConfig& c) {
+                   c.peak_start_subcycle = 8; c.peak_end_subcycle = 12;
+                 })}),
+    [](const ::testing::TestParamInfo<Schedule>& param) { return std::string(param.param.name); });
+
+TEST(System, RunHonoursTheConfiguredPeakWindow) {
+  sim::CycleConfig evening = short_run();
+  sim::CycleConfig morning = short_run();
+  morning.peak_start_subcycle = 8;
+  morning.peak_end_subcycle = 12;
+  System a = arrivals_system(4);
+  System b = arrivals_system(4);
+  // Moving the peak moves who is online when; the same seed would give
+  // identical runs if the window were ignored.
+  EXPECT_NE(a.run(evening).online_sessions.mean(), b.run(morning).online_sessions.mean());
 }
 
 TEST(System, SupernodeSeatAccountingNeverLeaks) {
@@ -149,28 +288,6 @@ TEST(System, ThrottlingSetsWillingnessLevels) {
   }
   EXPECT_TRUE(saw_80);
   EXPECT_TRUE(saw_50);
-}
-
-TEST(System, CoverageGrowsWithSupernodes) {
-  SystemConfig few = cloudfog_basic_config(small_testbed(), 5);
-  SystemConfig many = cloudfog_basic_config(
-      small_testbed(), small_testbed().supernode_capable().size());
-  const System sys_few(small_testbed(), few, 10);
-  const System sys_many(small_testbed(), many, 10);
-  for (double req : {50.0, 90.0}) {
-    EXPECT_GE(sys_many.coverage(req), sys_few.coverage(req));
-  }
-}
-
-TEST(System, CoverageMonotoneInRequirement) {
-  const System sys = make_cloudfog_basic(small_testbed(), 11);
-  double prev = 0.0;
-  for (double req : {30.0, 50.0, 70.0, 90.0, 110.0}) {
-    const double c = sys.coverage(req);
-    ASSERT_GE(c, prev);
-    ASSERT_LE(c, 1.0);
-    prev = c;
-  }
 }
 
 TEST(System, ArrivalWorkloadPopulatesAndDrains) {

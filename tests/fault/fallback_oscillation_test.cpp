@@ -14,7 +14,7 @@
 #include "core/system.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_plan.hpp"
-#include "sim/cycle_driver.hpp"
+#include "sim/cycle_config.hpp"
 
 namespace cloudfog::core {
 namespace {

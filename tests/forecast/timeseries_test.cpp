@@ -25,22 +25,10 @@ TEST(TimeSeries, HasLag) {
   EXPECT_FALSE(ts.has_lag(3));
 }
 
-TEST(TimeSeries, Difference) {
-  const TimeSeries ts({1.0, 4.0, 9.0, 16.0});
-  EXPECT_EQ(ts.difference(), (std::vector<double>{3.0, 5.0, 7.0}));
-}
-
-TEST(TimeSeries, SeasonalDifference) {
-  const TimeSeries ts({1.0, 2.0, 3.0, 5.0, 7.0, 9.0});
-  EXPECT_EQ(ts.seasonal_difference(3), (std::vector<double>{4.0, 5.0, 6.0}));
-}
-
 TEST(TimeSeries, BoundsChecked) {
   const TimeSeries ts({1.0});
   EXPECT_THROW(ts.at(1), cloudfog::ConfigError);
   EXPECT_THROW(ts.back(1), cloudfog::ConfigError);
-  EXPECT_THROW(ts.difference(), cloudfog::ConfigError);
-  EXPECT_THROW(ts.seasonal_difference(1), cloudfog::ConfigError);
 }
 
 TEST(Accuracy, RmseKnownValue) {

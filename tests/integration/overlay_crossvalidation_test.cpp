@@ -18,6 +18,9 @@
 namespace cloudfog {
 namespace {
 
+/// Long enough for every message, timeout and retry of a run to fire.
+constexpr sim::SimTime kDrainS = 3600.0;
+
 struct Geometry {
   net::Endpoint player{{0.0, 0.0}, 8.0};
   net::Endpoint supernode{{30.0, 0.0}, 2.5};
@@ -63,7 +66,7 @@ double overlay_join_ms(const Geometry& geo, const net::LatencyModel& latency) {
   std::optional<oracle::JoinResult> result;
   player.join(directory.address(), oracle::JoinConfig{}, nullptr,
               [&result](const oracle::JoinResult& r) { result = r; }, util::Rng(3));
-  sim.run();
+  sim.run_until(sim.now() + kDrainS);
   EXPECT_TRUE(result.has_value() && result->fog_connected);
   return result.has_value() ? result->join_latency_ms : 0.0;
 }

@@ -20,6 +20,15 @@ TEST(Distance, Symmetric) {
 
 class GeoPlaneTest : public ::testing::Test {
  protected:
+  /// Index of the metro nearest to `p`.
+  std::size_t nearest_metro(const GeoPoint& p) const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < plane_.metros().size(); ++i) {
+      if (distance_km(p, plane_.metros()[i]) < distance_km(p, plane_.metros()[best])) best = i;
+    }
+    return best;
+  }
+
   util::Rng rng_{42};
   GeoPlane plane_{GeoPlaneConfig{}, rng_};
 };
@@ -46,7 +55,7 @@ TEST_F(GeoPlaneTest, PopulationClustersAroundMetros) {
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
     const GeoPoint p = plane_.sample_population_point(rng);
-    const std::size_t m = plane_.nearest_metro(p);
+    const std::size_t m = nearest_metro(p);
     if (distance_km(p, plane_.metros()[m]) < 4 * plane_.config().metro_sigma_km) ++near_metro;
   }
   // 85 % of draws are metro-clustered; nearly all of those are within 4σ.
@@ -58,7 +67,7 @@ TEST_F(GeoPlaneTest, FirstMetroIsMostPopulous) {
   std::vector<int> counts(plane_.metros().size(), 0);
   for (int i = 0; i < 20000; ++i) {
     const GeoPoint p = plane_.sample_population_point(rng);
-    ++counts[plane_.nearest_metro(p)];
+    ++counts[nearest_metro(p)];
   }
   // Zipf weighting: metro 0 must dominate the median metro.
   std::vector<int> sorted = counts;
@@ -82,18 +91,6 @@ TEST_F(GeoPlaneTest, DatacenterSitesBounded) {
   EXPECT_NO_THROW(plane_.datacenter_sites(64));
 }
 
-TEST_F(GeoPlaneTest, NearestMetroIsActuallyNearest) {
-  util::Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    const GeoPoint p = plane_.sample_uniform_point(rng);
-    const std::size_t m = plane_.nearest_metro(p);
-    const double d = distance_km(p, plane_.metros()[m]);
-    for (const auto& metro : plane_.metros()) {
-      ASSERT_LE(d, distance_km(p, metro) + 1e-9);
-    }
-  }
-}
-
 TEST(GeoPlaneConfigValidation, Rejected) {
   util::Rng rng(5);
   GeoPlaneConfig cfg;
@@ -112,6 +109,23 @@ TEST(GeoPlaneDeterminism, SameSeedSamePlane) {
   for (std::size_t i = 0; i < p1.metros().size(); ++i) {
     EXPECT_DOUBLE_EQ(p1.metros()[i].x_km, p2.metros()[i].x_km);
   }
+}
+
+TEST_F(GeoPlaneTest, UniformPointsCoverThePlane) {
+  util::Rng rng(2);
+  const auto& cfg = plane_.config();
+  int left = 0;
+  const int n = 4000;
+  for (int i = 0; i < n; ++i) {
+    const GeoPoint p = plane_.sample_uniform_point(rng);
+    ASSERT_GE(p.x_km, 0.0);
+    ASSERT_LE(p.x_km, cfg.width_km);
+    ASSERT_GE(p.y_km, 0.0);
+    ASSERT_LE(p.y_km, cfg.height_km);
+    if (p.x_km < cfg.width_km / 2.0) ++left;
+  }
+  // Unlike population points, uniform points ignore the metros.
+  EXPECT_NEAR(static_cast<double>(left) / n, 0.5, 0.05);
 }
 
 }  // namespace

@@ -23,16 +23,6 @@ TEST(IpLocator, UnknownAddressReturnsNullopt) {
   EXPECT_FALSE(locator.locate(0xdeadbeef).has_value());
 }
 
-TEST(IpLocator, UnregisterRemoves) {
-  IpLocator locator;
-  util::Rng rng(2);
-  const IpAddress ip = locator.register_node(GeoPoint{1, 2}, rng);
-  EXPECT_EQ(locator.registered_count(), 1u);
-  locator.unregister_node(ip);
-  EXPECT_EQ(locator.registered_count(), 0u);
-  EXPECT_FALSE(locator.locate(ip).has_value());
-}
-
 TEST(IpLocator, AddressesAreUnique) {
   IpLocator locator;
   util::Rng rng(3);
@@ -56,6 +46,20 @@ TEST(IpLocator, GeolocationErrorHasConfiguredScale) {
 
 TEST(IpLocator, RejectsNegativeSigma) {
   EXPECT_THROW(IpLocator(-1.0), cloudfog::ConfigError);
+}
+
+TEST(IpLocator, EstimatesAreReproducibleForTheSameSeed) {
+  IpLocator a;
+  IpLocator b;
+  util::Rng ra(8);
+  util::Rng rb(8);
+  for (int i = 0; i < 20; ++i) {
+    const GeoPoint truth{10.0 * i, 5.0 * i};
+    const IpAddress ia = a.register_node(truth, ra);
+    const IpAddress ib = b.register_node(truth, rb);
+    ASSERT_EQ(ia, ib);
+    EXPECT_EQ(*a.locate(ia), *b.locate(ib));
+  }
 }
 
 }  // namespace

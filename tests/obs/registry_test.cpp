@@ -114,41 +114,6 @@ TEST(Registry, HistogramFirstRegistrationWins) {
   EXPECT_EQ(reg.histogram_cell(a.index).counts.size(), 10u);
 }
 
-TEST(Registry, SnapshotDeltaSubtractsCountersKeepsGauges) {
-  Registry reg;
-  const CounterId c = reg.counter("snapshot.joins");
-  const GaugeId g = reg.gauge("snapshot.online");
-  const HistogramId h = reg.histogram("snapshot.lat", 0.0, 10.0, 2);
-  reg.add(c, 3);
-  reg.set(g, 7.0);
-  reg.observe(h, 1.0);
-  const RegistrySnapshot before = reg.snapshot();
-
-  reg.add(c, 5);
-  reg.set(g, 9.0);
-  reg.observe(h, 1.0);
-  reg.observe(h, 8.0);
-  const RegistrySnapshot after = reg.snapshot();
-
-  const RegistrySnapshot delta = after.delta_since(before);
-  EXPECT_EQ(delta.counters[c.index], 5u);
-  EXPECT_DOUBLE_EQ(delta.gauges[g.index], 9.0);  // instantaneous, not subtracted
-  EXPECT_EQ(delta.histogram_counts[h.index][0], 1u);
-  EXPECT_EQ(delta.histogram_counts[h.index][1], 1u);
-}
-
-TEST(Registry, SnapshotDeltaHandlesMetricsRegisteredInBetween) {
-  Registry reg;
-  const CounterId c = reg.counter("between.early");
-  reg.add(c, 2);
-  const RegistrySnapshot before = reg.snapshot();
-  const CounterId late = reg.counter("between.late");
-  reg.add(late, 4);
-  const RegistrySnapshot delta = reg.snapshot().delta_since(before);
-  EXPECT_EQ(delta.counters[c.index], 0u);
-  EXPECT_EQ(delta.counters[late.index], 4u);  // counts from zero
-}
-
 TEST(Registry, ResetValuesKeepsHandles) {
   Registry reg;
   const CounterId c = reg.counter("reset.joins");
@@ -162,6 +127,20 @@ TEST(Registry, ResetValuesKeepsHandles) {
   EXPECT_EQ(reg.counter_count(), slots);
   reg.add(c);
   EXPECT_EQ(reg.counter_value("reset.joins"), 1u);
+}
+
+TEST(Registry, LookupByNameReadsZeroForUnknownOrUnsetMetrics) {
+  Registry reg;
+  EXPECT_EQ(reg.counter_value("lookup.never_interned"), 0u);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("lookup.never_interned"), 0.0);
+  const CounterId c = reg.counter("lookup.joins");
+  const GaugeId g = reg.gauge("lookup.online");
+  EXPECT_EQ(reg.counter_value("lookup.joins"), 0u);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("lookup.online"), 0.0);
+  reg.add(c, 3);
+  reg.set(g, 12.5);
+  EXPECT_EQ(reg.counter_value("lookup.joins"), 3u);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("lookup.online"), 12.5);
 }
 
 }  // namespace

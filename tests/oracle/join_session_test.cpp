@@ -9,6 +9,9 @@
 namespace cloudfog::oracle {
 namespace {
 
+/// Long enough for every message, timeout and retry of a run to fire.
+constexpr sim::SimTime kDrainS = 3600.0;
+
 class JoinTest : public ::testing::Test {
  protected:
   JoinTest()
@@ -28,7 +31,7 @@ class JoinTest : public ::testing::Test {
     std::optional<JoinResult> result;
     player.join(directory_.address(), cfg, std::move(ranker),
                 [&result](const JoinResult& r) { result = r; }, util::Rng(9));
-    sim_.run();
+    sim_.run_until(sim_.now() + kDrainS);
     return result;
   }
 
@@ -144,7 +147,7 @@ TEST_F(JoinTest, ConcurrentJoinersShareSeatsWithoutOverflow) {
                          },
                          util::Rng(100 + static_cast<std::uint64_t>(i)));
   }
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_EQ(fog, 5);               // everyone found a seat somewhere
   EXPECT_LE(sn.served(), 2);       // never over capacity
 }
@@ -155,7 +158,7 @@ TEST_F(JoinTest, DoneCallbackFiresExactlyOnce) {
   int calls = 0;
   player.join(directory_.address(), JoinConfig{}, nullptr,
               [&calls](const JoinResult&) { ++calls; }, util::Rng(9));
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   sim_.run_until(sim_.now() + 10.0);  // timeouts must not re-fire it
   EXPECT_EQ(calls, 1);
 }
@@ -192,7 +195,7 @@ TEST(JoinLossy, TimeoutsCarryTheProtocolThroughPacketLoss) {
                          },
                          util::Rng(500 + static_cast<std::uint64_t>(i)));
   }
-  sim.run();
+  sim.run_until(sim.now() + kDrainS);
   EXPECT_EQ(completions, 30);  // every session terminated
   EXPECT_GT(fog, 18);          // and most still found a seat
   // Granted-but-lost-connect seats may leak in a lossy network; total
@@ -211,7 +214,7 @@ TEST_F(JoinTest, DirectoryRegistrationViaMessages) {
   reg.dst = directory_.address();
   reg.kind = MessageKind::kRegister;
   network_.send(reg);
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_EQ(directory_.table_size(), 1u);
 
   PlayerAgent player(sim_, network_, net::Endpoint{{0.0, 0.0}, 5.0}, rec_);
@@ -244,7 +247,7 @@ TEST_F(JoinTest, StaleDirectoryLoadEstimateIsAbsorbedByClaims) {
   ask.dst = sn.address();
   ask.kind = MessageKind::kCapacityAsk;
   network_.send(ask);
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   ASSERT_EQ(sn.served(), 1);
 
   PlayerAgent late(sim_, network_, net::Endpoint{{0.0, 0.0}, 5.0}, rec_);

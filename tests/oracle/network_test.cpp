@@ -7,6 +7,9 @@
 namespace cloudfog::oracle {
 namespace {
 
+/// Long enough for every message, timeout and retry of a run to fire.
+constexpr sim::SimTime kDrainS = 3600.0;
+
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : latency_(net::LatencyModelConfig{}), network_(sim_, latency_) {}
@@ -33,7 +36,7 @@ TEST_F(NetworkTest, DeliversWithPropagationDelay) {
   msg.kind = MessageKind::kProbe;
   const double at = network_.send(msg);
   EXPECT_GT(at, 0.0);
-  sim_.run();
+  sim_.run_until(at);  // the clock stops at the delivery
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].kind, MessageKind::kProbe);
   // Delivery delay ≈ one-way latency + serialization.
@@ -52,7 +55,7 @@ TEST_F(NetworkTest, MessagesToDownEndpointVanish) {
   msg.src = a;
   msg.dst = b;
   EXPECT_LT(network_.send(msg), 0.0);
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_TRUE(inbox.empty());
   EXPECT_EQ(network_.dropped_count(), 1u);
 }
@@ -66,7 +69,7 @@ TEST_F(NetworkTest, DeathInFlightDropsMessage) {
   msg.dst = b;
   EXPECT_GT(network_.send(msg), 0.0);  // accepted while b was alive
   network_.set_down(b, true);          // dies before delivery
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_TRUE(inbox.empty());
 }
 
@@ -84,7 +87,7 @@ TEST_F(NetworkTest, LossDropsSomeMessages) {
     msg.dst = b;
     lossy.send(msg);
   }
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_GT(received, 50);
   EXPECT_LT(received, 150);
   EXPECT_EQ(received + static_cast<int>(lossy.dropped_count()), 200);
@@ -105,7 +108,7 @@ TEST_F(NetworkTest, OrderingFollowsDistance) {
   to_near.src = src;
   to_near.dst = near;
   network_.send(to_near);  // …but the near one arrives first
-  sim_.run();
+  sim_.run_until(sim_.now() + kDrainS);
   EXPECT_EQ(arrivals, (std::vector<int>{1, 2}));
 }
 

@@ -79,22 +79,6 @@ TEST(ReputationStore, RatedSupernodesEnumerated) {
   EXPECT_EQ(rated, (std::vector<SupernodeId>{3, 9}));
 }
 
-TEST(ReputationStore, PruneDropsDecayedRatings) {
-  ReputationStore store(0.5);
-  store.add_rating(6, 0.7, 1);
-  store.prune(/*current_day=*/40, /*min_weight=*/1e-4);
-  // 0.5^39 is far below 1e-4.
-  EXPECT_EQ(store.rating_count(6), 0u);
-  EXPECT_DOUBLE_EQ(store.score(6, 40), 0.0);
-}
-
-TEST(ReputationStore, PruneKeepsFreshRatings) {
-  ReputationStore store(0.9);
-  store.add_rating(6, 0.7, 10);
-  store.prune(11);
-  EXPECT_EQ(store.rating_count(6), 1u);
-}
-
 TEST(ReputationStore, SybilResistanceByConstruction) {
   // A player's score of a supernode never changes because some other
   // store (another player, or forged identities) rated it: scores are
@@ -145,15 +129,6 @@ class OracleStore {
     return it == ratings_.end() ? 0 : it->second.size();
   }
   void forget(SupernodeId sn) { ratings_.erase(sn); }
-  void prune(int current_day, double min_weight) {
-    for (auto it = ratings_.begin(); it != ratings_.end();) {
-      std::erase_if(it->second, [&](const Entry& r) {
-        return std::pow(lambda_, static_cast<double>(std::max(0, current_day - r.day))) <
-               min_weight;
-      });
-      it = it->second.empty() ? ratings_.erase(it) : std::next(it);
-    }
-  }
   std::vector<SupernodeId> rated_supernodes() const {
     std::vector<SupernodeId> out;
     for (const auto& [sn, list] : ratings_) out.push_back(sn);
@@ -190,9 +165,6 @@ TEST(ReputationStore, MatchesTheMapOracleUnderRandomOperations) {
       } else if (kind < 80) {
         store.forget(sn);
         oracle.forget(sn);
-      } else if (kind < 85) {
-        store.prune(day + 20, 0.05);
-        oracle.prune(day + 20, 0.05);
       }
       for (SupernodeId probe = 0; probe < 12; ++probe) {
         ASSERT_EQ(store.rating_count(probe), oracle.rating_count(probe)) << "op " << op;
@@ -202,6 +174,22 @@ TEST(ReputationStore, MatchesTheMapOracleUnderRandomOperations) {
       ASSERT_EQ(store.rated_supernodes(), oracle.rated_supernodes()) << "op " << op;
     }
   }
+}
+
+// §3.2.1 whitewashing: a forgotten identity scores 0 like any unknown one,
+// and its neighbours' ratings are untouched.
+TEST(ReputationStore, ForgetResetsOnlyThatIdentity) {
+  ReputationStore store(0.9);
+  store.add_rating(1, 0.9, 1);
+  store.add_rating(1, 0.8, 2);
+  store.add_rating(2, 0.4, 2);
+  store.forget(1);
+  EXPECT_EQ(store.rating_count(1), 0u);
+  EXPECT_DOUBLE_EQ(store.score(1, 3), 0.0);
+  EXPECT_EQ(store.rated_supernodes(), (std::vector<SupernodeId>{2}));
+  EXPECT_DOUBLE_EQ(store.score(2, 3), 0.4);
+  store.add_rating(1, 0.3, 3);  // the reborn identity starts from scratch
+  EXPECT_DOUBLE_EQ(store.score(1, 3), 0.3);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(Simulator, RunAdvancesClockToEventTimes) {
   std::vector<double> seen;
   sim.schedule_in(2.0, [&] { seen.push_back(sim.now()); });
   sim.schedule_in(5.0, [&] { seen.push_back(sim.now()); });
-  sim.run();
+  sim.run_until(5.0);
   EXPECT_EQ(seen, (std::vector<double>{2.0, 5.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
@@ -33,7 +33,7 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(executed, 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);  // clock advances to the window end
-  sim.run();
+  sim.run_until(3.0);
   EXPECT_EQ(fired, 2);
 }
 
@@ -52,71 +52,79 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
     times.push_back(sim.now());
     sim.schedule_in(1.5, [&] { times.push_back(sim.now()); });
   });
-  sim.run();
+  sim.run_until(10.0);
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.5}));
-}
-
-TEST(Simulator, CancelWorksThroughSimulator) {
-  Simulator sim;
-  bool ran = false;
-  const EventId id = sim.schedule_in(1.0, [&] { ran = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_FALSE(ran);
 }
 
 TEST(Simulator, ScheduleAtRejectsPast) {
   Simulator sim;
-  sim.schedule_in(5.0, [] {});
-  sim.run();
+  sim.run_until(5.0);
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), cloudfog::ConfigError);
 }
 
-TEST(Simulator, StepExecutesOne) {
+TEST(Simulator, ScheduleInRejectsNegativeDelay) {
   Simulator sim;
+  EXPECT_THROW(sim.schedule_in(-0.5, [] {}), cloudfog::ConfigError);
+}
+
+TEST(Simulator, ScheduleAtNowFiresInTheNextRun) {
+  Simulator sim;
+  sim.run_until(4.0);
+  int fired = 0;
+  sim.schedule_at(4.0, [&] { ++fired; });
+  EXPECT_EQ(sim.run_until(4.0), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, EmptyRunAdvancesTheClock) {
+  Simulator sim;
+  EXPECT_EQ(sim.run_until(3.5), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.5);
+}
+
+TEST(Simulator, RunUntilAnEarlierTimeNeverRewindsTheClock) {
+  Simulator sim;
+  sim.run_until(10.0);
   int fired = 0;
   sim.schedule_in(1.0, [&] { ++fired; });
-  sim.schedule_in(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.run_until(5.0), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+  EXPECT_EQ(sim.run_until(11.0), 1u);
   EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
 }
 
-TEST(PeriodicTask, FiresAtPeriod) {
+// The fault injector schedules a whole plan up front, then runs one
+// subcycle window at a time: schedule_in after a window is relative to the
+// window's end, not to the last event that fired.
+TEST(Simulator, ScheduleInAfterAWindowIsRelativeToItsEnd) {
+  Simulator sim;
+  sim.schedule_in(1.0, [] {});
+  sim.run_until(3600.0);
+  double fired_at = -1.0;
+  sim.schedule_in(60.0, [&] { fired_at = sim.now(); });
+  sim.run_until(7200.0);
+  EXPECT_DOUBLE_EQ(fired_at, 3660.0);
+}
+
+TEST(Simulator, SimultaneousEventsRunInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(2.0, [&] { order.push_back(1); });
+  sim.schedule_in(2.0, [&] { order.push_back(2); });
+  sim.schedule_at(2.0, [&] { order.push_back(3); });
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// A zero-delay event scheduled by a callback fires inside the same run.
+TEST(Simulator, ZeroDelayFollowUpRunsInTheSameWindow) {
   Simulator sim;
   std::vector<double> times;
-  PeriodicTask task(sim, 1.0, 2.0, [&](SimTime t) { times.push_back(t); });
-  sim.run_until(7.0);
-  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0, 7.0}));
-}
-
-TEST(PeriodicTask, StopHalts) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTask task(sim, 0.0, 1.0, [&](SimTime) { ++count; });
-  sim.run_until(2.5);
-  task.stop();
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);  // t = 0, 1, 2
-  EXPECT_FALSE(task.running());
-}
-
-TEST(PeriodicTask, StopFromInsideBody) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTask* handle = nullptr;
-  PeriodicTask task(sim, 0.0, 1.0, [&](SimTime) {
-    if (++count == 2) handle->stop();
+  sim.schedule_in(5.0, [&] {
+    sim.schedule_in(0.0, [&] { times.push_back(sim.now()); });
   });
-  handle = &task;
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(PeriodicTask, RejectsBadPeriod) {
-  Simulator sim;
-  EXPECT_THROW(PeriodicTask(sim, 0.0, 0.0, [](SimTime) {}), cloudfog::ConfigError);
+  EXPECT_EQ(sim.run_until(5.0), 2u);
+  EXPECT_EQ(times, (std::vector<double>{5.0}));
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 """Tests for scripts/bench_trend.py: the trend gate over perfbench result
 lines must flag an end-to-end metric that moves past its BENCHMARK.json
 bound in the direction BENCHMARK.json calls worse, pass a clean run,
-respect the warn/enforce modes, fail an incorrect result in either mode,
-and read exactly the column format obs::RunStore writes (the append_run
-writer here is byte-compatible by construction and cross-checked against
-the C++ reader in scripts/check.sh)."""
+respect the warn/enforce modes and fail an incorrect result in either
+mode; and the run-store reader/writer must keep the on-disk format the
+module docstring describes (sanitized manifest fields, a torn tail record
+dropped, an empty or missing store read as empty)."""
 
 import os
 import shutil
@@ -141,6 +141,44 @@ class BenchTrendTest(unittest.TestCase):
         seed_history(self.store)
         with self.assertRaises(ValueError):
             bench_trend.trend(self.store, "missing", 2)
+
+    def test_column_round_trip_keeps_the_documented_format(self):
+        bench_trend.append_run(self.store, ("run-a", "sha1", "cfg"),
+                               {"wall_s": [1.0, 2.0], "setup_s": 0.5})
+        bench_trend.append_run(self.store, ("run-b", "sha2", "cfg"), {"wall_s": 3.0})
+        path = os.path.join(self.store, "columns", "wall_s.col")
+        with open(path, "rb") as fh:
+            self.assertEqual(fh.read(8), b"CFRC\x01\x00\x00\x00")
+        self.assertEqual(os.path.getsize(path), 8 + 3 * 16)
+        self.assertEqual(bench_trend.read_column(self.store, "wall_s"),
+                         [(0, 1.0), (0, 2.0), (1, 3.0)])
+        self.assertEqual(bench_trend.list_columns(self.store), ["setup_s", "wall_s"])
+        self.assertEqual([r["row"] for r in bench_trend.read_manifest(self.store)], [0, 1])
+
+    def test_torn_tail_record_is_dropped(self):
+        bench_trend.append_run(self.store, ("run", "sha", "cfg"), {"wall_s": [1.0, 2.0]})
+        path = os.path.join(self.store, "columns", "wall_s.col")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 5)  # a write cut short
+        self.assertEqual(bench_trend.read_column(self.store, "wall_s"), [(0, 1.0)])
+        # The next append cuts the torn tail, so its records stay aligned.
+        bench_trend.append_run(self.store, ("run2", "sha", "cfg"), {"wall_s": 3.0})
+        self.assertEqual(bench_trend.read_column(self.store, "wall_s"), [(0, 1.0), (1, 3.0)])
+
+    def test_manifest_fields_are_sanitized(self):
+        bench_trend.append_run(self.store, ("id\twith\ttabs", "sha\nline", "cfg"),
+                               {"wall_s": 1.0})
+        rows = bench_trend.read_manifest(self.store)
+        self.assertEqual(len(rows), 1)
+        self.assertEqual(rows[0]["run_id"], "id_with_tabs")
+        self.assertEqual(rows[0]["git_sha"], "sha_line")
+        self.assertEqual(rows[0]["config_hash"], "cfg")
+
+    def test_empty_or_missing_store_reads_as_empty(self):
+        for store in (self.store, os.path.join(self.store, "missing")):
+            self.assertEqual(bench_trend.read_manifest(store), [])
+            self.assertEqual(bench_trend.list_columns(store), [])
+            self.assertEqual(bench_trend.read_column(store, "wall_s"), [])
 
 
 if __name__ == "__main__":

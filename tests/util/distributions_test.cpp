@@ -10,28 +10,6 @@
 namespace cloudfog::util {
 namespace {
 
-TEST(Pareto, SamplesAboveScale) {
-  Rng rng(1);
-  const ParetoDistribution d(5.0, 2.0);
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_GE(d.sample(rng), 5.0);
-  }
-}
-
-TEST(Pareto, MeanMatchesTheory) {
-  // mean = alpha * x_m / (alpha - 1) = 2*5/1 = 10 for alpha=2, x_m=5.
-  Rng rng(2);
-  const ParetoDistribution d(5.0, 2.0);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(d.sample(rng));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.5);
-}
-
-TEST(Pareto, RejectsBadParameters) {
-  EXPECT_THROW(ParetoDistribution(0.0, 1.0), ConfigError);
-  EXPECT_THROW(ParetoDistribution(1.0, 0.0), ConfigError);
-}
-
 TEST(BoundedPareto, SamplesWithinBounds) {
   Rng rng(3);
   const BoundedParetoDistribution d(4.0, 40.0, 2.0);
@@ -216,6 +194,25 @@ TEST(PowerLawDegrees, DegenerateRange) {
   Rng rng(19);
   const auto degrees = sample_power_law_degrees(rng, 10, 1.5, 4, 4);
   for (int d : degrees) EXPECT_EQ(d, 4);
+}
+
+TEST(BoundedPareto, MeanMatchesTheory) {
+  // E[X] = L^a / (1 - (L/H)^a) * a / (a - 1) * (L^(1-a) - H^(1-a)), a != 1.
+  const double lo = 4.0;
+  const double hi = 40.0;
+  const double a = 2.0;
+  const double expected = std::pow(lo, a) / (1.0 - std::pow(lo / hi, a)) * a / (a - 1.0) *
+                          (std::pow(lo, 1.0 - a) - std::pow(hi, 1.0 - a));
+  Rng rng(21);
+  const BoundedParetoDistribution d(lo, hi, a);
+  RunningStats stats;
+  for (int i = 0; i < 200000; ++i) stats.add(d.sample(rng));
+  EXPECT_NEAR(stats.mean(), expected, expected * 0.01);
+}
+
+TEST(BoundedPareto, RejectsNonPositiveShape) {
+  EXPECT_THROW(BoundedParetoDistribution(1.0, 10.0, 0.0), ConfigError);
+  EXPECT_THROW(BoundedParetoDistribution(1.0, 10.0, -2.0), ConfigError);
 }
 
 }  // namespace
