@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/provisioner.hpp"
 #include "economics/contributor_market.hpp"
 #include "economics/cost_model.hpp"
 #include "economics/incentives.hpp"
@@ -123,7 +124,8 @@ Tables forecasters(const ExperimentScale& scale) {
   util::Table table("Ablation — one-step forecast MAPE (%) on 28 days of 4-hour windows");
   table.set_header({"weekly noise", "weekly growth", "persistence", "seasonal naive",
                     "SARIMA (Eq. 14)", "SARIMA (log)"});
-  const std::size_t season = 42;
+  constexpr std::size_t kWindow = core::kForecastWindowHours;
+  const std::size_t season = core::kWindowsPerWeek;
   for (const auto& [noise, growth] :
        std::vector<std::pair<double, double>>{{0.02, 0.0},
                                               {0.08, 0.0},
@@ -136,8 +138,10 @@ Tables forecasters(const ExperimentScale& scale) {
     game::WorkloadGenerator workload(wcfg, util::Rng(scale.seed));
     const auto hourly = workload.series(28);
     std::vector<double> windows;
-    for (std::size_t i = 0; i + 4 <= hourly.size(); i += 4) {
-      windows.push_back((hourly[i] + hourly[i + 1] + hourly[i + 2] + hourly[i + 3]) / 4.0);
+    for (std::size_t i = 0; i + kWindow <= hourly.size(); i += kWindow) {
+      double sum = 0.0;
+      for (std::size_t k = i; k < i + kWindow; ++k) sum += hourly[k];
+      windows.push_back(sum / static_cast<double>(kWindow));
     }
     forecast::PersistenceForecaster persistence;
     forecast::SeasonalNaiveForecaster naive(season);

@@ -219,12 +219,12 @@ void BM_QosSubcycle(benchmark::State& state) {
   core::SystemConfig cfg;
   cfg.supernode_count = players / 10;  // the profile's capable pool
   core::System system(testbed, cfg, 42);
-  const int per_day = testbed.activity().config().subcycles_per_day;
-  system.begin_cycle(0);
-  for (int s = 1; s <= per_day; ++s) system.run_subcycle(0, s, true, false);  // warm up
+  constexpr int per_day = sim::CycleConfig::subcycles_per_cycle;
+  system.begin_cycle(1);
+  for (int s = 1; s <= per_day; ++s) system.run_subcycle(1, s, true, false);  // warm up
   int sub = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run_subcycle(0, sub, false, false));
+    benchmark::DoNotOptimize(system.run_subcycle(1, sub, false, false));
     sub = sub % per_day + 1;  // subcycles are 1-based on a daily clock
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(players));

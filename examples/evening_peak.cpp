@@ -11,6 +11,7 @@
 #include "core/baselines.hpp"
 #include "core/system.hpp"
 #include "core/testbed.hpp"
+#include "sim/cycle_config.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -37,8 +38,8 @@ int main() {
   for (int day = 1; day <= 9; ++day) {
     fixed_sys.begin_cycle(day);
     prov_sys.begin_cycle(day);
-    for (int sub = 1; sub <= 24; ++sub) {
-      const bool peak = sub >= 20;
+    for (int sub = 1; sub <= sim::CycleConfig::subcycles_per_cycle; ++sub) {
+      const bool peak = sim::is_peak_subcycle(sub);
       const auto q_fixed = fixed_sys.run_subcycle(day, sub, day < 9, peak);
       const auto q_prov = prov_sys.run_subcycle(day, sub, day < 9, peak);
       if (day == 9 && sub % 2 == 0) {

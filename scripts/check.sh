@@ -13,7 +13,8 @@
 #      the sha256 pinned below (CATALOGUE_SHA256) with the recorder off and
 #      on; fig9's own quick-scale stdout must match FIG9_SHA256; and the
 #      default-scale stdout of the whole catalogue, fig9 included, must
-#      match CATALOGUE_DEFAULT_SHA256.
+#      match CATALOGUE_DEFAULT_SHA256 (and, in full mode, its --paper
+#      stdout CATALOGUE_PAPER_SHA256).
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -25,7 +26,8 @@
 #      CHAOS_TRACE_SHA256)
 #   7. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached and a monotone tracecat JSONL
-#   8. (full mode) sanitizer matrix: ASan+UBSan build + ctest, TSan build +
+#   8. (full mode) the paper-scale catalogue pin (CATALOGUE_PAPER_SHA256,
+#      about 50 s on 4 CPUs), then the sanitizer matrix: ASan+UBSan build + ctest, TSan build +
 #      ctest (the sweep-pool test included), a traced and a 4-worker TSan
 #      fig7 cross-checked against the plain run, the chaos
 #      smoke re-run under ASan, and a standalone UBSan build
@@ -121,12 +123,15 @@ echo "== determinism gate: figure catalogue pinned across changes =="
 # never changes a table. FIG9_SHA256 pins fig9 on its own (its
 # server-assignment column counts swap trials). CATALOGUE_DEFAULT_SHA256
 # pins the stdout of the whole catalogue, fig9 included, at default scale
-# (no names, --obs-off; about 15 s on 4 CPUs). A change that moves any
-# table must update the constant and say why in CHANGES.md. CI reads the
-# constants from these lines.
+# (no names, --obs-off; about 15 s on 4 CPUs). CATALOGUE_PAPER_SHA256
+# pins the same at --paper scale, the full 28-day schedule of every
+# sweep; it runs in full mode only and in the scheduled CI job. A change
+# that moves any table must update the constant and say why in
+# CHANGES.md. CI reads the constants from these lines.
 CATALOGUE_SHA256=ca52f67b522840b8aeaa2eee5499d5aac0d33945bfa88ea8c6d1a488028463bf
 FIG9_SHA256=8c38ddd659ddad2a5de5f154cf45a0a0c91f3e2302ef8dc9e6ed66ca60a70021
 CATALOGUE_DEFAULT_SHA256=600eaf10015d527691f18ca66f39b975373350f0791744ad8de6120dc8ebc141
+CATALOGUE_PAPER_SHA256=b815063241570581945abf3c7d9cd604dbba92ac3793b4a7f7c078ca292a8a26
 PINNED_FIGURES="fig4 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16
   malicious incentives epsilon forecast failures chaos candidates"
 for obs in --obs-off ""; do
@@ -251,6 +256,16 @@ print(f"chaos report OK ({counters['fault.injected']} faults injected, "
 EOF
 
 if [ "$QUICK" -eq 0 ]; then
+  echo "== determinism gate: paper-scale catalogue pinned across changes =="
+  env -u CLOUDFOG_FAULT_SEED ./build/bench/cloudfog_figs --paper --jobs "$JOBS" --obs-off \
+    >"$SMOKE_DIR/catalogue_paper.txt"
+  actual=$(sha256sum "$SMOKE_DIR/catalogue_paper.txt" | cut -d' ' -f1)
+  [ "$actual" = "$CATALOGUE_PAPER_SHA256" ] || {
+    echo "determinism gate FAILED: paper-scale catalogue sha256 $actual," \
+      "pinned $CATALOGUE_PAPER_SHA256" >&2
+    exit 1; }
+  echo "catalogue: the paper-scale stdout matches its pinned digest"
+
   echo "== sanitizer matrix: ASan+UBSan build =="
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS"

@@ -35,11 +35,10 @@ std::string ms_label(double ms) { return util::format_double(ms, 0) + " ms"; }
 /// hurts the most). Each victim is picked at fire time, a serving supernode
 /// while one is left, and reboots at `reboot_s`, or stays down for the rest
 /// of the run if unset.
-void add_peak_crash_burst(fault::FaultPlanConfig& faults, const sim::CycleConfig& cycles,
-                          int day, std::size_t count, std::optional<double> reboot_s) {
-  const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
-  const double burst_s = static_cast<double>(day - 1) * day_s +
-                         static_cast<double>(cycles.peak_start_subcycle) * 3600.0 + 1.0;
+void add_peak_crash_burst(fault::FaultPlanConfig& faults, int day, std::size_t count,
+                          std::optional<double> reboot_s) {
+  const double burst_s =
+      sim::subcycle_start_s(day, sim::CycleConfig::peak_start_subcycle + 1) + 1.0;
   for (std::size_t k = 0; k < count; ++k) {
     fault::FaultSpec spec;
     spec.kind = fault::FaultKind::kSupernodeCrash;
@@ -334,7 +333,7 @@ std::vector<std::string> setup_latency_row(const Testbed& testbed, std::size_t s
   SystemConfig cfg = cloudfog_advanced_config(testbed, supernodes);
   // The failure burst: once, during the peak of the last day.
   cfg.faults.enabled = true;
-  add_peak_crash_burst(cfg.faults, cycles, cycles.total_cycles, failures, std::nullopt);
+  add_peak_crash_burst(cfg.faults, cycles.total_cycles, failures, std::nullopt);
   System sys(testbed, cfg, scale.seed + supernodes, rec);
   sys.run(cycles);
 
@@ -564,10 +563,9 @@ util::Table failure_rate_sweep(TestbedProfile profile,
           // rebooted by the next day.
           const auto failures_per_cycle =
               static_cast<std::size_t>(failure_fractions[i - 1] * static_cast<double>(fleet));
-          const double day_s = static_cast<double>(cycles.subcycles_per_cycle) * 3600.0;
           for (int day = 1; day <= cycles.total_cycles; ++day) {
-            add_peak_crash_burst(cfg.faults, cycles, day, failures_per_cycle,
-                                 static_cast<double>(day) * day_s + 0.5);
+            add_peak_crash_burst(cfg.faults, day, failures_per_cycle,
+                                 sim::subcycle_start_s(day + 1, 1) + 0.5);
           }
         }
         return run_means(testbed, cfg, scale.seed + 61, cycles, cell_rec);

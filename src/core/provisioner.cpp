@@ -10,8 +10,9 @@ namespace cloudfog::core {
 
 Provisioner::Provisioner(ProvisionerConfig cfg, obs::Recorder& rec)
     : cfg_(cfg), rec_(rec), model_(cfg.sarima) {
-  CLOUDFOG_REQUIRE(cfg.window_hours >= 1 && cfg.window_hours <= 24,
-                   "window must be between 1 and 24 hours");
+  CLOUDFOG_REQUIRE(
+      cfg.window_hours >= 1 && cfg.window_hours <= sim::CycleConfig::subcycles_per_cycle,
+      "window must be between one hour and one day");
   CLOUDFOG_REQUIRE(cfg.epsilon >= 0.0, "ε must be non-negative");
 }
 

@@ -16,19 +16,26 @@
 #include "core/entities.hpp"
 #include "forecast/sarima.hpp"
 #include "obs/recorder.hpp"
+#include "sim/cycle_config.hpp"
 #include "util/rng.hpp"
 
 namespace cloudfog::core {
 
+/// m, the paper's forecasting window in one-hour subcycles, and T = 24·7/m,
+/// the number of such windows in a week: the SARIMA season.
+inline constexpr int kForecastWindowHours = 4;
+inline constexpr std::size_t kWindowsPerWeek =
+    7 * sim::CycleConfig::subcycles_per_cycle / kForecastWindowHours;
+
 struct ProvisionerConfig {
-  int window_hours = 4;  ///< m — forecasting window length
+  int window_hours = kForecastWindowHours;  ///< m — forecasting window length
   /// ε — fleet over-provisioning factor. Eq. 15 sizes the fleet by raw
   /// seat count; seats are only useful where players are, so ε must also
   /// absorb the geographic imbalance between seat supply and demand.
   double epsilon = 1.0;
   /// T = 24·7/m by default; log-space, since populations are
   /// multiplicative (see SarimaConfig::log_transform).
-  forecast::SarimaConfig sarima{42, 0.3, 0.3, true};
+  forecast::SarimaConfig sarima{kWindowsPerWeek, 0.3, 0.3, true};
 };
 
 class Provisioner {

@@ -346,6 +346,7 @@ void System::apply_throttling(int day) {
 }
 
 void System::begin_cycle(int day) {
+  CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
   if (cfg_.workload == WorkloadMode::kDailySessions) roll_daily_sessions(day);
   if (cfg_.architecture == Architecture::kCloudFog) apply_throttling(day);
   if (adversary_ != nullptr) adversary_->begin_cycle(day, fleet_, players_);
@@ -439,8 +440,7 @@ void System::detach_player(PlayerState& p) {
 void System::process_population(int day, int subcycle, bool peak) {
   if (cfg_.workload == WorkloadMode::kDailySessions) {
     for (auto& p : players_) {
-      const bool should_be_online = p.today.online_at(
-          subcycle, testbed_.activity().config().subcycles_per_day);
+      const bool should_be_online = p.today.online_at(subcycle);
       if (should_be_online && !p.online) {
         attach_player(p, day);
       } else if (!should_be_online && p.online) {
@@ -471,7 +471,7 @@ void System::process_population(int day, int subcycle, bool peak) {
   const double rate_per_min = arrival_rate_override_.value_or(
       peak ? cfg_.arrivals.peak_per_minute : cfg_.arrivals.offpeak_per_minute);
   util::Rng arr_rng = rng_.fork("arrivals");
-  int arrivals = util::sample_poisson(arr_rng, rate_per_min * 60.0);
+  int arrivals = util::sample_poisson(arr_rng, rate_per_min * sim::kMinutesPerSubcycle);
 
   // Fill from the offline population in a rotating scan.
   util::Rng pick_rng = rng_.fork("arrival-pick");
@@ -599,8 +599,7 @@ void System::maybe_run_provisioning(int day, int subcycle) {
   ++window_subcycles_;
 
   const int window = cfg_.provisioning.window_hours;
-  const int global_subcycle =
-      (day - 1) * testbed_.activity().config().subcycles_per_day + (subcycle - 1);
+  const int global_subcycle = (day - 1) * sim::CycleConfig::subcycles_per_cycle + (subcycle - 1);
   if ((global_subcycle + 1) % window != 0) return;
 
   CLOUDFOG_TIMED_SCOPE(rec_, "provisioning");
@@ -659,15 +658,15 @@ void System::migrate_players_off_undeployed(int day) {
 }
 
 SubcycleQos System::run_subcycle(int day, int subcycle, bool warmup, bool peak) {
-  const int per_day = testbed_.activity().config().subcycles_per_day;
-  if (rec_.enabled()) {
-    rec_.set_sim_time(((day - 1) * per_day + (subcycle - 1)) * 3600.0);
-  }
+  CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
+  CLOUDFOG_REQUIRE(subcycle >= 1 && subcycle <= sim::CycleConfig::subcycles_per_cycle,
+                   "subcycle out of range");
+  if (rec_.enabled()) rec_.set_sim_time(sim::subcycle_start_s(day, subcycle));
   current_day_ = day;
   if (injector_ != nullptr) {
     // Fire every fault scheduled inside this subcycle's hour before the
     // population and QoS passes see the world.
-    fault_sim_.run_until(((day - 1) * per_day + subcycle) * 3600.0);
+    fault_sim_.run_until(sim::subcycle_start_s(day, subcycle + 1));
   }
   {
     CLOUDFOG_TIMED_SCOPE(rec_, "population");
@@ -693,6 +692,7 @@ SubcycleQos System::run_subcycle(int day, int subcycle, bool warmup, bool peak) 
 }
 
 void System::end_cycle(int day) {
+  CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
   // Ratings (§4.1): each player rates the supernode that served it with
   // the playback continuity it experienced this cycle.
   for (auto& p : players_) {
@@ -713,20 +713,13 @@ const RunMetrics& System::run(const sim::CycleConfig& cycles) {
   CLOUDFOG_REQUIRE(cycles.total_cycles > 0, "need at least one cycle");
   CLOUDFOG_REQUIRE(cycles.warmup_cycles >= 0 && cycles.warmup_cycles < cycles.total_cycles,
                    "warm-up must leave at least one measured cycle");
-  CLOUDFOG_REQUIRE(cycles.subcycles_per_cycle > 0, "need at least one subcycle");
-  CLOUDFOG_REQUIRE(cycles.subcycle_seconds > 0.0, "subcycle length must be positive");
-  CLOUDFOG_REQUIRE(cycles.peak_start_subcycle >= 1 &&
-                       cycles.peak_end_subcycle <= cycles.subcycles_per_cycle &&
-                       cycles.peak_start_subcycle <= cycles.peak_end_subcycle,
-                   "peak window out of range");
   const char* label = arm_label(cfg_);
   if (rec_.enabled()) rec_.begin_run(label);
   for (int day = 1; day <= cycles.total_cycles; ++day) {
     const bool warmup = day <= cycles.warmup_cycles;
     begin_cycle(day);
-    for (int sub = 1; sub <= cycles.subcycles_per_cycle; ++sub) {
-      const bool peak = sub >= cycles.peak_start_subcycle && sub <= cycles.peak_end_subcycle;
-      run_subcycle(day, sub, warmup, peak);
+    for (int sub = 1; sub <= sim::CycleConfig::subcycles_per_cycle; ++sub) {
+      run_subcycle(day, sub, warmup, sim::is_peak_subcycle(sub));
     }
     end_cycle(day);
   }

@@ -136,11 +136,13 @@ class System {
 
   /// Runs the full cycle schedule and returns the collected metrics.
   /// Throws ConfigError for a schedule with no measured cycle (no cycles,
-  /// or a warm-up as long as the run) or a peak window outside the day.
+  /// or a warm-up as long as the run).
   const RunMetrics& run(const sim::CycleConfig& cycles);
 
   /// Manual driving (used by the scenario engine, which pokes the system
-  /// between subcycles).
+  /// between subcycles). Days are 1-based and subcycles lie in
+  /// [1, sim::CycleConfig::subcycles_per_cycle]; anything else throws
+  /// ConfigError.
   void begin_cycle(int day);
   SubcycleQos run_subcycle(int day, int subcycle, bool warmup, bool peak);
   void end_cycle(int day);
@@ -231,11 +233,11 @@ class System {
   /// never below (§3.5 pre-deploys *extra* supernodes before peaks).
   std::size_t base_deployment_ = 0;
 
-  // Fault-injection state. The fault simulator's clock is the global
-  // subcycle hour; run_subcycle advances it to each subcycle boundary so
-  // scheduled faults fire between QoS evaluations. `fault_rng_` is seeded
-  // from the raw system seed (not rng_.fork, which mutates the parent) so
-  // the no-fault stream stays bit-identical.
+  // Fault-injection state. The fault simulator's clock is sim time in
+  // seconds (sim::subcycle_start_s); run_subcycle advances it to each
+  // subcycle boundary so scheduled faults fire between QoS evaluations.
+  // `fault_rng_` is seeded from the raw system seed (not rng_.fork, which
+  // mutates the parent) so the no-fault stream stays bit-identical.
   sim::Simulator fault_sim_;
   fault::FaultState fault_state_;
   std::unique_ptr<fault::FaultInjector> injector_;

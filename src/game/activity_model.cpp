@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "sim/cycle_config.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::game {
@@ -14,9 +15,6 @@ ActivityModel::ActivityModel(ActivityModelConfig cfg) : cfg_(cfg) {
                    "duration-class fractions must form a distribution");
   CLOUDFOG_REQUIRE(cfg.offpeak_start_prob >= 0.0 && cfg.offpeak_start_prob <= 1.0,
                    "start probability out of [0,1]");
-  CLOUDFOG_REQUIRE(cfg.subcycles_per_day > 1, "need at least two subcycles");
-  CLOUDFOG_REQUIRE(cfg.peak_start_subcycle > 1 && cfg.peak_start_subcycle <= cfg.subcycles_per_day,
-                   "peak start out of range");
 }
 
 DurationClass ActivityModel::sample_duration_class(util::Rng& rng) const {
@@ -40,9 +38,10 @@ double ActivityModel::sample_play_hours(DurationClass cls, util::Rng& rng) const
 
 int ActivityModel::sample_start_subcycle(util::Rng& rng) const {
   if (rng.chance(cfg_.offpeak_start_prob)) {
-    return static_cast<int>(rng.uniform_int(1, cfg_.peak_start_subcycle - 1));
+    return static_cast<int>(rng.uniform_int(1, sim::CycleConfig::peak_start_subcycle - 1));
   }
-  return static_cast<int>(rng.uniform_int(cfg_.peak_start_subcycle, cfg_.subcycles_per_day));
+  return static_cast<int>(rng.uniform_int(sim::CycleConfig::peak_start_subcycle,
+                                          sim::CycleConfig::subcycles_per_cycle));
 }
 
 GameId ActivityModel::choose_game(const GameCatalog& catalog,
@@ -62,8 +61,8 @@ GameId ActivityModel::choose_game(const GameCatalog& catalog,
   return best;
 }
 
-bool DailySession::online_at(int subcycle, int subcycles_per_day) const {
-  if (subcycle < start_subcycle || subcycle > subcycles_per_day) return false;
+bool DailySession::online_at(int subcycle) const {
+  if (subcycle < start_subcycle || subcycle > sim::CycleConfig::subcycles_per_cycle) return false;
   const int covered = static_cast<int>(std::ceil(hours));
   return subcycle < start_subcycle + covered;
 }

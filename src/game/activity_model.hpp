@@ -24,8 +24,6 @@ struct ActivityModelConfig {
   double casual_fraction = 0.50;
   double regular_fraction = 0.30;   // hardcore takes the remainder
   double offpeak_start_prob = 0.30; ///< P(start subcycle ∈ [1,19])
-  int subcycles_per_day = 24;
-  int peak_start_subcycle = 20;
 };
 
 class ActivityModel {
@@ -59,7 +57,7 @@ struct DailySession {
   /// True if the player is online during `subcycle` (wraps past midnight
   /// into nothing — sessions truncate at the end of the day, as cycles in
   /// the paper are independent days).
-  bool online_at(int subcycle, int subcycles_per_day = 24) const;
+  bool online_at(int subcycle) const;
 };
 
 /// Rolls a full daily session for a player.

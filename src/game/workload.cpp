@@ -3,15 +3,17 @@
 #include <cmath>
 #include <numbers>
 
+#include "sim/cycle_config.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::game {
+
+using sim::CycleConfig;
 
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig cfg, util::Rng rng)
     : cfg_(cfg), rng_(rng) {
   CLOUDFOG_REQUIRE(cfg.base_players >= 0.0, "base players must be non-negative");
   CLOUDFOG_REQUIRE(cfg.peak_players >= cfg.base_players, "peak below base");
-  CLOUDFOG_REQUIRE(cfg.subcycles_per_day > 0, "need at least one subcycle");
   CLOUDFOG_REQUIRE(cfg.weekly_noise >= 0.0 && cfg.weekly_noise < 1.0,
                    "noise must be in [0,1)");
   CLOUDFOG_REQUIRE(cfg.weekly_growth > -1.0, "growth cannot wipe out the population");
@@ -19,16 +21,16 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig cfg, util::Rng rng)
 
 double WorkloadGenerator::expected_players(int day, int subcycle) const {
   CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
-  CLOUDFOG_REQUIRE(subcycle >= 1 && subcycle <= cfg_.subcycles_per_day,
+  CLOUDFOG_REQUIRE(subcycle >= 1 && subcycle <= CycleConfig::subcycles_per_cycle,
                    "subcycle out of range");
   // Smooth daily curve: a raised cosine centred on the middle of the peak
   // window, so the population ramps up through the evening and falls off
   // after midnight — matching the measured diurnal MMOG pattern.
   const double peak_centre =
-      0.5 * (cfg_.peak_start_subcycle + cfg_.peak_end_subcycle);
+      0.5 * (CycleConfig::peak_start_subcycle + CycleConfig::peak_end_subcycle);
   const double phase = 2.0 * std::numbers::pi *
                        (static_cast<double>(subcycle) - peak_centre) /
-                       static_cast<double>(cfg_.subcycles_per_day);
+                       static_cast<double>(CycleConfig::subcycles_per_cycle);
   const double daily = 0.5 * (1.0 + std::cos(phase));  // 1 at peak centre
   double players = cfg_.base_players + (cfg_.peak_players - cfg_.base_players) * daily;
 
@@ -40,7 +42,7 @@ double WorkloadGenerator::expected_players(int day, int subcycle) const {
 }
 
 double WorkloadGenerator::noise_for(int day, int subcycle) {
-  const auto idx = static_cast<std::size_t>((day - 1) * cfg_.subcycles_per_day +
+  const auto idx = static_cast<std::size_t>((day - 1) * CycleConfig::subcycles_per_cycle +
                                             (subcycle - 1));
   while (noise_cache_.size() <= idx) {
     noise_cache_.push_back(rng_.uniform(-cfg_.weekly_noise, cfg_.weekly_noise));
@@ -55,9 +57,9 @@ double WorkloadGenerator::players(int day, int subcycle) {
 std::vector<double> WorkloadGenerator::series(int days) {
   CLOUDFOG_REQUIRE(days >= 1, "need at least one day");
   std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(days * cfg_.subcycles_per_day));
+  out.reserve(static_cast<std::size_t>(days * CycleConfig::subcycles_per_cycle));
   for (int day = 1; day <= days; ++day) {
-    for (int sub = 1; sub <= cfg_.subcycles_per_day; ++sub) {
+    for (int sub = 1; sub <= CycleConfig::subcycles_per_cycle; ++sub) {
       out.push_back(players(day, sub));
     }
   }

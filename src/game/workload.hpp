@@ -5,8 +5,9 @@
 // online players mirrors that of last Friday". The generator produces the
 // expected online-player count for every time window of a run: a smooth
 // daily curve (evening peak), a weekly weekday/weekend modulation, and a
-// bounded multiplicative noise term. The SARIMA forecaster (src/forecast)
-// is evaluated against exactly this process.
+// bounded multiplicative noise term. The day is sim::CycleConfig's: its
+// subcycles and its evening peak window. The SARIMA forecaster
+// (src/forecast) is evaluated against exactly this process.
 #pragma once
 
 #include <vector>
@@ -18,9 +19,6 @@ namespace cloudfog::game {
 struct WorkloadConfig {
   double base_players = 2000.0;   ///< off-peak weekday floor
   double peak_players = 10000.0;  ///< weekday evening peak
-  int subcycles_per_day = 24;
-  int peak_start_subcycle = 20;   ///< evening peak window start (1-based)
-  int peak_end_subcycle = 24;
   double weekend_boost = 1.25;    ///< Sat/Sun multiplier
   double weekly_noise = 0.08;     ///< max |week-to-week| relative deviation (<10 %)
   /// Week-over-week population growth (a launch-phase MMOG); 0 = the

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/recorder.hpp"
+#include "sim/cycle_config.hpp"
 #include "util/require.hpp"
 
 namespace cloudfog::scenario {
@@ -11,6 +12,7 @@ namespace cloudfog::scenario {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+constexpr int kHoursPerDay = sim::CycleConfig::subcycles_per_cycle;
 
 /// One hour of compiled load shaping.
 struct LoadPoint {
@@ -22,7 +24,7 @@ struct LoadPoint {
 /// for the daily-sessions workload (phases don't apply there).
 std::vector<LoadPoint> compile_timeline(const ScenarioSpec& spec) {
   if (spec.daily_sessions) return {};
-  const int hours = spec.cycles * 24;
+  const int hours = spec.cycles * kHoursPerDay;
   std::vector<LoadPoint> timeline(static_cast<std::size_t>(hours));
   for (int h = 0; h < hours; ++h) {
     double rate = spec.base_arrival_per_minute;
@@ -43,12 +45,14 @@ std::vector<LoadPoint> compile_timeline(const ScenarioSpec& spec) {
     }
     if (spec.diurnal) {
       const DiurnalPhase& d = *spec.diurnal;
+      constexpr double kDay = kHoursPerDay;
       for (int r = 0; r < d.regions; ++r) {
         // Each region's evening wave peaks at its local hour 12 past the
         // 06:00 trough; regions lag each other by the timezone stagger.
-        double local = std::fmod(static_cast<double>(h) - static_cast<double>(r) * d.stagger_hours, 24.0);
-        if (local < 0.0) local += 24.0;
-        const double wave = std::sin(2.0 * kPi * (local - 6.0) / 24.0);
+        double local =
+            std::fmod(static_cast<double>(h) - static_cast<double>(r) * d.stagger_hours, kDay);
+        if (local < 0.0) local += kDay;
+        const double wave = std::sin(2.0 * kPi * (local - 6.0) / kDay);
         if (wave > 0.0) rate += d.amplitude_per_minute * wave;
       }
     }
@@ -98,7 +102,7 @@ core::SystemConfig system_config(const ScenarioSpec& spec, const core::Testbed& 
   if (spec.faults_per_hour > 0.0 || spec.outage) {
     cfg.faults.enabled = true;
     cfg.faults.faults_per_hour = spec.faults_per_hour;
-    cfg.faults.horizon_s = static_cast<double>(spec.cycles) * 24.0 * 3600.0;
+    cfg.faults.horizon_s = sim::subcycle_start_s(spec.cycles + 1, 1);
   }
   if (spec.outage) {
     const OutagePhase& out = *spec.outage;
@@ -115,8 +119,10 @@ core::SystemConfig system_config(const ScenarioSpec& spec, const core::Testbed& 
     cfg.faults.positions = positions;
     cfg.faults.target_box = out.box;
 
-    const double at_s = static_cast<double>(out.start_hour) * 3600.0 + 1.0;
-    const double duration_s = static_cast<double>(out.duration_hours) * 3600.0;
+    // Hours count from the run's first subcycle.
+    const double at_s = sim::subcycle_start_s(1, out.start_hour + 1) + 1.0;
+    const double duration_s =
+        static_cast<double>(out.duration_hours) * sim::CycleConfig::subcycle_seconds;
     for (fault::FaultSpec spec_out : fault::regional_outage_specs(
              positions, out.box, at_s, duration_s, out.crash_fraction, out.loss_fraction,
              out.delay_ms, spec.seed)) {
@@ -185,7 +191,7 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec, ScenarioRunOptions opts)
       spec_.cycles = opts.smoke_max_cycles;
     }
     spec_.warmup = std::min(spec_.warmup, spec_.cycles - 1);
-    const int horizon_hours = spec_.cycles * 24;
+    const int horizon_hours = spec_.cycles * kHoursPerDay;
     CLOUDFOG_REQUIRE(!spec_.outage || spec_.outage->start_hour < horizon_hours,
                      "smoke clamp pushed the outage outside the horizon");
     CLOUDFOG_REQUIRE(!spec_.churn_storm || spec_.churn_storm->start_hour < horizon_hours,
@@ -217,9 +223,6 @@ ScenarioOutcome ScenarioEngine::run(const core::Testbed* shared_testbed, obs::Re
   const std::string label = "scenario." + spec_.name;
   if (rec.enabled()) rec.begin_run(label);
 
-  const sim::CycleConfig cadence;  // subcycle + peak-window defaults
-  const int per_day = cadence.subcycles_per_cycle;
-
   // Per-subcycle samples of the adversary's share of fog-served sessions
   // (the session-weighted view a victim population actually experiences).
   std::uint64_t fog_samples = 0;
@@ -228,16 +231,14 @@ ScenarioOutcome ScenarioEngine::run(const core::Testbed* shared_testbed, obs::Re
   for (int day = 1; day <= spec_.cycles; ++day) {
     const bool warmup = day <= spec_.warmup;
     sys.begin_cycle(day);
-    for (int sub = 1; sub <= per_day; ++sub) {
-      const std::size_t hour = static_cast<std::size_t>((day - 1) * per_day + (sub - 1));
+    for (int sub = 1; sub <= kHoursPerDay; ++sub) {
+      const std::size_t hour = static_cast<std::size_t>((day - 1) * kHoursPerDay + (sub - 1));
       if (!timeline.empty()) {
         const LoadPoint& lp = timeline[hour];
         sys.set_arrival_rate_override(lp.rate_per_minute);
         if (lp.departure_fraction > 0.0) sys.force_departures(lp.departure_fraction);
       }
-      const bool peak =
-          sub >= cadence.peak_start_subcycle && sub <= cadence.peak_end_subcycle;
-      sys.run_subcycle(day, sub, warmup, peak);
+      sys.run_subcycle(day, sub, warmup, sim::is_peak_subcycle(sub));
       if (!warmup && sys.adversary() != nullptr) {
         for (const core::PlayerState& p : sys.players()) {
           if (!p.online || p.serving.kind != core::ServingKind::kSupernode) continue;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/cycle_config.hpp"
 #include "util/table.hpp"
 
 namespace cloudfog::scenario {
@@ -220,7 +221,7 @@ bool validate(ParseCtx& ctx) {
   if (s.adversary.fraction < 0.0 || s.adversary.fraction > 1.0) {
     return ctx.fail("adversary fraction must be within [0, 1]");
   }
-  const int horizon_hours = s.cycles * 24;
+  const int horizon_hours = s.cycles * sim::CycleConfig::subcycles_per_cycle;
   if (s.outage &&
       (s.outage->start_hour < 0 || s.outage->start_hour >= horizon_hours ||
        s.outage->duration_hours < 1)) {

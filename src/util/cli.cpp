@@ -67,16 +67,6 @@ std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) con
   return parsed;
 }
 
-double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto v = value(key);
-  if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  CLOUDFOG_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
-                   "option --" + key + " expects a number, got '" + *v + "'");
-  return parsed;
-}
-
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   if (!has(key)) return fallback;
   const auto v = value(key);

@@ -30,7 +30,6 @@ class CliArgs {
   /// Typed lookups; throw ConfigError if present but unparsable.
   std::string get_string(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   /// Keys seen on the command line (for unknown-flag validation).

@@ -22,13 +22,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> formatted;
-  formatted.reserve(cells.size());
-  for (double v : cells) formatted.push_back(format_double(v, precision));
-  add_row(std::move(formatted));
-}
-
 const std::string& Table::cell(std::size_t row, std::size_t col) const {
   CLOUDFOG_REQUIRE(row < rows_.size(), "row out of range");
   CLOUDFOG_REQUIRE(col < header_.size(), "column out of range");

@@ -21,9 +21,6 @@ class Table {
   /// Appends a row of preformatted cells; width must match the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_numeric_row(const std::vector<double>& cells, int precision = 3);
-
   const std::string& title() const { return title_; }
   std::size_t row_count() const { return rows_.size(); }
   std::size_t column_count() const { return header_.size(); }

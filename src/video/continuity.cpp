@@ -41,9 +41,4 @@ double ContinuityMeter::continuity() const {
   return packets_ == 0.0 ? 1.0 : weighted_sum_ / packets_;
 }
 
-void ContinuityMeter::reset() {
-  weighted_sum_ = 0.0;
-  packets_ = 0.0;
-}
-
 }  // namespace cloudfog::video

@@ -44,7 +44,6 @@ class ContinuityMeter {
   /// who received no packets missed none).
   double continuity() const;
   bool satisfied() const { return continuity() >= kSatisfactionThreshold; }
-  void reset();
 
  private:
   double weighted_sum_ = 0.0;

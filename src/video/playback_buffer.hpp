@@ -34,8 +34,6 @@ class PlaybackBuffer {
   /// Rewrites the capacity (after a bitrate switch); clamps contents.
   void set_capacity(double capacity_bits);
 
-  void clear() { bits_ = 0.0; }
-
  private:
   double capacity_;
   double bits_ = 0.0;

@@ -74,10 +74,6 @@ class StreamSession {
   /// lifetime continuity exactly as a fully-late interval would.
   void charge_outage(double outage_s);
 
-  /// Resets lifetime accounting (a new game/day) but keeps the adapter's
-  /// learned level.
-  void reset_accounting() { meter_.reset(); }
-
  private:
   const game::GameCatalog& catalog_;
   game::GameId game_;

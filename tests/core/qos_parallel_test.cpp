@@ -41,7 +41,7 @@ RunResult run_system(const core::Testbed& testbed, core::SystemConfig cfg, int d
   RunResult result;
   {
     core::System system(testbed, cfg, 97, rec);
-    const int per_day = testbed.activity().config().subcycles_per_day;
+    constexpr int per_day = sim::CycleConfig::subcycles_per_cycle;
     for (int day = 1; day <= days; ++day) {
       system.begin_cycle(day);
       for (int s = 1; s <= per_day; ++s) {

@@ -59,8 +59,7 @@ TEST(System, JoinLatenciesRecorded) {
 }
 
 // One schedule per check System::run makes before the first subcycle: a
-// run with no measured cycle, or a peak window outside the day, throws
-// instead of printing an all-zero table.
+// run with no measured cycle throws instead of printing an all-zero table.
 struct BadSchedule {
   const char* name;
   sim::CycleConfig cycles;
@@ -93,28 +92,15 @@ INSTANTIATE_TEST_SUITE_P(
                     with([](sim::CycleConfig& c) { c.total_cycles = 0; c.warmup_cycles = 0; })},
         BadSchedule{"NegativeCyclesAndWarmup",
                     with([](sim::CycleConfig& c) { c.total_cycles = -1; c.warmup_cycles = -5; })},
-        BadSchedule{"NegativeWarmup", with([](sim::CycleConfig& c) { c.warmup_cycles = -1; })},
-        BadSchedule{"NoSubcycles", with([](sim::CycleConfig& c) { c.subcycles_per_cycle = 0; })},
-        BadSchedule{"ZeroSubcycleLength",
-                    with([](sim::CycleConfig& c) { c.subcycle_seconds = 0.0; })},
-        BadSchedule{"NegativeSubcycleLength",
-                    with([](sim::CycleConfig& c) { c.subcycle_seconds = -3600.0; })},
-        BadSchedule{"PeakStartsBeforeDay",
-                    with([](sim::CycleConfig& c) { c.peak_start_subcycle = 0; })},
-        BadSchedule{"PeakEndsAfterDay",
-                    with([](sim::CycleConfig& c) {
-                      c.peak_end_subcycle = c.subcycles_per_cycle + 1;
-                    })},
-        BadSchedule{"PeakWindowInverted",
-                    with([](sim::CycleConfig& c) {
-                      c.peak_start_subcycle = 22; c.peak_end_subcycle = 21;
-                    })}),
+        BadSchedule{"NegativeWarmup", with([](sim::CycleConfig& c) { c.warmup_cycles = -1; })}),
     [](const ::testing::TestParamInfo<BadSchedule>& param) { return std::string(param.param.name); });
 
 // System::run is the one cycle loop: it must equal the day/hour walk a
 // caller would write by hand — every day begun and ended once, its
 // subcycles in order, the first `warmup_cycles` days flagged warm-up and
-// the configured window flagged peak.
+// the evening window flagged peak. The walk spells the paper's day (§4.1)
+// in literals, 24 one-hour subcycles with the peak at 20–24, so a change
+// to the shared constants or to the peak predicate shows here.
 struct Schedule {
   const char* name;
   sim::CycleConfig cycles;
@@ -140,16 +126,15 @@ TEST_P(SystemRunSchedule, EqualsTheHandWrittenDayHourWalk) {
   System manual = arrivals_system(21);
   for (int day = 1; day <= cycles.total_cycles; ++day) {
     manual.begin_cycle(day);
-    for (int sub = 1; sub <= cycles.subcycles_per_cycle; ++sub) {
-      manual.run_subcycle(day, sub, day <= cycles.warmup_cycles,
-                          sub >= cycles.peak_start_subcycle && sub <= cycles.peak_end_subcycle);
+    for (int sub = 1; sub <= 24; ++sub) {
+      manual.run_subcycle(day, sub, day <= cycles.warmup_cycles, sub >= 20 && sub <= 24);
     }
     manual.end_cycle(day);
   }
   const RunMetrics& b = manual.metrics();
 
-  const auto measured = static_cast<std::size_t>(cycles.total_cycles - cycles.warmup_cycles) *
-                        static_cast<std::size_t>(cycles.subcycles_per_cycle);
+  const auto measured =
+      static_cast<std::size_t>(cycles.total_cycles - cycles.warmup_cycles) * std::size_t{24};
   EXPECT_EQ(looped.collector().recorded_subcycles(), measured);
   EXPECT_EQ(manual.collector().recorded_subcycles(), measured);
   EXPECT_EQ(a.online_sessions.count(), b.online_sessions.count());
@@ -167,31 +152,97 @@ INSTANTIATE_TEST_SUITE_P(
         Schedule{"OneCycleNoWarmup",
                  with([](sim::CycleConfig& c) { c.total_cycles = 1; c.warmup_cycles = 0; })},
         Schedule{"WarmupLeavesOneCycle",
-                 with([](sim::CycleConfig& c) { c.total_cycles = 3; c.warmup_cycles = 2; })},
-        Schedule{"PeakIsFirstSubcycle",
-                 with([](sim::CycleConfig& c) {
-                   c.peak_start_subcycle = 1; c.peak_end_subcycle = 1;
-                 })},
-        Schedule{"PeakIsWholeDay",
-                 with([](sim::CycleConfig& c) {
-                   c.peak_start_subcycle = 1; c.peak_end_subcycle = c.subcycles_per_cycle;
-                 })},
-        Schedule{"MorningPeak",
-                 with([](sim::CycleConfig& c) {
-                   c.peak_start_subcycle = 8; c.peak_end_subcycle = 12;
-                 })}),
+                 with([](sim::CycleConfig& c) { c.total_cycles = 3; c.warmup_cycles = 2; })}),
     [](const ::testing::TestParamInfo<Schedule>& param) { return std::string(param.param.name); });
 
-TEST(System, RunHonoursTheConfiguredPeakWindow) {
-  sim::CycleConfig evening = short_run();
-  sim::CycleConfig morning = short_run();
-  morning.peak_start_subcycle = 8;
-  morning.peak_end_subcycle = 12;
-  System a = arrivals_system(4);
-  System b = arrivals_system(4);
-  // Moving the peak moves who is online when; the same seed would give
-  // identical runs if the window were ignored.
-  EXPECT_NE(a.run(evening).online_sessions.mean(), b.run(morning).online_sessions.mean());
+// The step API takes 1-based days and subcycles inside the day; a call
+// outside them throws before it touches the system or its clocks.
+TEST(SystemStepRejects, DayZero) {
+  System sys = make_cloudfog_basic(small_testbed(), 3);
+  EXPECT_THROW(sys.begin_cycle(0), ConfigError);
+  EXPECT_THROW(sys.run_subcycle(0, 1, false, false), ConfigError);
+  EXPECT_THROW(sys.end_cycle(0), ConfigError);
+  EXPECT_EQ(sys.collector().recorded_subcycles(), 0u);
+}
+
+TEST(SystemStepRejects, SubcycleZero) {
+  System sys = make_cloudfog_basic(small_testbed(), 3);
+  sys.begin_cycle(1);
+  EXPECT_THROW(sys.run_subcycle(1, 0, false, false), ConfigError);
+  EXPECT_EQ(sys.collector().recorded_subcycles(), 0u);
+}
+
+TEST(SystemStepRejects, SubcyclePastTheDay) {
+  System sys = make_cloudfog_basic(small_testbed(), 3);
+  sys.begin_cycle(1);
+  EXPECT_THROW(sys.run_subcycle(1, 25, false, false), ConfigError);
+  EXPECT_EQ(sys.collector().recorded_subcycles(), 0u);
+}
+
+// The trace clock and the fault clock both count one-hour subcycles from
+// day 1, subcycle 1 at 0 s. Runs all of day 1 and day 2 up to `last_sub`.
+void walk_into_day_two(System& sys, int last_sub) {
+  sys.begin_cycle(1);
+  for (int sub = 1; sub <= 24; ++sub) sys.run_subcycle(1, sub, false, sub >= 20);
+  sys.end_cycle(1);
+  sys.begin_cycle(2);
+  for (int sub = 1; sub <= last_sub; ++sub) sys.run_subcycle(2, sub, false, false);
+}
+
+TEST(SystemClock, SubcycleEventCarriesItsStartTime) {
+  obs::Recorder rec;
+  rec.set_enabled(true);
+  System sys(small_testbed(), cloudfog_basic_config(small_testbed(), 30), 5, rec);
+  walk_into_day_two(sys, 3);
+  // Day 2's subcycle 3 opens 24 + 2 hours into the run; its summary event
+  // is the last one the subcycle emits.
+  const auto events = rec.trace_buffer().events();
+  ASSERT_FALSE(events.empty());
+  const obs::TraceEvent& last = events.back();
+  ASSERT_EQ(last.kind, obs::EventKind::kSubcycle);
+  EXPECT_EQ(last.subject, 2);
+  EXPECT_EQ(last.object, 3);
+  EXPECT_EQ(last.t, 26.0 * 3600.0);
+}
+
+TEST(SystemClock, CrashOneSecondIntoASubcycleFiresInThatSubcycle) {
+  constexpr std::size_t kVictim = 3;
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(), 30);
+  cfg.faults.enabled = true;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSupernodeCrash;
+  spec.target = kVictim;
+  spec.at_s = 26.0 * 3600.0 + 1.0;  // 1 s into day 2's subcycle 3
+  spec.duration_s = 3600.0;
+  cfg.faults.extra_specs.push_back(spec);
+  System sys(small_testbed(), cfg, 5);
+  walk_into_day_two(sys, 2);
+  EXPECT_EQ(sys.injector()->injected(), 0u);
+  EXPECT_FALSE(sys.fleet()[kVictim].failed);
+  sys.run_subcycle(2, 3, false, false);
+  EXPECT_EQ(sys.injector()->injected(), 1u);
+  EXPECT_TRUE(sys.fleet()[kVictim].failed);
+}
+
+// A one-hour crash placed 1 s into a subcycle clears 1 s into the next
+// one: run_subcycle advances the fault clock to the end of each subcycle.
+TEST(SystemClock, OneHourCrashClearsInTheNextSubcycle) {
+  constexpr std::size_t kVictim = 3;
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(), 30);
+  cfg.faults.enabled = true;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSupernodeCrash;
+  spec.target = kVictim;
+  spec.at_s = 26.0 * 3600.0 + 1.0;  // 1 s into day 2's subcycle 3
+  spec.duration_s = 3600.0;         // clears 1 s into subcycle 4
+  cfg.faults.extra_specs.push_back(spec);
+  System sys(small_testbed(), cfg, 5);
+  walk_into_day_two(sys, 3);
+  EXPECT_EQ(sys.injector()->cleared(), 0u);
+  EXPECT_TRUE(sys.fleet()[kVictim].failed);
+  sys.run_subcycle(2, 4, false, false);
+  EXPECT_EQ(sys.injector()->cleared(), 1u);
+  EXPECT_FALSE(sys.fleet()[kVictim].failed);
 }
 
 TEST(System, SupernodeSeatAccountingNeverLeaks) {

@@ -37,7 +37,7 @@ std::string run_traced(const core::Testbed& testbed, RetentionSpec spec) {
     cfg.architecture = core::Architecture::kCloudFog;
     cfg.supernode_count = 80;
     core::System system(testbed, cfg, 97, rec);
-    const int per_day = testbed.activity().config().subcycles_per_day;
+    constexpr int per_day = sim::CycleConfig::subcycles_per_cycle;
     system.begin_cycle(1);
     for (int s = 1; s <= per_day; ++s) system.run_subcycle(1, s, false, false);
     system.end_cycle(1);

@@ -62,7 +62,6 @@ TEST(FallbackOscillation, GovernorHoldsReturnsThroughTheStabilityWindow) {
   const int crowd_start = 28;
   const int crowd_end = 38;
 
-  const sim::CycleConfig cadence;
   std::uint64_t prev_fallbacks = 0;
   std::uint64_t prev_returns = 0;
   double first_fallback_end_s = -1.0;
@@ -82,14 +81,12 @@ TEST(FallbackOscillation, GovernorHoldsReturnsThroughTheStabilityWindow) {
 
   for (int day = 1; day <= cycles; ++day) {
     sys.begin_cycle(day);
-    for (int sub = 1; sub <= cadence.subcycles_per_cycle; ++sub) {
-      const int hour = (day - 1) * cadence.subcycles_per_cycle + (sub - 1);
+    for (int sub = 1; sub <= sim::CycleConfig::subcycles_per_cycle; ++sub) {
+      const int hour = (day - 1) * sim::CycleConfig::subcycles_per_cycle + (sub - 1);
       sys.set_arrival_rate_override(hour >= crowd_start && hour < crowd_end
                                         ? std::optional<double>(36.0)
                                         : std::nullopt);
-      const bool peak =
-          sub >= cadence.peak_start_subcycle && sub <= cadence.peak_end_subcycle;
-      sys.run_subcycle(day, sub, /*warmup=*/false, peak);
+      sys.run_subcycle(day, sub, /*warmup=*/false, sim::is_peak_subcycle(sub));
 
       const RunMetrics& m = sys.metrics();
       const double start_s = hour * 3600.0;
@@ -142,13 +139,10 @@ TEST(FallbackOscillation, NoFaultsMeansNoFallbackTraffic) {
   cfg.arrivals = ArrivalWorkload{12.0, 12.0};
 
   System sys(testbed, cfg, 42);
-  const sim::CycleConfig cadence;
   for (int day = 1; day <= 2; ++day) {
     sys.begin_cycle(day);
-    for (int sub = 1; sub <= cadence.subcycles_per_cycle; ++sub) {
-      const bool peak =
-          sub >= cadence.peak_start_subcycle && sub <= cadence.peak_end_subcycle;
-      sys.run_subcycle(day, sub, /*warmup=*/false, peak);
+    for (int sub = 1; sub <= sim::CycleConfig::subcycles_per_cycle; ++sub) {
+      sys.run_subcycle(day, sub, /*warmup=*/false, sim::is_peak_subcycle(sub));
     }
     sys.end_cycle(day);
   }

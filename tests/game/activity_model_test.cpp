@@ -91,7 +91,7 @@ TEST(DailySession, TruncatesAtMidnight) {
   s.start_subcycle = 23;
   s.hours = 10.0;
   EXPECT_TRUE(s.online_at(24));
-  EXPECT_FALSE(s.online_at(25, 24));
+  EXPECT_FALSE(s.online_at(25));
 }
 
 TEST(DailySession, RollProducesValidSessions) {

@@ -56,7 +56,6 @@ TEST(Cli, DefaultsWhenAbsent) {
   const auto args = parse({});
   EXPECT_EQ(args.get_string("profile", "peersim"), "peersim");
   EXPECT_EQ(args.get_int("seed", 42), 42);
-  EXPECT_DOUBLE_EQ(args.get_double("rate", 2.5), 2.5);
 }
 
 TEST(Cli, LastOccurrenceWins) {
@@ -66,7 +65,6 @@ TEST(Cli, LastOccurrenceWins) {
 
 TEST(Cli, TypedParseErrors) {
   EXPECT_THROW(parse({"--players", "lots"}).get_int("players", 0), ConfigError);
-  EXPECT_THROW(parse({"--rate", "fast"}).get_double("rate", 0.0), ConfigError);
 }
 
 TEST(Cli, RequireKnownCatchesTypos) {

@@ -20,14 +20,6 @@ TEST(Table, StoresCells) {
   EXPECT_EQ(t.cell(1, 0), "3");
 }
 
-TEST(Table, NumericRowFormatting) {
-  Table t("demo");
-  t.set_header({"x", "y"});
-  t.add_numeric_row({1.23456, 2.0}, 2);
-  EXPECT_EQ(t.cell(0, 0), "1.23");
-  EXPECT_EQ(t.cell(0, 1), "2.00");
-}
-
 TEST(Table, RejectsRowWidthMismatch) {
   Table t("demo");
   t.set_header({"a", "b"});

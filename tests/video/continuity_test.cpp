@@ -70,14 +70,6 @@ TEST(ContinuityMeter, SatisfactionAtThreshold) {
   EXPECT_FALSE(meter.satisfied());
 }
 
-TEST(ContinuityMeter, ResetClears) {
-  ContinuityMeter meter;
-  meter.add(0.2, 5.0);
-  meter.reset();
-  EXPECT_DOUBLE_EQ(meter.continuity(), 1.0);
-  EXPECT_DOUBLE_EQ(meter.packets(), 0.0);
-}
-
 TEST(ContinuityMeter, RejectsInvalidInput) {
   ContinuityMeter meter;
   EXPECT_THROW(meter.add(1.5), cloudfog::ConfigError);

@@ -54,13 +54,6 @@ TEST(PlaybackBuffer, SetCapacityClampsContents) {
   EXPECT_DOUBLE_EQ(buf.buffered_bits(), 400e3);
 }
 
-TEST(PlaybackBuffer, ClearEmpties) {
-  PlaybackBuffer buf(1e6);
-  buf.step(1.0, 500e3, 0.0);
-  buf.clear();
-  EXPECT_DOUBLE_EQ(buf.buffered_bits(), 0.0);
-}
-
 TEST(PlaybackBuffer, ZeroDtIsNoop) {
   PlaybackBuffer buf(1e6);
   buf.step(1.0, 300e3, 0.0);

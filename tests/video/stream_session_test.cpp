@@ -76,20 +76,6 @@ TEST(StreamSession, LifetimeContinuityAggregates) {
   EXPECT_LT(session.session_continuity(), 0.7);
 }
 
-TEST(StreamSession, ResetAccountingKeepsLevel) {
-  RateAdapterConfig cfg;
-  cfg.consecutive_required = 1;
-  StreamSession session(catalog(), 4, cfg);
-  PathObservation starve = good_path();
-  starve.throughput_kbps = 100.0;
-  session.observe(starve);
-  const int level = session.current_quality_level();
-  ASSERT_LT(level, 5);
-  session.reset_accounting();
-  EXPECT_DOUBLE_EQ(session.session_continuity(), 1.0);
-  EXPECT_EQ(session.current_quality_level(), level);
-}
-
 TEST(StreamSession, RejectsNonPositiveInterval) {
   StreamSession session(catalog(), 1, RateAdapterConfig{});
   PathObservation path = good_path();
