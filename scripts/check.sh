@@ -27,7 +27,9 @@
 #   7. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached and a monotone tracecat JSONL
 #   8. (full mode) the paper-scale catalogue pin (CATALOGUE_PAPER_SHA256,
-#      about 50 s on 4 CPUs), then the sanitizer matrix: ASan+UBSan build + ctest, TSan build +
+#      about 50 s on 4 CPUs), the function-grain reach listing against its
+#      allowlist (scripts/reach.sh --check, a second unoptimized build of
+#      about 2 min), then the sanitizer matrix: ASan+UBSan build + ctest, TSan build +
 #      ctest (the sweep-pool test included), a traced and a 4-worker TSan
 #      fig7 cross-checked against the plain run, the chaos
 #      smoke re-run under ASan, and a standalone UBSan build
@@ -265,6 +267,9 @@ if [ "$QUICK" -eq 0 ]; then
       "pinned $CATALOGUE_PAPER_SHA256" >&2
     exit 1; }
   echo "catalogue: the paper-scale stdout matches its pinned digest"
+
+  echo "== reach listing: every test-only src/ function is allowlisted =="
+  scripts/reach.sh --check >/dev/null
 
   echo "== sanitizer matrix: ASan+UBSan build =="
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null

@@ -41,14 +41,6 @@ void Cloud::register_supernode(SupernodeState& sn, util::Rng& rng) {
   ++registry_epoch_;
 }
 
-std::vector<std::size_t> Cloud::candidate_supernodes(const net::Endpoint& player,
-                                                     const std::vector<SupernodeState>& fleet,
-                                                     std::size_t count) const {
-  std::vector<std::size_t> out;
-  candidate_supernodes_into(player, fleet, count, out);
-  return out;
-}
-
 void Cloud::candidate_supernodes_into(const net::Endpoint& player,
                                       const std::vector<SupernodeState>& fleet, std::size_t count,
                                       std::vector<std::size_t>& out) const {

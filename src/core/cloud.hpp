@@ -36,7 +36,7 @@
 
 namespace cloudfog::core {
 
-/// Which engine answers candidate_supernodes. kGrid and kLinear return
+/// Which engine answers candidate lookups. kGrid and kLinear return
 /// identical results; kLinear is the reference scan that the grid/linear
 /// equality tests compare against, and nothing else selects it.
 enum class CandidateMode { kGrid, kLinear };
@@ -61,14 +61,10 @@ class Cloud {
 
   /// §3.2.1 candidate lookup: among supernodes that are deployed, alive
   /// and have spare capacity, the `count` closest to the player by
-  /// geolocated distance. Returns supernode indices into `fleet`.
-  std::vector<std::size_t> candidate_supernodes(const net::Endpoint& player,
-                                                const std::vector<SupernodeState>& fleet,
-                                                std::size_t count) const;
-
-  /// Allocation-free variant: fills `out` (cleared first); callers own
-  /// the scratch buffer. Asks the grid directly, for callers that hold
-  /// only an endpoint (the join path uses candidate_supernodes_for).
+  /// geolocated distance. Fills `out` (cleared first) with supernode
+  /// indices into `fleet`; callers own the scratch buffer. Asks the grid
+  /// directly, for callers that hold only an endpoint (the join path uses
+  /// candidate_supernodes_for).
   void candidate_supernodes_into(const net::Endpoint& player,
                                  const std::vector<SupernodeState>& fleet, std::size_t count,
                                  std::vector<std::size_t>& out) const;

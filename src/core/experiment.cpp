@@ -341,12 +341,8 @@ std::vector<std::string> setup_latency_row(const Testbed& testbed, std::size_t s
   // work measure that, unlike its wall time, is the same on every run.
   const ServerAssignmentCost assignment = sys.measure_server_assignment();
 
-  // Supernode joins: one RTT to the cloud each.
-  util::RunningStats sn_join;
-  for (double ms : sys.supernode_join_latencies()) sn_join.add(ms);
-
   const RunMetrics& m = sys.metrics();
-  return {x_label, util::format_double(sn_join.mean() / 1000.0, 3),
+  return {x_label, util::format_double(m.supernode_join_latency_ms.mean() / 1000.0, 3),
           util::format_double(m.player_join_latency_ms.mean() / 1000.0, 3),
           std::to_string(assignment.swap_trials),
           util::format_double(m.migration_latency_ms.mean() / 1000.0, 3)};

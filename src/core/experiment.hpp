@@ -152,10 +152,6 @@ util::Table failure_rate_sweep(TestbedProfile profile,
                                const ExperimentScale& scale,
                                obs::Recorder& rec = obs::Recorder::global());
 
-// The mixed-fault chaos sweep moved to scenario::chaos_sweep_table
-// (src/scenario/scenario_engine.hpp) — it is one scenario-engine run per
-// intensity now.
-
 // ---- Ablation: candidate-list size k --------------------------------------
 /// §3.2.1's cloud returns "a number of supernodes"; this sweeps that
 /// number. Too few candidates strand players on the cloud when local

@@ -68,66 +68,6 @@ const net::Endpoint& QosEngine::serving_endpoint(const ServingRef& ref,
   return cloud.datacenter(0).endpoint;  // unreachable
 }
 
-double QosEngine::base_latency_ms(const PlayerState& player, const ServingRef& ref,
-                                  const std::vector<SupernodeState>& fleet,
-                                  const Cloud& cloud,
-                                  const std::vector<CdnServerState>& cdn) const {
-  // Response-latency accounting follows the paper's §3.1: the upstream
-  // action message and the cloud→supernode update are small and fast
-  // ("uploading from the players to the cloud does not seriously affect
-  // the response latency"); the downstream video delivery dominates. So
-  // response = playout/processing + state computation + inter-server
-  // communication + (rendering) + the video's one-way path; the caller
-  // adds the load-dependent transfer term.
-  const net::Endpoint& p = player.info.endpoint;
-  double lat = cfg_.playout_processing_ms + cfg_.state_compute_ms;
-  switch (ref.kind) {
-    case ServingKind::kCloud: {
-      const net::Endpoint& dc = cloud.datacenter(ref.index).endpoint;
-      lat += player.cross_server_ms;         // inter-server state sync
-      lat += latency_.one_way_ms(dc, p);     // video down
-      break;
-    }
-    case ServingKind::kSupernode: {
-      const net::Endpoint& sn = fleet[ref.index].endpoint;
-      lat += player.cross_server_ms;
-      lat += cfg_.render_ms;                 // supernode renders the frame
-      lat += latency_.one_way_ms(sn, p);     // video to the player
-      break;
-    }
-    case ServingKind::kCdn: {
-      const net::Endpoint& edge = cdn[ref.index].endpoint;
-      // EdgeCloud computes game state at the edge: interacting players sit
-      // on different CDN servers, so every response waits on a wide-area
-      // state-sync round between edge servers (§2: the improvement of CDN
-      // "is not significant because the servers need to cooperate").
-      lat += cfg_.cdn_cooperation_ms;
-      lat += cfg_.render_ms;
-      lat += latency_.one_way_ms(edge, p);   // video down
-      break;
-    }
-    case ServingKind::kNone:
-      CLOUDFOG_REQUIRE(false, "player has no serving entity");
-  }
-  return lat;
-}
-
-double QosEngine::unloaded_response_latency_ms(const PlayerState& player,
-                                               const ServingRef& ref,
-                                               const std::vector<SupernodeState>& fleet,
-                                               const Cloud& cloud,
-                                               const std::vector<CdnServerState>& cdn,
-                                               double bitrate_kbps) const {
-  const double base = base_latency_ms(player, ref, fleet, cloud, cdn);
-  const net::Endpoint& e = serving_endpoint(ref, fleet, cloud, cdn);
-  const double rtt = latency_.rtt_ms(player.info.endpoint, e);
-  const double throughput_kbps =
-      std::min(latency_.wan_throughput_mbps(rtt), player.info.bandwidth.download_mbps) * 1000.0;
-  const double transfer_ms =
-      game::frame_bits(bitrate_kbps) / std::max(1.0, throughput_kbps * 1000.0) * 1000.0;
-  return base + transfer_ms;
-}
-
 void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
                                 const std::vector<SupernodeState>& fleet, const Cloud& cloud,
                                 const std::vector<CdnServerState>& cdn) const {
@@ -227,8 +167,12 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
     const double uplink_kbps = std::max(raw_kbps, load.offered_mbps * 1000.0);
     const double transfer_ms = frame / (raw_kbps * 1000.0) * 1000.0 +
                                queue * frame / (uplink_kbps * 1000.0) * 1000.0;
-    // Response-latency assembly replicates base_latency_ms() with the
-    // cached one-way term substituted in the same addition order.
+    // Response latency follows §3.1: the upstream action message and the
+    // cloud→supernode update are small and fast ("uploading from the
+    // players to the cloud does not seriously affect the response
+    // latency"); the downstream video delivery dominates. So response =
+    // playout/processing + state computation + inter-server communication
+    // + (rendering) + the video's one-way path + transfer.
     double base_ms = cfg_.playout_processing_ms + cfg_.state_compute_ms;
     switch (player.serving.kind) {
       case ServingKind::kCloud:
@@ -241,6 +185,10 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
         base_ms += terms.one_way_ms;
         break;
       case ServingKind::kCdn:
+        // EdgeCloud computes game state at the edge: every response waits
+        // on a wide-area state-sync round between edge servers (§2: the
+        // improvement of CDN "is not significant because the servers need
+        // to cooperate").
         base_ms += cfg_.cdn_cooperation_ms;
         base_ms += cfg_.render_ms;
         base_ms += terms.one_way_ms;

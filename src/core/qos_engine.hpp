@@ -95,15 +95,6 @@ class QosEngine {
                            std::vector<SupernodeState>& fleet, Cloud& cloud,
                            std::vector<CdnServerState>& cdn) const;
 
-  /// Deterministic response latency for a player served by `ref`, at the
-  /// given bitrate, with both endpoints' queueing at zero. Used for
-  /// coverage computation and join-time sanity checks.
-  double unloaded_response_latency_ms(const PlayerState& player, const ServingRef& ref,
-                                      const std::vector<SupernodeState>& fleet,
-                                      const Cloud& cloud,
-                                      const std::vector<CdnServerState>& cdn,
-                                      double bitrate_kbps) const;
-
  private:
   struct EntityLoad {
     double offered_mbps = 0.0;
@@ -166,11 +157,6 @@ class QosEngine {
   void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
                        const std::vector<SupernodeState>& fleet, const Cloud& cloud,
                        const std::vector<CdnServerState>& cdn) const;
-
-  /// Latency from propagation and processing only (no transfer/queueing).
-  double base_latency_ms(const PlayerState& player, const ServingRef& ref,
-                         const std::vector<SupernodeState>& fleet, const Cloud& cloud,
-                         const std::vector<CdnServerState>& cdn) const;
 
   const net::Endpoint& serving_endpoint(const ServingRef& ref,
                                         const std::vector<SupernodeState>& fleet,

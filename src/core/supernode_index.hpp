@@ -1,5 +1,5 @@
 // Geo-grid spatial index over registered supernode positions (perf layer
-// behind Cloud::candidate_supernodes, DESIGN.md §10.1).
+// behind Cloud::candidate_supernodes_into, DESIGN.md §10.1).
 //
 // The index answers exact k-nearest-accepting queries: bucket every
 // supernode's *geolocated* position (the registry's noisy view, not the

@@ -109,7 +109,11 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
   if (cfg_.architecture == Architecture::kCloudFog) {
     fleet_ = testbed_.make_supernode_fleet(cfg_.supernode_count);
     util::Rng reg_rng = rng_.fork("sn-register");
-    for (auto& sn : fleet_) cloud_.register_supernode(sn, reg_rng);
+    // §3.2.1: each supernode registers once, one RTT to the cloud (Fig. 9).
+    for (auto& sn : fleet_) {
+      cloud_.register_supernode(sn, reg_rng);
+      collector_.record_supernode_join(fog_.supernode_join_latency_ms(sn));
+    }
 
     // Designated throttlers (§4.1): stable identities whose owners may
     // limit offered bandwidth in any given cycle.
@@ -294,7 +298,7 @@ void System::rate(PlayerState& p, std::size_t sn, double value, int day) {
   }
 }
 
-void System::roll_daily_sessions(int day) {
+void System::roll_daily_sessions() {
   // Process players in a random order so "the game most friends are
   // playing" sees the friends already decided, as at real join time.
   std::vector<std::size_t> order(players_.size());
@@ -328,10 +332,9 @@ void System::roll_daily_sessions(int day) {
     p.game = testbed_.activity().choose_game(testbed_.catalog(), friend_games, roll_rng);
     decided[idx] = 1;
   }
-  (void)day;
 }
 
-void System::apply_throttling(int day) {
+void System::apply_throttling() {
   util::Rng thr_rng = rng_.fork("throttle-day");
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
     double willingness = 1.0;
@@ -342,13 +345,12 @@ void System::apply_throttling(int day) {
     }
     fleet_[i].willingness = willingness;
   }
-  (void)day;
 }
 
 void System::begin_cycle(int day) {
   CLOUDFOG_REQUIRE(day >= 1, "days are 1-based");
-  if (cfg_.workload == WorkloadMode::kDailySessions) roll_daily_sessions(day);
-  if (cfg_.architecture == Architecture::kCloudFog) apply_throttling(day);
+  if (cfg_.workload == WorkloadMode::kDailySessions) roll_daily_sessions();
+  if (cfg_.architecture == Architecture::kCloudFog) apply_throttling();
   if (adversary_ != nullptr) adversary_->begin_cycle(day, fleet_, players_);
 
   // Weekly social reassignment (§3.4 "runs periodically (e.g., weekly)").
@@ -462,9 +464,9 @@ void System::process_population(int day, int subcycle, bool peak) {
       continue;
     }
     // Fault-layer runs keep the §3.2.2 hourly probing: fallback sessions
-    // look for a fog return exactly like the daily workload does. Gated on
-    // the injector so fault-free arrival runs (Figs. 13–15) stay
-    // byte-identical to the pre-scenario-engine stream.
+    // look for a fog return exactly like the daily workload does.
+    // Fault-free arrival runs (Figs. 13–15) do not probe: a player its
+    // join left on the cloud stays there for its sampled stay.
     if (injector_ != nullptr) retry_cloud_fallback(p, day);
   }
 
@@ -750,13 +752,6 @@ ServerAssignmentCost System::reassign_servers(std::string_view rng_label) {
   const auto stop = std::chrono::steady_clock::now();
   partition_ = std::move(result.partition);
   return {std::chrono::duration<double>(stop - start).count(), result.swap_trials};
-}
-
-std::vector<double> System::supernode_join_latencies() const {
-  std::vector<double> out;
-  out.reserve(fleet_.size());
-  for (const auto& sn : fleet_) out.push_back(fog_.supernode_join_latency_ms(sn));
-  return out;
 }
 
 }  // namespace cloudfog::core

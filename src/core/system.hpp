@@ -185,12 +185,9 @@ class System {
   /// the `social.partition` phase times the whole pass.
   ServerAssignmentCost measure_server_assignment();
 
-  /// Fig. 9: simulated join latency of every fleet supernode.
-  std::vector<double> supernode_join_latencies() const;
-
  private:
-  void roll_daily_sessions(int day);
-  void apply_throttling(int day);
+  void roll_daily_sessions();
+  void apply_throttling();
   game::GameId choose_game_from_mix(util::Rng& rng) const;
   void process_population(int day, int subcycle, bool peak);
   void attach_player(PlayerState& p, int day);

@@ -32,11 +32,6 @@ double ContributorMarket::active_capacity() const {
   return cap;
 }
 
-void ContributorMarket::set_reward(double reward_per_unit) {
-  CLOUDFOG_REQUIRE(reward_per_unit >= 0.0, "negative reward");
-  cfg_.reward_per_unit = reward_per_unit;
-}
-
 double ContributorMarket::utilization(double demand, double capacity) {
   if (capacity <= 0.0) return 1.0;
   return std::min(1.0, demand / capacity);

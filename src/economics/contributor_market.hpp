@@ -57,9 +57,6 @@ class ContributorMarket {
   std::size_t active_count() const;
   double active_capacity() const;
 
-  /// Changes the provider's reward rate mid-simulation.
-  void set_reward(double reward_per_unit);
-
   /// One decision round against `demand` bandwidth units of fog traffic.
   MarketRound step(double demand);
 

@@ -1,7 +1,5 @@
 #include "economics/incentives.hpp"
 
-#include <algorithm>
-
 #include "util/require.hpp"
 
 namespace cloudfog::economics {
@@ -50,35 +48,6 @@ double marginal_supernode_gain(const ProviderEconomics& econ, std::size_t new_pl
   return econ.revenue_per_unit *
              (static_cast<double>(new_players) * econ.streaming_rate - econ.update_rate) -
          econ.reward_per_unit * sn.upload_capacity * sn.utilization;
-}
-
-FleetPlan plan_min_fleet(const ProviderEconomics& econ, std::size_t fog_served_players,
-                         const std::vector<SupernodeContribution>& candidates) {
-  // Largest contributors first: for a fixed covered population n, each
-  // additional supernode costs Λ of update bandwidth (Eq. 3), so the
-  // provider wants the fewest machines whose summed contribution meets
-  // Eq. 4.
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&candidates](std::size_t a, std::size_t b) {
-    return candidates[a].upload_capacity * candidates[a].utilization >
-           candidates[b].upload_capacity * candidates[b].utilization;
-  });
-
-  FleetPlan plan;
-  const double needed = static_cast<double>(fog_served_players) * econ.streaming_rate;
-  double contribution = 0.0;
-  std::vector<SupernodeContribution> chosen_fleet;
-  for (std::size_t idx : order) {
-    if (contribution >= needed) break;
-    plan.chosen.push_back(idx);
-    chosen_fleet.push_back(candidates[idx]);
-    contribution += candidates[idx].upload_capacity * candidates[idx].utilization;
-  }
-  if (contribution < needed) return FleetPlan{};  // infeasible, empty plan
-  plan.feasible = true;
-  plan.saving = provider_saving(econ, fog_served_players, plan.chosen.size(), chosen_fleet);
-  return plan;
 }
 
 }  // namespace cloudfog::economics

@@ -60,18 +60,4 @@ bool fleet_feasible(const ProviderEconomics& econ, std::size_t fog_served_player
 double marginal_supernode_gain(const ProviderEconomics& econ, std::size_t new_players,
                                const SupernodeContribution& sn);
 
-/// The §3.1.2 observation made operational: "given a specific n, saved
-/// cost C_g increases when m decreases". Greedily selects the cheapest
-/// feasible sub-fleet (fewest, largest contributors first) that still
-/// carries `fog_served_players` streams (Eq. 4), maximizing Eq. 3 among
-/// prefix fleets. Returns the chosen indices into `candidates` (empty if
-/// no feasible fleet exists).
-struct FleetPlan {
-  std::vector<std::size_t> chosen;  ///< indices into the candidate list
-  double saving = 0.0;              ///< C_g of the chosen fleet
-  bool feasible = false;
-};
-FleetPlan plan_min_fleet(const ProviderEconomics& econ, std::size_t fog_served_players,
-                         const std::vector<SupernodeContribution>& candidates);
-
 }  // namespace cloudfog::economics

@@ -172,14 +172,6 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& cfg) {
   return plan;
 }
 
-FaultPlan FaultPlan::from_specs(std::vector<FaultSpec> specs) {
-  std::stable_sort(specs.begin(), specs.end(),
-                   [](const FaultSpec& a, const FaultSpec& b) { return a.at_s < b.at_s; });
-  FaultPlan plan;
-  plan.specs_ = std::move(specs);
-  return plan;
-}
-
 std::vector<FaultSpec> regional_outage_specs(const std::vector<NodePosition>& positions,
                                              const GeoBox& box, double at_s,
                                              double duration_s, double crash_fraction,

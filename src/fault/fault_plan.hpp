@@ -135,9 +135,6 @@ class FaultPlan {
   /// sorted by injection time (stable for equal times).
   static FaultPlan generate(const FaultPlanConfig& cfg);
 
-  /// Wraps an explicit spec list (sorted by time) with no random drawing.
-  static FaultPlan from_specs(std::vector<FaultSpec> specs);
-
   const std::vector<FaultSpec>& specs() const { return specs_; }
   bool empty() const { return specs_.empty(); }
   std::size_t size() const { return specs_.size(); }

@@ -1,7 +1,6 @@
 #include "forecast/sarima.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "util/require.hpp"
 
@@ -47,40 +46,6 @@ std::optional<double> SeasonalArima::forecast_next() const {
   const double raw =
       seasonal_model_active() ? raw_forecast(history_.size()) : history_.back();
   return cfg_.log_transform ? std::exp(raw) : raw;
-}
-
-SarimaConfig fit_sarima(const std::vector<double>& training, std::size_t season_length,
-                        int grid_steps) {
-  CLOUDFOG_REQUIRE(grid_steps >= 1, "need at least one grid step");
-  CLOUDFOG_REQUIRE(training.size() > season_length + 1,
-                   "training series must cover more than one season");
-  SarimaConfig best{season_length, 0.0, 0.0};
-  double best_rmse = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < grid_steps; ++i) {
-    for (int j = 0; j < grid_steps; ++j) {
-      SarimaConfig cfg{season_length, 0.9 * i / std::max(1, grid_steps - 1),
-                       0.9 * j / std::max(1, grid_steps - 1)};
-      SeasonalArima model(cfg);
-      double sse = 0.0;
-      std::size_t n = 0;
-      for (double v : training) {
-        const auto f = model.forecast_next();
-        if (f.has_value() && model.seasonal_model_active()) {
-          const double e = v - *f;
-          sse += e * e;
-          ++n;
-        }
-        model.observe(v);
-      }
-      if (n == 0) continue;
-      const double r = std::sqrt(sse / static_cast<double>(n));
-      if (r < best_rmse) {
-        best_rmse = r;
-        best = cfg;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace cloudfog::forecast

@@ -57,9 +57,4 @@ class SeasonalArima {
   std::vector<double> residuals_;  // W_t = N_t − N̂_t (0 while warming up)
 };
 
-/// Grid-searches (θ, Θ) over [0, 0.9]² to minimize one-step RMSE on a
-/// training series; returns the best config with the given season length.
-SarimaConfig fit_sarima(const std::vector<double>& training, std::size_t season_length,
-                        int grid_steps = 10);
-
 }  // namespace cloudfog::forecast

@@ -37,14 +37,6 @@ const QualityLevel& QualityLadder::at_level(int level) const {
   return *it;
 }
 
-const QualityLevel& QualityLadder::level_for_latency(double latency_ms) const {
-  const QualityLevel* best = nullptr;
-  for (const auto& q : levels_) {
-    if (q.latency_requirement_ms <= latency_ms) best = &q;
-  }
-  return best != nullptr ? *best : levels_.front();
-}
-
 const QualityLevel& QualityLadder::step_up(int level) const {
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     if (levels_[i].level == level) {

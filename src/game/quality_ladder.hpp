@@ -42,11 +42,6 @@ class QualityLadder {
 
   const QualityLevel& at_level(int level) const;
 
-  /// Highest level whose latency requirement ≤ `latency_ms` — the level a
-  /// game with that requirement streams at. Falls back to the lowest
-  /// level if even that is too slow.
-  const QualityLevel& level_for_latency(double latency_ms) const;
-
   /// One level up/down, clamped at the ladder ends.
   const QualityLevel& step_up(int level) const;
   const QualityLevel& step_down(int level) const;

@@ -45,7 +45,7 @@
 
 namespace cloudfog::obs {
 
-inline constexpr std::uint16_t kBinaryTraceVersion = 1;
+inline constexpr std::uint16_t kBinaryTraceVersion = 2;
 inline constexpr std::size_t kBinaryTraceHeaderBytes = 12;
 inline constexpr std::size_t kBinaryTraceRecordBytes = 44;
 inline constexpr std::uint8_t kBinaryFrameString = 0x01;

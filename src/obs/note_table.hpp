@@ -1,11 +1,9 @@
 // Interned observability vocabularies.
 //
-// TraceEvent used to carry a std::string note built per event at the call
-// site ("granted", "within_lmax", "wanted=" + std::to_string(n), ...),
-// which put an allocation on every traced hot-path event. The note table
-// interns each distinct note text once, process-wide, behind a small
-// NoteId; events carry the id (plus an optional integer argument appended
-// at serialization time), so pushing a trace event never allocates.
+// The note table interns each distinct trace-note text ("granted",
+// "within_lmax", ...) once, process-wide, behind a small NoteId; events
+// carry the id (plus an optional integer argument appended at
+// serialization time), so pushing a trace event never allocates.
 //
 // Counter, gauge, histogram and phase names are interned the same way
 // (obs/intern_table.hpp), so a handle resolved once through any recorder

@@ -12,7 +12,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kSubcycle: return "subcycle";
     case EventKind::kPlayerJoin: return "player_join";
     case EventKind::kPlayerLeave: return "player_leave";
-    case EventKind::kSupernodeJoin: return "supernode_join";
     case EventKind::kSupernodeChurn: return "supernode_churn";
     case EventKind::kProbeSent: return "probe_sent";
     case EventKind::kProbeAnswered: return "probe_answered";

@@ -42,7 +42,6 @@ enum class EventKind : std::uint8_t {
   kSubcycle,        ///< subcycle boundary (subject=cycle, object=subcycle, value=online)
   kPlayerJoin,      ///< subject=player, object=serving entity, value=join latency ms
   kPlayerLeave,     ///< subject=player
-  kSupernodeJoin,   ///< subject=supernode, value=join latency ms
   kSupernodeChurn,  ///< subject=supernode (failure/withdrawal detected)
   kProbeSent,       ///< subject=player, object=supernode
   kProbeAnswered,   ///< subject=player, object=supernode, value=RTT ms

@@ -66,9 +66,9 @@ class ScenarioEngine {
 /// One row per bounded metric: value, bound, signed margin, verdict.
 util::Table envelope_table(const ScenarioOutcome& outcome);
 
-/// The legacy chaos sweep (bench/ext_chaos), rebuilt on the engine: one
-/// chaos_scenario per rate over a shared testbed, same columns as the old
-/// core::chaos_sweep table. The rates are sweep cells (core::run_cells).
+/// The chaos extension (`cloudfog_figs chaos`): one chaos_scenario per
+/// fault rate over a shared testbed. The rates are sweep cells
+/// (core::run_cells).
 util::Table chaos_sweep_table(core::TestbedProfile profile,
                               const std::vector<double>& faults_per_hour,
                               const core::ExperimentScale& scale,

@@ -291,14 +291,6 @@ bool load_scenario_file(const std::string& path, ScenarioSpec* out, std::string*
   return true;
 }
 
-const std::vector<std::string>& bundled_scenario_names() {
-  static const std::vector<std::string> kNames = {
-      "flash-crowd", "regional-outage", "churn-storm",
-      "whitewash",   "collusion",       "on-off",
-  };
-  return kNames;
-}
-
 ScenarioSpec chaos_scenario(core::TestbedProfile profile, double faults_per_hour,
                             const core::ExperimentScale& scale) {
   ScenarioSpec spec;
@@ -313,7 +305,8 @@ ScenarioSpec chaos_scenario(core::TestbedProfile profile, double faults_per_hour
   spec.cycles = scale.cycles;
   spec.warmup = scale.warmup;
   spec.seed = scale.seed;
-  spec.system_seed = scale.seed + 81;  // the legacy core::chaos_sweep arm seed
+  // A fixed offset: the chaos table and its pinned trace are drawn from it.
+  spec.system_seed = scale.seed + 81;
   spec.daily_sessions = true;
   spec.reputation = spec.rate_adaptation = true;
   spec.social_assignment = spec.provisioning = true;  // cloudfog_advanced_config

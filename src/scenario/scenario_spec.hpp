@@ -121,13 +121,9 @@ bool parse_scenario(const std::string& text, ScenarioSpec* out, std::string* err
 /// Reads and parses a scenario file; the filename is reported in errors.
 bool load_scenario_file(const std::string& path, ScenarioSpec* out, std::string* error);
 
-/// The six bundled scenario names, in canonical order. CI runs
-/// `data/scenarios/<name>.scn` for each.
-const std::vector<std::string>& bundled_scenario_names();
-
-/// C++ builder for the chaos sweep (bench/ext_chaos): the legacy
-/// `core::chaos_sweep` arm — paper-profile testbed, daily sessions, all
-/// strategies, mixed background faults at `faults_per_hour`.
+/// C++ builder for one arm of the chaos sweep (`cloudfog_figs chaos`):
+/// paper-profile testbed, daily sessions, all strategies, mixed background
+/// faults at `faults_per_hour`.
 ScenarioSpec chaos_scenario(core::TestbedProfile profile, double faults_per_hour,
                             const core::ExperimentScale& scale);
 

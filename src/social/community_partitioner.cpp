@@ -124,23 +124,4 @@ PartitionerResult CommunityPartitioner::partition(const SocialGraph& graph,
   return result;
 }
 
-CommunityId assign_new_player(const SocialGraph& graph, const Partition& partition,
-                              int community_count, PlayerId joiner, util::Rng& rng) {
-  CLOUDFOG_REQUIRE(community_count > 0, "need at least one community");
-  CLOUDFOG_REQUIRE(joiner < graph.player_count(), "player id out of range");
-  std::vector<int> votes(static_cast<std::size_t>(community_count), 0);
-  bool any = false;
-  for (PlayerId f : graph.friends(joiner)) {
-    if (f < partition.size() && partition[f] >= 0 && partition[f] < community_count) {
-      ++votes[static_cast<std::size_t>(partition[f])];
-      any = true;
-    }
-  }
-  if (!any) {
-    return static_cast<CommunityId>(rng.uniform_int(0, community_count - 1));
-  }
-  return static_cast<CommunityId>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
-}
-
 }  // namespace cloudfog::social

@@ -55,10 +55,4 @@ class CommunityPartitioner {
   PartitionerConfig cfg_;
 };
 
-/// Incremental assignment for a player joining mid-week (§3.4): placed in
-/// the community holding the plurality of its friends, or a random one if
-/// it has none assigned.
-CommunityId assign_new_player(const SocialGraph& graph, const Partition& partition,
-                              int community_count, PlayerId joiner, util::Rng& rng);
-
 }  // namespace cloudfog::social

@@ -32,6 +32,13 @@ class CloudTest : public ::testing::Test {
     return sn;
   }
 
+  /// The `count` candidates the cloud answers a player at the origin.
+  std::vector<std::size_t> candidates(std::size_t count) const {
+    std::vector<std::size_t> out;
+    cloud_->candidate_supernodes_into(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, count, out);
+    return out;
+  }
+
   net::LatencyModel latency_;
   std::optional<Cloud> cloud_;
   std::vector<SupernodeState> fleet_;
@@ -46,8 +53,7 @@ TEST_F(CloudTest, CandidatesSortedByDistance) {
   make_sn(100.0);
   make_sn(500.0);
   make_sn(1500.0);
-  const auto cands =
-      cloud_->candidate_supernodes(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 2);
+  const auto cands = candidates(2);
   ASSERT_EQ(cands.size(), 2u);
   EXPECT_EQ(cands[0], 0u);
   EXPECT_EQ(cands[1], 1u);
@@ -57,8 +63,7 @@ TEST_F(CloudTest, FullSupernodesExcluded) {
   make_sn(100.0, /*capacity=*/1);
   make_sn(500.0);
   fleet_[0].served = 1;  // at capacity
-  const auto cands =
-      cloud_->candidate_supernodes(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 5);
+  const auto cands = candidates(5);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0], 1u);
 }
@@ -69,16 +74,21 @@ TEST_F(CloudTest, UndeployedAndFailedExcluded) {
   make_sn(300.0);
   fleet_[0].deployed = false;
   fleet_[1].failed = true;
-  const auto cands =
-      cloud_->candidate_supernodes(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 5);
+  const auto cands = candidates(5);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0], 2u);
 }
 
 TEST_F(CloudTest, CandidateCountIsCapped) {
   for (int i = 0; i < 10; ++i) make_sn(100.0 * (i + 1));
-  EXPECT_EQ(cloud_->candidate_supernodes(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 3).size(),
-            3u);
+  EXPECT_EQ(candidates(3).size(), 3u);
+}
+
+TEST_F(CloudTest, CandidateLookupClearsTheScratchBuffer) {
+  make_sn(100.0);
+  std::vector<std::size_t> out{7, 7, 7};
+  cloud_->candidate_supernodes_into(net::Endpoint{{0.0, 0.0}, 5.0}, fleet_, 5, out);
+  EXPECT_EQ(out, (std::vector<std::size_t>{0}));
 }
 
 TEST_F(CloudTest, DatacenterIndexValidated) {

@@ -54,6 +54,7 @@ TEST(MetricsCollector, EventSamplesRecordedRegardlessOfWarmup) {
   collector.record_migration(800.0);
   collector.record_server_assignment(1.5);
   EXPECT_EQ(collector.metrics().player_join_latency_ms.count(), 1u);
+  EXPECT_DOUBLE_EQ(collector.metrics().supernode_join_latency_ms.mean(), 80.0);
   EXPECT_DOUBLE_EQ(collector.metrics().migration_latency_ms.mean(), 800.0);
   EXPECT_DOUBLE_EQ(collector.metrics().server_assignment_seconds.mean(), 1.5);
 }

@@ -43,6 +43,11 @@ class QosEngineTest : public ::testing::Test {
     fleet_.push_back(sn);
   }
 
+  /// Mean response latency of one subcycle over the current world.
+  double response_latency_ms() {
+    return engine_->run_subcycle(players_, fleet_, *cloud_, cdn_).avg_response_latency_ms;
+  }
+
   net::LatencyModel latency_;
   game::GameCatalog catalog_;
   std::optional<Cloud> cloud_;
@@ -117,12 +122,19 @@ TEST_F(QosEngineTest, CrossServerLatencyAddsToResponse) {
   players_[1].cross_server_ms = 40.0;
   const auto qos = engine_->run_subcycle(players_, fleet_, *cloud_, cdn_);
   EXPECT_NEAR(qos.avg_server_latency_ms, 20.0, 1e-9);
-  // The response latencies differ by exactly the cross-server term.
-  const double lat0 = players_[0].cycle_continuity_samples;  // both sampled
-  ASSERT_GT(lat0, 0.0);
+  // In a one-player world the response grows by exactly the term.
+  players_.clear();
+  players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
+  const double local = response_latency_ms();
+  players_.clear();
+  players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
+  players_[0].cross_server_ms = 40.0;
+  EXPECT_NEAR(response_latency_ms() - local, 40.0, 1e-9);
 }
 
 TEST_F(QosEngineTest, CdnPathIncludesCooperationPenalty) {
+  // Two one-player worlds with the same geometry: the player 10 km from
+  // an edge server, then 10 km from a supernode.
   CdnServerState edge;
   edge.endpoint = net::make_infrastructure_endpoint({10.0, 0.0});
   edge.uplink_mbps = 100.0;
@@ -130,28 +142,45 @@ TEST_F(QosEngineTest, CdnPathIncludesCooperationPenalty) {
   edge.served = 1;
   cdn_.push_back(edge);
   players_.push_back(make_player(0.0, 4, {ServingKind::kCdn, 0}));
+  const double cdn_lat = response_latency_ms();
 
+  players_.clear();
+  cdn_.clear();
   add_sn(10.0);
   fleet_[0].served = 1;
   players_.push_back(make_player(0.0, 4, {ServingKind::kSupernode, 0}));
-
-  const PlayerState& cdn_p = players_[0];
-  const PlayerState& fog_p = players_[1];
-  const double cdn_lat = engine_->unloaded_response_latency_ms(
-      cdn_p, cdn_p.serving, fleet_, *cloud_, cdn_, 1800.0);
-  const double fog_lat = engine_->unloaded_response_latency_ms(
-      fog_p, fog_p.serving, fleet_, *cloud_, cdn_, 1800.0);
-  // Same geometry, but the CDN pays wide-area state cooperation.
+  const double fog_lat = response_latency_ms();
+  // The CDN pays wide-area state cooperation on every response.
   EXPECT_GT(cdn_lat, fog_lat + QosEngineConfig{}.cdn_cooperation_ms * 0.5);
 }
 
 TEST_F(QosEngineTest, UnloadedLatencyGrowsWithBitrate) {
+  // Two one-player worlds on the same idle cloud path; only the game, and
+  // with it the stream's default bitrate, differs.
+  players_.push_back(make_player(0.0, 0, {ServingKind::kCloud, 0}));
+  const double slow = response_latency_ms();
+  players_.clear();
   players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
-  const double slow = engine_->unloaded_response_latency_ms(
-      players_[0], players_[0].serving, fleet_, *cloud_, cdn_, 300.0);
-  const double fast = engine_->unloaded_response_latency_ms(
-      players_[0], players_[0].serving, fleet_, *cloud_, cdn_, 1800.0);
+  const double fast = response_latency_ms();
+  ASSERT_LT(catalog_.ladder().at_level(catalog_.game(0).default_quality_level).bitrate_kbps,
+            catalog_.ladder().at_level(catalog_.game(4).default_quality_level).bitrate_kbps);
   EXPECT_GT(fast, slow);
+}
+
+TEST_F(QosEngineTest, AverageResponseIsThePerSessionMean) {
+  // A cloud and a fog session share no entity, so together each sees
+  // what it sees alone.
+  add_sn(10.0);
+  fleet_[0].served = 1;
+  players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
+  const double cloud_lat = response_latency_ms();
+  players_.clear();
+  players_.push_back(make_player(0.0, 4, {ServingKind::kSupernode, 0}));
+  const double fog_lat = response_latency_ms();
+  players_.clear();
+  players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
+  players_.push_back(make_player(0.0, 4, {ServingKind::kSupernode, 0}));
+  EXPECT_NEAR(response_latency_ms(), (cloud_lat + fog_lat) / 2.0, 1e-9);
 }
 
 TEST_F(QosEngineTest, EmptySubcycleIsWellDefined) {

@@ -2,7 +2,7 @@
 // geo-grid index must return element-for-element what the reference
 // linear scan returns — same indices, same order — across randomized
 // fleets, capacity/deployment churn and fleet swaps, because the two
-// paths are interchangeable behind Cloud::candidate_supernodes and the
+// paths are interchangeable behind Cloud::candidate_supernodes_into and the
 // determinism gate compares runs that may differ only in mode. The index
 // keeps its own accepting counts, so every churn step here reports each
 // node through Cloud::note_seat_change, as the System's seat paths do.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -224,6 +225,31 @@ TEST(SystemClock, CrashOneSecondIntoASubcycleFiresInThatSubcycle) {
   EXPECT_TRUE(sys.fleet()[kVictim].failed);
 }
 
+// With faults, a subcycle event's time can lag its hour's start
+// (DESIGN.md §11.1), but it names its hour in its fields and its time
+// stays inside that hour.
+TEST(SystemClock, SubcycleEventNamesItsHourAfterAnInHourFault) {
+  obs::Recorder rec;
+  rec.set_enabled(true);
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(), 30);
+  cfg.faults.enabled = true;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSlowNode;
+  spec.target = 3;
+  spec.at_s = 26.0 * 3600.0 + 1800.0;  // halfway into day 2's subcycle 3
+  spec.duration_s = 600.0;
+  cfg.faults.extra_specs.push_back(spec);
+  System sys(small_testbed(), cfg, 5, rec);
+  walk_into_day_two(sys, 3);
+  const auto events = rec.trace_buffer().events();
+  ASSERT_FALSE(events.empty());
+  const obs::TraceEvent& last = events.back();
+  ASSERT_EQ(last.kind, obs::EventKind::kSubcycle);
+  EXPECT_EQ(last.subject, 2);
+  EXPECT_EQ(last.object, 3);
+  EXPECT_LT(last.t, 27.0 * 3600.0);
+}
+
 // A one-hour crash placed 1 s into a subcycle clears 1 s into the next
 // one: run_subcycle advances the fault clock to the end of each subcycle.
 TEST(SystemClock, OneHourCrashClearsInTheNextSubcycle) {
@@ -391,11 +417,43 @@ TEST(System, ServerAssignmentMeasurable) {
   EXPECT_EQ(sys.metrics().server_assignment_seconds.count(), 1u);
 }
 
-TEST(System, SupernodeJoinLatenciesAvailable) {
-  System sys = make_cloudfog_basic(small_testbed(), 16);
-  const auto joins = sys.supernode_join_latencies();
-  EXPECT_EQ(joins.size(), sys.fleet().size());
-  for (double ms : joins) EXPECT_GT(ms, 0.0);
+TEST(System, SupernodeJoinsRecordedAtConstruction) {
+  // Each fleet supernode registers once, before the run starts (Fig. 9).
+  const System fog = make_cloudfog_basic(small_testbed(), 16);
+  const util::SampleSet& joins = fog.metrics().supernode_join_latency_ms;
+  ASSERT_FALSE(fog.fleet().empty());
+  EXPECT_EQ(joins.count(), fog.fleet().size());
+  for (double ms : joins.samples()) EXPECT_GT(ms, 0.0);
+  const System cloud = make_cloud_system(small_testbed(), 16);
+  EXPECT_EQ(cloud.metrics().supernode_join_latency_ms.count(), 0u);
+  const System cdn = make_cdn_system(small_testbed(), 16);
+  EXPECT_EQ(cdn.metrics().supernode_join_latency_ms.count(), 0u);
+}
+
+TEST(System, CrashRecoveryDoesNotRerecordASupernodeJoin) {
+  SystemConfig cfg = cloudfog_basic_config(small_testbed(), 30);
+  cfg.faults.enabled = true;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kSupernodeCrash;
+  spec.target = 3;
+  spec.at_s = 26.0 * 3600.0;  // day 2, subcycle 3, for one hour
+  spec.duration_s = 3600.0;
+  cfg.faults.extra_specs.push_back(spec);
+  System sys(small_testbed(), cfg, 5);
+  const RunMetrics& m = sys.run(short_run());
+  ASSERT_EQ(sys.injector()->cleared(), 1u);
+  EXPECT_EQ(m.supernode_join_latency_ms.count(), sys.fleet().size());
+}
+
+TEST(System, RunSummaryReportsSupernodeJoins) {
+  const System sys = make_cloudfog_basic(small_testbed(), 16);
+  const obs::RunSummary run = summarize_run(sys.metrics(), "fog", 0);
+  const auto it = std::find_if(run.stats.begin(), run.stats.end(), [](const auto& s) {
+    return s.name == "supernode_join_latency_ms";
+  });
+  ASSERT_NE(it, run.stats.end());
+  EXPECT_EQ(it->count, sys.fleet().size());
+  EXPECT_DOUBLE_EQ(it->mean, sys.metrics().supernode_join_latency_ms.mean());
 }
 
 TEST(System, MosReportedOnTheQoeScale) {

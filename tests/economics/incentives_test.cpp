@@ -76,45 +76,6 @@ TEST(Incentives, MarginalGainNegativeForUselessSupernode) {
   EXPECT_LT(marginal_supernode_gain(econ, 0, sn), 0.0);
 }
 
-TEST(FleetPlan, PicksFewestLargestContributors) {
-  ProviderEconomics econ;
-  econ.streaming_rate = 1.0;
-  const std::vector<SupernodeContribution> candidates{
-      {5.0, 1.0, 0.0}, {50.0, 1.0, 0.0}, {20.0, 1.0, 0.0}};
-  const auto plan = plan_min_fleet(econ, 60, candidates);
-  ASSERT_TRUE(plan.feasible);
-  // 50 + 20 = 70 ≥ 60 with two machines; the 5-unit one is unnecessary.
-  EXPECT_EQ(plan.chosen, (std::vector<std::size_t>{1, 2}));
-}
-
-TEST(FleetPlan, FewerSupernodesBeatUsingEveryone) {
-  ProviderEconomics econ;
-  econ.streaming_rate = 1.0;
-  std::vector<SupernodeContribution> candidates(20, SupernodeContribution{10.0, 1.0, 0.0});
-  const auto plan = plan_min_fleet(econ, 50, candidates);
-  ASSERT_TRUE(plan.feasible);
-  EXPECT_EQ(plan.chosen.size(), 5u);
-  // Eq. 3: the minimal fleet saves more than rewarding all 20.
-  EXPECT_GT(plan.saving, provider_saving(econ, 50, 20, candidates));
-}
-
-TEST(FleetPlan, InfeasibleWhenDemandExceedsSupply) {
-  ProviderEconomics econ;
-  econ.streaming_rate = 1.0;
-  const std::vector<SupernodeContribution> candidates{{1.0, 1.0, 0.0}};
-  const auto plan = plan_min_fleet(econ, 100, candidates);
-  EXPECT_FALSE(plan.feasible);
-  EXPECT_TRUE(plan.chosen.empty());
-}
-
-TEST(FleetPlan, ZeroDemandNeedsNoSupernodes) {
-  const ProviderEconomics econ;
-  const auto plan = plan_min_fleet(econ, 0, {{10.0, 1.0, 0.0}});
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_TRUE(plan.chosen.empty());
-  EXPECT_DOUBLE_EQ(plan.saving, 0.0);
-}
-
 TEST(Incentives, Validation) {
   EXPECT_THROW(supernode_profit({-1.0, 0.5, 0.0}, 1.0), cloudfog::ConfigError);
   EXPECT_THROW(supernode_profit({1.0, 1.5, 0.0}, 1.0), cloudfog::ConfigError);

@@ -20,6 +20,14 @@ FaultSpec spec_of(FaultKind kind, double at_s, double duration_s,
   return s;
 }
 
+/// A hand-written schedule: a zero-rate plan whose extra specs are `specs`,
+/// the way Fig. 9, the failure sweep and the scenario engine build theirs.
+FaultPlan plan_of(std::vector<FaultSpec> specs) {
+  FaultPlanConfig cfg;
+  cfg.extra_specs = std::move(specs);
+  return FaultPlan::generate(cfg);
+}
+
 /// Harness with no crash machinery: crash hooks abort the test if called.
 struct Harness {
   sim::Simulator sim;
@@ -29,7 +37,7 @@ struct Harness {
 
   explicit Harness(std::vector<FaultSpec> specs, std::size_t supernodes = 8,
                    std::size_t regions = 4)
-      : injector(sim, state, FaultPlan::from_specs(std::move(specs)),
+      : injector(sim, state, plan_of(std::move(specs)),
                  [](const FaultSpec&) -> std::size_t {
                    ADD_FAILURE() << "unexpected crash apply";
                    return kAnyTarget;
@@ -118,7 +126,7 @@ TEST(FaultInjector, CrashHookResolvesWildcardAndClearNamesTheSameVictim) {
   obs::Recorder rec;
   FaultInjector injector(
       sim, state,
-      FaultPlan::from_specs({spec_of(FaultKind::kSupernodeCrash, 10.0, 30.0)}),
+      plan_of({spec_of(FaultKind::kSupernodeCrash, 10.0, 30.0)}),
       [&](const FaultSpec& spec) -> std::size_t {
         EXPECT_EQ(spec.target, kAnyTarget);
         applied.push_back(5);  // the hook picks the victim
@@ -150,7 +158,7 @@ TEST(FaultInjector, CrashWithNoVictimIsDroppedWithoutAClear) {
   int clears = 0;
   obs::Recorder rec;
   FaultInjector injector(
-      sim, state, FaultPlan::from_specs({spec_of(FaultKind::kSupernodeCrash, 1.0, 10.0)}),
+      sim, state, plan_of({spec_of(FaultKind::kSupernodeCrash, 1.0, 10.0)}),
       [](const FaultSpec&) -> std::size_t { return kAnyTarget; },  // nobody to kill
       [&](const FaultSpec&, std::size_t) { ++clears; }, rec);
   injector.arm();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 namespace cloudfog::fault {
 namespace {
@@ -105,6 +106,23 @@ TEST(FaultPlan, ExtraSpecsAreMergedInTimeOrder) {
     found = found || specs_equal(spec, hand);
   }
   EXPECT_TRUE(found);
+}
+
+TEST(FaultPlan, ZeroRatePlanIsItsExtraSpecsInStableTimeOrder) {
+  FaultPlanConfig cfg;
+  for (double at_s : {30.0, 10.0, 30.0, 20.0}) {
+    FaultSpec spec;
+    spec.at_s = at_s;
+    spec.target = cfg.extra_specs.size();
+    cfg.extra_specs.push_back(spec);
+  }
+  const FaultPlan plan = FaultPlan::generate(cfg);
+  ASSERT_EQ(plan.size(), 4u);
+  // By time; the two specs at 30 s keep their listed order.
+  const std::vector<std::size_t> targets{1, 3, 0, 2};
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(plan.specs()[i].target, targets[i]) << i;
+  }
 }
 
 TEST(FaultPlan, ZeroRateEmptyHorizonYieldsEmptyPlan) {

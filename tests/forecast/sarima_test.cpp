@@ -110,19 +110,6 @@ TEST(Sarima, TracksTheDiurnalWorkloadWell) {
   EXPECT_LT(err / counted, 0.15);  // mean absolute percentage error
 }
 
-TEST(Sarima, FitReturnsValidConfigAndBeatsWorstGrid) {
-  game::WorkloadGenerator workload(game::WorkloadConfig{}, util::Rng(4));
-  const auto series = workload.series(14);
-  const SarimaConfig best = fit_sarima(series, 24, 4);
-  EXPECT_EQ(best.season_length, 24u);
-  EXPECT_GE(best.theta, 0.0);
-  EXPECT_LT(best.theta, 1.0);
-}
-
-TEST(Sarima, FitValidation) {
-  EXPECT_THROW(fit_sarima({1.0, 2.0}, 24), cloudfog::ConfigError);
-}
-
 TEST(Sarima, ConfigValidation) {
   EXPECT_THROW(SeasonalArima(SarimaConfig{0, 0.3, 0.3}), cloudfog::ConfigError);
   EXPECT_THROW(SeasonalArima(SarimaConfig{4, 1.0, 0.3}), cloudfog::ConfigError);

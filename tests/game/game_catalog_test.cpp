@@ -22,6 +22,21 @@ TEST(GameCatalog, GamesSpanTheLatencyLadder) {
   }
 }
 
+TEST(GameCatalog, DefaultLevelIsTheHighestWithinBudget) {
+  // §3.3: "if a game video has a latency requirement of 90 ms, the
+  // supernode should use 1200 kbps encoding bitrate (level 4)".
+  const GameCatalog catalog = GameCatalog::paper_default();
+  const QualityLadder& ladder = catalog.ladder();
+  EXPECT_EQ(catalog.game(3).default_quality_level, 4);
+  EXPECT_DOUBLE_EQ(ladder.at_level(4).bitrate_kbps, 1200.0);
+  for (const auto& g : catalog.games()) {
+    if (g.default_quality_level == ladder.max_level()) continue;
+    EXPECT_GT(ladder.step_up(g.default_quality_level).latency_requirement_ms,
+              g.latency_requirement_ms)
+        << g.name;
+  }
+}
+
 TEST(GameCatalog, TolerancesMatchTable2) {
   const GameCatalog catalog = GameCatalog::paper_default();
   EXPECT_DOUBLE_EQ(catalog.game(0).latency_tolerance, 0.6);

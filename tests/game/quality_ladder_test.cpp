@@ -21,21 +21,6 @@ TEST(QualityLadder, PaperDefaultMatchesTable2) {
   EXPECT_DOUBLE_EQ(bottom.latency_tolerance, 0.6);
 }
 
-TEST(QualityLadder, LevelForLatencyPicksHighestFitting) {
-  const QualityLadder ladder = QualityLadder::paper_default();
-  // §3.3: "if a game video has a latency requirement of 90 ms, the
-  // supernode should use 1200 kbps encoding bitrate (level 4)".
-  EXPECT_EQ(ladder.level_for_latency(90.0).level, 4);
-  EXPECT_EQ(ladder.level_for_latency(110.0).level, 5);
-  EXPECT_EQ(ladder.level_for_latency(200.0).level, 5);
-  EXPECT_EQ(ladder.level_for_latency(65.0).level, 2);
-}
-
-TEST(QualityLadder, LevelForLatencyFallsBackToLowest) {
-  const QualityLadder ladder = QualityLadder::paper_default();
-  EXPECT_EQ(ladder.level_for_latency(10.0).level, 1);
-}
-
 TEST(QualityLadder, StepUpDownFollowsFig2) {
   const QualityLadder ladder = QualityLadder::paper_default();
   // Fig. 2: 800 kbps steps up to 1200 kbps and down to 500 kbps.

@@ -68,6 +68,19 @@ TEST(Experiment, SetupLatencyTablesWellFormed) {
   }
 }
 
+TEST(Experiment, SetupLatencyVsSupernodesPrintsTheRecordedJoins) {
+  // Fig. 9's supernode-join column is the mean of the registrations each
+  // System records at construction: one RTT to the cloud plus setup (§3.2.1).
+  const auto table = setup_latency_vs_supernodes(TestbedProfile::kPlanetLab, {10, 20},
+                                                 ExperimentScale::quick());
+  ASSERT_EQ(table.row_count(), 2u);
+  constexpr std::size_t kSupernodeJoinCol = 1;
+  for (std::size_t row = 0; row < table.row_count(); ++row) {
+    EXPECT_GT(cell(table, row, kSupernodeJoinCol), 0.0);
+    EXPECT_LT(cell(table, row, kSupernodeJoinCol), 1.0);
+  }
+}
+
 TEST(Experiment, SatisfactionSweepHasBothArms) {
   const auto table = satisfaction_sweep(TestbedProfile::kPeerSim,
                                         SatisfactionStrategy::kReputation, {10, 20},

@@ -185,6 +185,18 @@ TEST(BinaryTraceReader, RejectsBadMagicAndTruncation) {
   EXPECT_TRUE(error.empty()) << error;
 }
 
+TEST(BinaryTraceReader, RejectsAnotherFormatVersion) {
+  // Kind codes differ between format versions, so an older file must not
+  // decode as if it were current.
+  TraceEvent e;
+  e.kind = EventKind::kRating;
+  std::string bytes = encode({e});
+  bytes[4] = static_cast<char>(kBinaryTraceVersion - 1);
+  std::string error;
+  EXPECT_TRUE(decode(bytes, &error).empty());
+  EXPECT_NE(error.find("unsupported binary trace version"), std::string::npos) << error;
+}
+
 TEST(BinaryTraceReader, RejectsUnknownEventKind) {
   TraceEvent e;
   const std::string bytes = encode({e});

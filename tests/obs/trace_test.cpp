@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -127,6 +128,16 @@ TEST(EventKindName, CoversAllKinds) {
   EXPECT_STREQ(event_kind_name(EventKind::kMigration), "migration");
   EXPECT_STREQ(event_kind_name(EventKind::kRateSwitch), "rate_switch");
   EXPECT_STREQ(event_kind_name(EventKind::kRating), "rating");
+}
+
+TEST(EventKindName, EveryKindHasADistinctName) {
+  // tracecat's JSONL identifies a kind by its name alone.
+  std::set<std::string> names;
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const std::string name = event_kind_name(static_cast<EventKind>(k));
+    EXPECT_NE(name, "unknown") << k;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
 }
 
 TEST(TraceBuffer, ClearResetsBufferAndCounters) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "scenario/envelope.hpp"
 
@@ -185,12 +187,18 @@ TEST(ScenarioParser, LoadScenarioFilePrefixesThePath) {
 }
 
 TEST(ScenarioParser, BundledScenariosParseAndCarryEnvelopes) {
-  const std::string dir = std::string(CLOUDFOG_REPO_DIR) + "/data/scenarios/";
-  ASSERT_EQ(bundled_scenario_names().size(), 6u);
-  for (const std::string& name : bundled_scenario_names()) {
+  // Lists data/scenarios/*.scn the way bench_scenarios does.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(CLOUDFOG_REPO_DIR) + "/data/scenarios")) {
+    if (entry.path().extension() == ".scn") files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 6u);
+  for (const auto& file : files) {
     ScenarioSpec spec;
     std::string error;
-    ASSERT_TRUE(load_scenario_file(dir + name + ".scn", &spec, &error)) << error;
+    ASSERT_TRUE(load_scenario_file(file.string(), &spec, &error)) << error;
+    const std::string name = file.stem().string();
     // The file's declared name must match its filename — `--scenario NAME`
     // resolves files by name, so a mismatch would make CI run the wrong spec.
     EXPECT_EQ(spec.name, name);

@@ -143,27 +143,6 @@ TEST(Partitioner, RejectsBadConfig) {
   EXPECT_THROW(CommunityPartitioner{cfg}, cloudfog::ConfigError);
 }
 
-TEST(AssignNewPlayer, FollowsFriendPlurality) {
-  SocialGraph g(5);
-  g.add_friendship(4, 0);
-  g.add_friendship(4, 1);
-  g.add_friendship(4, 2);
-  const Partition partition{1, 1, 2, 0, 0};
-  util::Rng rng(8);
-  EXPECT_EQ(assign_new_player(g, partition, 3, 4, rng), 1);
-}
-
-TEST(AssignNewPlayer, RandomWhenFriendless) {
-  const SocialGraph g(3);
-  const Partition partition{0, 1, 2};
-  util::Rng rng(9);
-  std::vector<int> seen(3, 0);
-  for (int i = 0; i < 300; ++i) {
-    ++seen[static_cast<std::size_t>(assign_new_player(g, partition, 3, 0, rng))];
-  }
-  for (int count : seen) EXPECT_GT(count, 50);
-}
-
 // Parameterized property: for any community count, the partitioner covers
 // every player and yields valid ids.
 class PartitionerSweep : public ::testing::TestWithParam<int> {};
