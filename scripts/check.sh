@@ -27,7 +27,9 @@
 #   7. bench smoke: observability export schema checks, including zero
 #      trace drops while a sink is attached and a monotone tracecat JSONL
 #   8. (full mode) the paper-scale catalogue pin (CATALOGUE_PAPER_SHA256,
-#      about 50 s on 4 CPUs), the function-grain reach listing against its
+#      about 50 s on 4 CPUs), the seed-42 output_digest of each perfbench
+#      workload (PERFBENCH_DIGESTS; perfbench builds its own Release tree
+#      under .bench_build/), the function-grain reach listing against its
 #      allowlist (scripts/reach.sh --check, a second unoptimized build of
 #      about 2 min), then the sanitizer matrix: ASan+UBSan build + ctest, TSan build +
 #      ctest (the sweep-pool test included), a traced and a 4-worker TSan
@@ -127,13 +129,17 @@ echo "== determinism gate: figure catalogue pinned across changes =="
 # pins the stdout of the whole catalogue, fig9 included, at default scale
 # (no names, --obs-off; about 15 s on 4 CPUs). CATALOGUE_PAPER_SHA256
 # pins the same at --paper scale, the full 28-day schedule of every
-# sweep; it runs in full mode only and in the scheduled CI job. A change
-# that moves any table must update the constant and say why in
-# CHANGES.md. CI reads the constants from these lines.
+# sweep; it runs in full mode only and in the scheduled CI job.
+# PERFBENCH_DIGESTS pins the output_digest that perfbench (BENCHMARK.json)
+# prints for each workload at its default seed 42; full mode and CI's
+# bench-trend job check it. A change that moves any table or digest must
+# update the constant and say why in CHANGES.md. CI reads the constants
+# from these lines.
 CATALOGUE_SHA256=ca52f67b522840b8aeaa2eee5499d5aac0d33945bfa88ea8c6d1a488028463bf
 FIG9_SHA256=8c38ddd659ddad2a5de5f154cf45a0a0c91f3e2302ef8dc9e6ed66ca60a70021
 CATALOGUE_DEFAULT_SHA256=600eaf10015d527691f18ca66f39b975373350f0791744ad8de6120dc8ebc141
 CATALOGUE_PAPER_SHA256=b815063241570581945abf3c7d9cd604dbba92ac3793b4a7f7c078ca292a8a26
+PERFBENCH_DIGESTS="figures:ebaa9c797fba55f6 daily-social:a22860ee4b21aa1f arrival-chaos:4bad594a24369489"
 PINNED_FIGURES="fig4 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16
   malicious incentives epsilon forecast failures chaos candidates"
 for obs in --obs-off ""; do
@@ -267,6 +273,17 @@ if [ "$QUICK" -eq 0 ]; then
       "pinned $CATALOGUE_PAPER_SHA256" >&2
     exit 1; }
   echo "catalogue: the paper-scale stdout matches its pinned digest"
+
+  echo "== determinism gate: perfbench output digests pinned across changes =="
+  for pin in $PERFBENCH_DIGESTS; do
+    w=${pin%%:*}
+    actual=$(python3 perfbench/run.py --workload "$w" --seconds 0 |
+      sed -n 's/^output_digest=//p')
+    [ "$actual" = "${pin#*:}" ] || {
+      echo "determinism gate FAILED: perfbench $w output_digest '$actual', pinned ${pin#*:}" >&2
+      exit 1; }
+  done
+  echo "perfbench: every workload's output_digest matches its pin"
 
   echo "== reach listing: every test-only src/ function is allowlisted =="
   scripts/reach.sh --check >/dev/null

@@ -121,9 +121,7 @@ struct SupernodeState {
 struct DatacenterState {
   std::size_t id = 0;
   net::Endpoint endpoint;
-  int server_count = 50;      ///< game-state servers inside the datacenter
   double uplink_mbps = 1500;  ///< video-streaming egress capacity
-  int direct_players = 0;
   double demanded_kbps = 0.0;
 };
 

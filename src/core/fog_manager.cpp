@@ -105,7 +105,9 @@ SelectionOutcome FogManager::try_candidates(PlayerState& player,
     slowest_probe = std::max(slowest_probe, rtt);
     const bool within_lmax = rtt / 2.0 <= lmax_ms;
     if (within_lmax) {
-      qualified.push_back(Probed{idx, rtt, player.reputation.score(idx, current_day)});
+      // Random ordering (step 3 without the strategy) never reads the score.
+      qualified.push_back(Probed{
+          idx, rtt, reputation_enabled ? player.reputation.score(idx, current_day) : 0.0});
     }
     if (rec_.enabled()) {
       rec_.registry().observe(fog_obs(rec_).probe_rtt_ms, rtt);

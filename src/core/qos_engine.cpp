@@ -238,7 +238,6 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
   acc.latency_sum += sample.response_latency_ms;
   acc.continuity_sum += sample.continuity;
   acc.bitrate_sum += sample.bitrate_kbps;
-  ++acc.samples;
 }
 
 SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
@@ -247,8 +246,6 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
   CLOUDFOG_TIMED_SCOPE(rec_, "qos.subcycle");
   SubcycleQos out;
 
-  // Per-player accumulators across substeps (scratch reused across calls).
-  acc_.assign(players.size(), Acc{});
   if (memo_players_ != players.data() || memo_.size() != players.size()) {
     memo_.assign(players.size(), PlayerMemo{});
     memo_players_ = players.data();
@@ -256,13 +253,15 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
 
   // The work list — online sessions attached to a serving entity — is
   // invariant across substeps: nothing in the subcycle changes liveness
-  // or attachment. Build it once; both passes iterate it in index order.
+  // or attachment. Build it once; every walk below follows it in index
+  // order, and the per-player accumulators are indexed by work slot.
   work_.clear();
   for (std::size_t i = 0; i < players.size(); ++i) {
     const PlayerState& player = players[i];
     if (player.online && player.session.has_value() && player.serving.attached())
       work_.push_back(static_cast<std::uint32_t>(i));
   }
+  acc_.assign(work_.size(), Acc{});
 
   // Update-feed egress is likewise constant within the subcycle
   // (served/deployed only change between subcycles): one O(fleet) scan
@@ -276,71 +275,83 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     if (edge.served > 0) feed_kbps += cfg_.update_feed_kbps;
   }
 
+  // Demand tallies for the next substep, per entity. Each session's
+  // bitrate is added in work-list order, so every entity's sum is the one
+  // a separate tally pass over the work list would produce, bit for bit.
+  auto& datacenters = cloud.datacenters();
+  next_sn_kbps_.assign(fleet.size(), 0.0);
+  next_dc_kbps_.assign(datacenters.size(), 0.0);
+  next_cdn_kbps_.assign(cdn.size(), 0.0);
+  const auto tally = [&](const PlayerState& player) {
+    const double bitrate = player.session->current_bitrate_kbps();
+    switch (player.serving.kind) {
+      case ServingKind::kSupernode:
+        next_sn_kbps_[player.serving.index] += bitrate;
+        break;
+      case ServingKind::kCloud:
+        next_dc_kbps_[player.serving.index] += bitrate;
+        break;
+      case ServingKind::kCdn:
+        next_cdn_kbps_[player.serving.index] += bitrate;
+        break;
+      case ServingKind::kNone:
+        break;
+    }
+  };
+  // Moves the tallies onto the entities and clears them for the next one.
+  const auto publish = [](auto& entities, std::vector<double>& kbps) {
+    for (std::size_t j = 0; j < entities.size(); ++j) {
+      entities[j].demanded_kbps = kbps[j];
+      kbps[j] = 0.0;
+    }
+  };
+  for (const std::uint32_t i : work_) tally(players[i]);
+
   double egress_sum_mbps = 0.0;
   double server_latency_sum = 0.0;
   std::size_t server_latency_samples = 0;
 
   for (int step = 0; step < cfg_.substeps; ++step) {
-    // Pass 1: demand tallies (bitrates may have adapted last substep).
-    for (auto& sn : fleet) sn.demanded_kbps = 0.0;
-    for (auto& dc : cloud.datacenters()) {
-      dc.demanded_kbps = 0.0;
-      dc.direct_players = 0;
-    }
-    for (auto& edge : cdn) edge.demanded_kbps = 0.0;
-
-    for (const std::uint32_t i : work_) {
-      const PlayerState& player = players[i];
-      const double bitrate = player.session->current_bitrate_kbps();
-      switch (player.serving.kind) {
-        case ServingKind::kSupernode:
-          fleet[player.serving.index].demanded_kbps += bitrate;
-          break;
-        case ServingKind::kCloud: {
-          auto& dc = cloud.datacenter(player.serving.index);
-          dc.demanded_kbps += bitrate;
-          ++dc.direct_players;
-          break;
-        }
-        case ServingKind::kCdn:
-          cdn[player.serving.index].demanded_kbps += bitrate;
-          break;
-        case ServingKind::kNone:
-          break;
-      }
-    }
+    publish(fleet, next_sn_kbps_);
+    publish(datacenters, next_dc_kbps_);
+    publish(cdn, next_cdn_kbps_);
 
     // Cloud egress this substep: direct video + update feeds to every
     // supernode actively serving players. EdgeCloud servers likewise need
     // a consistency feed to keep their world replicas in sync.
     double egress_kbps = 0.0;
-    for (const auto& dc : cloud.datacenters()) egress_kbps += dc.demanded_kbps;
+    for (const auto& dc : datacenters) egress_kbps += dc.demanded_kbps;
     egress_kbps += feed_kbps;
     egress_sum_mbps += egress_kbps / 1000.0;
 
-    // The inter-server latency term reads only state pass 2 never changes.
-    for (const std::uint32_t i : work_) {
-      const PlayerState& player = players[i];
+    // One walk: the inter-server latency term, the path observation and
+    // rate adaptation, and the demand the adapted bitrate puts on its
+    // entity next substep. The last substep tallies nothing, so the
+    // entities keep its demand.
+    const bool tally_next = step + 1 < cfg_.substeps;
+    CLOUDFOG_TIMED_SCOPE(rec_, "qos.rate_adapt");
+    for (std::size_t k = 0; k < work_.size(); ++k) {
+      const std::uint32_t i = work_[k];
+      PlayerState& player = players[i];
       if (player.serving.kind != ServingKind::kCdn) {
         server_latency_sum += player.cross_server_ms;
         ++server_latency_samples;
       }
+      evaluate_player(player, memo_[i], acc_[k], fleet, cloud, cdn);
+      if (tally_next) tally(player);
     }
-
-    // Pass 2: per-session path observation and rate adaptation.
-    CLOUDFOG_TIMED_SCOPE(rec_, "qos.rate_adapt");
-    for (const std::uint32_t i : work_)
-      evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
   }
 
-  // Aggregate across players.
+  // Aggregate across the work list: exactly the online sessions that
+  // took samples this subcycle.
+  const auto samples = static_cast<double>(cfg_.substeps);
   double latency_sum = 0.0;
   double continuity_sum = 0.0;
   double mos_sum = 0.0;
   std::size_t satisfied = 0;
-  for (std::size_t i = 0; i < players.size(); ++i) {
-    const PlayerState& player = players[i];
-    if (!player.online || acc_[i].samples == 0) continue;
+  for (std::size_t k = 0; k < work_.size(); ++k) {
+    PlayerState& player = players[work_[k]];
+    const Acc& acc = acc_[k];
     ++out.online_sessions;
     switch (player.serving.kind) {
       case ServingKind::kSupernode:
@@ -355,9 +366,9 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
       case ServingKind::kNone:
         break;
     }
-    const double avg_lat = acc_[i].latency_sum / acc_[i].samples;
-    const double avg_cont = acc_[i].continuity_sum / acc_[i].samples;
-    const double avg_bitrate = acc_[i].bitrate_sum / acc_[i].samples;
+    const double avg_lat = acc.latency_sum / samples;
+    const double avg_cont = acc.continuity_sum / samples;
+    const double avg_bitrate = acc.bitrate_sum / samples;
     latency_sum += avg_lat;
     continuity_sum += avg_cont;
     mos_sum += qoe_.mos(avg_lat, std::min(1.0, avg_cont), avg_bitrate);
@@ -365,8 +376,8 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
 
     // Feed the per-cycle continuity used for end-of-cycle supernode
     // ratings (§4.1): the player rates what it actually experienced.
-    players[i].cycle_continuity_sum += avg_cont;
-    players[i].cycle_continuity_samples += 1.0;
+    player.cycle_continuity_sum += avg_cont;
+    player.cycle_continuity_samples += 1.0;
   }
 
   if (out.online_sessions > 0) {

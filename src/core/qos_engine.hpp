@@ -106,12 +106,11 @@ class QosEngine {
     double share_kbps(double bitrate_kbps) const;
   };
 
-  /// Per-player accumulators across the subcycle's substeps.
+  /// Per-session sums over the subcycle's substeps (one sample each).
   struct Acc {
     double latency_sum = 0.0;
     double continuity_sum = 0.0;
     double bitrate_sum = 0.0;
-    int samples = 0;
   };
 
   /// Tier-1 memo: pure (player endpoint, serving endpoint) quantities.
@@ -172,8 +171,12 @@ class QosEngine {
 
   // Subcycle scratch + memo state, reused across calls (run_subcycle is
   // not reentrant).
-  mutable std::vector<Acc> acc_;
+  mutable std::vector<Acc> acc_;  ///< indexed by work slot
   mutable std::vector<std::uint32_t> work_;
+  /// Next substep's demand per supernode / datacenter / CDN server.
+  mutable std::vector<double> next_sn_kbps_;
+  mutable std::vector<double> next_dc_kbps_;
+  mutable std::vector<double> next_cdn_kbps_;
   mutable std::vector<PlayerMemo> memo_;
   mutable const PlayerState* memo_players_ = nullptr;
 };

@@ -104,6 +104,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
     state.nearest_dc_cache = static_cast<std::int64_t>(state.state_dc);
     players_.push_back(std::move(state));
   }
+  online_.assign(players_.size(), 0);
 
   // Architecture-specific entities.
   if (cfg_.architecture == Architecture::kCloudFog) {
@@ -418,6 +419,7 @@ void System::attach_player(PlayerState& p, int day) {
 
   p.session.emplace(testbed_.catalog(), p.game, cfg_.adapter, rng_.fork("adapter"));
   p.online = true;
+  online_[static_cast<std::size_t>(&p - players_.data())] = 1;
 }
 
 void System::detach_player(PlayerState& p) {
@@ -431,7 +433,9 @@ void System::detach_player(PlayerState& p) {
   }
   p.session.reset();
   p.online = false;
-  fallback_.exit(static_cast<std::size_t>(&p - players_.data()));
+  const auto idx = static_cast<std::size_t>(&p - players_.data());
+  online_[idx] = 0;
+  fallback_.exit(idx);
 
   if (rec_.enabled()) {
     rec_.registry().add(sys_obs(rec_).player_leaves);
@@ -572,12 +576,11 @@ void System::update_cross_server_latency() {
   const double stranger_cross = 1.0 - 1.0 / static_cast<double>(total_servers_);
   const double w_f = cfg_.friend_interaction_weight;
   for (std::size_t i = 0; i < players_.size(); ++i) {
-    PlayerState& p = players_[i];
-    if (!p.online) continue;
+    if (online_[i] == 0) continue;
     int online_friends = 0;
     int cross_friends = 0;
     for (social::PlayerId f : testbed_.social_graph().friends(i)) {
-      if (!players_[f].online) continue;
+      if (online_[f] == 0) continue;
       ++online_friends;
       if (partition_[f] != partition_[i]) ++cross_friends;
     }
@@ -585,18 +588,15 @@ void System::update_cross_server_latency() {
         online_friends == 0
             ? stranger_cross
             : static_cast<double>(cross_friends) / static_cast<double>(online_friends);
-    p.cross_server_ms = cfg_.cross_server_penalty_ms *
-                        (w_f * friend_cross + (1.0 - w_f) * stranger_cross);
+    players_[i].cross_server_ms =
+        cfg_.cross_server_penalty_ms * (w_f * friend_cross + (1.0 - w_f) * stranger_cross);
   }
 }
 
 void System::maybe_run_provisioning(int day, int subcycle) {
   if (!cfg_.strategies.provisioning || cfg_.architecture != Architecture::kCloudFog) return;
 
-  std::size_t online = 0;
-  for (const auto& p : players_) {
-    if (p.online) ++online;
-  }
+  const auto online = std::count(online_.begin(), online_.end(), std::uint8_t{1});
   window_online_sum_ += static_cast<double>(online);
   ++window_subcycles_;
 

@@ -217,6 +217,10 @@ class System {
   QosEngine qos_;
   Provisioner provisioner_;
   std::vector<PlayerState> players_;
+  /// players_[i].online, densely: the per-subcycle friend and population
+  /// counts read it instead of striding through PlayerState. Written only
+  /// where PlayerState::online is (attach_player / detach_player).
+  std::vector<std::uint8_t> online_;
   std::vector<SupernodeState> fleet_;
   std::vector<CdnServerState> cdn_;
   social::Partition partition_;  ///< player -> global server index

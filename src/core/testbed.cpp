@@ -113,7 +113,6 @@ std::vector<DatacenterState> Testbed::make_datacenters(std::optional<std::size_t
     DatacenterState dc;
     dc.id = i;
     dc.endpoint = net::make_infrastructure_endpoint(sites[i]);
-    dc.server_count = cfg_.servers_per_datacenter;
     dc.uplink_mbps = cfg_.datacenter_uplink_mbps;
     out.push_back(dc);
   }

@@ -13,7 +13,10 @@
 // multiplying the probability by min(1, throughput/bitrate).
 #pragma once
 
-#include <cstddef>
+#include <algorithm>
+#include <cmath>
+
+#include "util/require.hpp"
 
 namespace cloudfog::video {
 
@@ -21,28 +24,47 @@ namespace cloudfog::video {
 inline constexpr double kSatisfactionThreshold = 0.95;
 
 /// P(latency + jitter ≤ requirement) with exponential jitter.
-double on_time_probability(double latency_ms, double requirement_ms,
-                           double jitter_mean_ms);
+inline double on_time_probability(double latency_ms, double requirement_ms,
+                                  double jitter_mean_ms) {
+  CLOUDFOG_REQUIRE(latency_ms >= 0.0, "negative latency");
+  CLOUDFOG_REQUIRE(requirement_ms > 0.0, "requirement must be positive");
+  CLOUDFOG_REQUIRE(jitter_mean_ms > 0.0, "jitter mean must be positive");
+  const double slack = requirement_ms - latency_ms;
+  if (slack <= 0.0) return 0.0;
+  return 1.0 - std::exp(-slack / jitter_mean_ms);
+}
 
 /// min(1, throughput/bitrate): the deliverable packet fraction.
-double delivery_ratio(double throughput_kbps, double bitrate_kbps);
+inline double delivery_ratio(double throughput_kbps, double bitrate_kbps) {
+  CLOUDFOG_REQUIRE(throughput_kbps >= 0.0, "negative throughput");
+  CLOUDFOG_REQUIRE(bitrate_kbps > 0.0, "bitrate must be positive");
+  return std::min(1.0, throughput_kbps / bitrate_kbps);
+}
 
 /// Combined per-packet on-time probability for a stream.
-double packet_continuity(double latency_ms, double requirement_ms,
-                         double jitter_mean_ms, double throughput_kbps,
-                         double bitrate_kbps);
+inline double packet_continuity(double latency_ms, double requirement_ms,
+                                double jitter_mean_ms, double throughput_kbps,
+                                double bitrate_kbps) {
+  return on_time_probability(latency_ms, requirement_ms, jitter_mean_ms) *
+         delivery_ratio(throughput_kbps, bitrate_kbps);
+}
 
 /// Accumulates continuity over a session (packet-weighted mean).
 class ContinuityMeter {
  public:
   /// Records an interval during which `packets` packets experienced
   /// on-time probability `continuity`.
-  void add(double continuity, double packets = 1.0);
+  void add(double continuity, double packets = 1.0) {
+    CLOUDFOG_REQUIRE(continuity >= 0.0 && continuity <= 1.0, "continuity out of [0,1]");
+    CLOUDFOG_REQUIRE(packets >= 0.0, "negative packet count");
+    weighted_sum_ += continuity * packets;
+    packets_ += packets;
+  }
 
   double packets() const { return packets_; }
   /// Packet-weighted average continuity; 1.0 for an empty meter (a player
   /// who received no packets missed none).
-  double continuity() const;
+  double continuity() const { return packets_ == 0.0 ? 1.0 : weighted_sum_ / packets_; }
   bool satisfied() const { return continuity() >= kSatisfactionThreshold; }
 
  private:

@@ -10,27 +10,6 @@ PlaybackBuffer::PlaybackBuffer(double capacity_bits) : capacity_(capacity_bits) 
   CLOUDFOG_REQUIRE(capacity_bits > 0.0, "buffer capacity must be positive");
 }
 
-PlaybackBuffer::StepResult PlaybackBuffer::step(double dt, double download_bps,
-                                                double playback_bps) {
-  CLOUDFOG_REQUIRE(dt >= 0.0, "negative time step");
-  CLOUDFOG_REQUIRE(download_bps >= 0.0 && playback_bps >= 0.0, "negative rate");
-  StepResult result;
-  const double in = download_bps * dt;
-  const double out = playback_bps * dt;
-  double next = bits_ + in - out;
-  if (next < 0.0) {
-    result.starved_bits = -next;
-    next = 0.0;
-  }
-  if (next > capacity_) {
-    result.overflow_bits = next - capacity_;
-    next = capacity_;
-  }
-  bits_ = next;
-  result.buffered_bits = bits_;
-  return result;
-}
-
 void PlaybackBuffer::set_capacity(double capacity_bits) {
   CLOUDFOG_REQUIRE(capacity_bits > 0.0, "buffer capacity must be positive");
   capacity_ = capacity_bits;

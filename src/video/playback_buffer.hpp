@@ -8,6 +8,8 @@
 // stops bursting ahead at capacity.
 #pragma once
 
+#include "util/require.hpp"
+
 namespace cloudfog::video {
 
 class PlaybackBuffer {
@@ -29,7 +31,25 @@ class PlaybackBuffer {
 
   /// Advances the buffer by `dt` seconds with downloading rate
   /// `download_bps` and playback rate `playback_bps`.
-  StepResult step(double dt, double download_bps, double playback_bps);
+  StepResult step(double dt, double download_bps, double playback_bps) {
+    CLOUDFOG_REQUIRE(dt >= 0.0, "negative time step");
+    CLOUDFOG_REQUIRE(download_bps >= 0.0 && playback_bps >= 0.0, "negative rate");
+    StepResult result;
+    const double in = download_bps * dt;
+    const double out = playback_bps * dt;
+    double next = bits_ + in - out;
+    if (next < 0.0) {
+      result.starved_bits = -next;
+      next = 0.0;
+    }
+    if (next > capacity_) {
+      result.overflow_bits = next - capacity_;
+      next = capacity_;
+    }
+    bits_ = next;
+    result.buffered_bits = bits_;
+    return result;
+  }
 
   /// Rewrites the capacity (after a bitrate switch); clamps contents.
   void set_capacity(double capacity_bits);

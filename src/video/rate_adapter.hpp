@@ -59,8 +59,8 @@ class RateAdapter {
   const RateAdapterConfig& config() const { return cfg_; }
 
   /// Up/down trigger thresholds after ρ scaling.
-  double up_threshold() const;
-  double down_threshold() const;
+  double up_threshold() const { return (1.0 + beta_) / rho_; }
+  double down_threshold() const { return cfg_.theta / rho_; }
 
   struct StepOutcome {
     RateDecision decision = RateDecision::kHold;
@@ -74,6 +74,9 @@ class RateAdapter {
   StepOutcome step(double dt, double download_bps);
 
  private:
+  SegmentSpec segment_spec() const {
+    return SegmentSpec{cfg_.segment_duration_s, level_->bitrate_kbps};
+  }
   void switch_level(const game::QualityLevel& next);
 
   const game::GameCatalog& catalog_;
@@ -87,5 +90,50 @@ class RateAdapter {
   int up_streak_ = 0;
   int down_streak_ = 0;
 };
+
+// Defined here so the QoS engine's per-substep loop inlines it; only a
+// level switch calls out of line.
+inline RateAdapter::StepOutcome RateAdapter::step(double dt, double download_bps) {
+  StepOutcome out;
+  const double playback_bps = level_->bitrate_kbps * 1000.0;
+  const auto buf = buffer_.step(dt, download_bps, playback_bps);
+  out.starved_bits = buf.starved_bits;
+  const double r = segments_from_bits(buf.buffered_bits, segment_spec());
+  out.buffered_segments = r;
+  if (!cfg_.enabled) return out;
+
+  // Eq. 10's premise is that the buffer is *growing* — "the downloading
+  // rate is faster than the playback rate" — so a full-but-draining buffer
+  // must not confirm an up-step. Conversely Eq. 12 reacts to congestion,
+  // where "the segment transmission time is typically much longer than
+  // usual": a sustained delivery deficit counts as a down signal even
+  // before the buffer has drained to θ.
+  const bool surplus = download_bps >= playback_bps;
+  const bool deficit = download_bps < cfg_.deficit_fraction * playback_bps;
+  if (r > up_threshold() && surplus) {
+    ++up_streak_;
+    down_streak_ = 0;
+  } else if (r < down_threshold() || deficit) {
+    ++down_streak_;
+    up_streak_ = 0;
+  } else {
+    up_streak_ = 0;
+    down_streak_ = 0;
+  }
+
+  if (up_streak_ >= cfg_.consecutive_up_required && level_->level < max_level_) {
+    if (rng_.chance(cfg_.up_probability)) {
+      switch_level(catalog_.ladder().step_up(level_->level));
+      out.decision = RateDecision::kUp;
+    } else {
+      up_streak_ = 0;  // lost the draw; re-confirm before trying again
+    }
+  } else if (down_streak_ >= cfg_.consecutive_required &&
+             level_->level > catalog_.ladder().min_level()) {
+    switch_level(catalog_.ladder().step_down(level_->level));
+    out.decision = RateDecision::kDown;
+  }
+  return out;
+}
 
 }  // namespace cloudfog::video

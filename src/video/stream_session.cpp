@@ -15,34 +15,6 @@ QosSample StreamSession::observe(const PathObservation& path) {
   return apply(path, continuity_for(path));
 }
 
-double StreamSession::continuity_for(const PathObservation& path) const {
-  double continuity =
-      packet_continuity(path.video_latency_ms, game_info().latency_requirement_ms,
-                        path.jitter_mean_ms, path.throughput_kbps,
-                        adapter_.current_bitrate_kbps());
-  if (path.extra_loss > 0.0) {
-    // Injected channel loss removes packets regardless of timeliness. The
-    // branch keeps the no-fault floating-point path bit-identical.
-    continuity *= 1.0 - path.extra_loss;
-  }
-  return continuity;
-}
-
-QosSample StreamSession::apply(const PathObservation& path, double continuity) {
-  CLOUDFOG_REQUIRE(path.interval_s > 0.0, "interval must be positive");
-  QosSample sample;
-  sample.bitrate_kbps = adapter_.current_bitrate_kbps();
-  sample.response_latency_ms = path.response_latency_ms;
-  sample.continuity = continuity;
-
-  const double packets = game::kFramesPerSecond * path.interval_s;
-  meter_.add(sample.continuity, packets);
-
-  const auto outcome = adapter_.step(path.interval_s, path.throughput_kbps * 1000.0);
-  sample.decision = outcome.decision;
-  return sample;
-}
-
 void StreamSession::charge_outage(double outage_s) {
   CLOUDFOG_REQUIRE(outage_s >= 0.0, "outage must be non-negative");
   if (outage_s == 0.0) return;

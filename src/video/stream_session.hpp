@@ -8,6 +8,8 @@
 #pragma once
 
 #include "game/game_catalog.hpp"
+#include "game/quality_ladder.hpp"
+#include "util/require.hpp"
 #include "video/continuity.hpp"
 #include "video/rate_adapter.hpp"
 
@@ -80,5 +82,35 @@ class StreamSession {
   RateAdapter adapter_;
   ContinuityMeter meter_;
 };
+
+// The per-substep session update, defined here so the QoS engine's loop
+// compiles to one body.
+inline double StreamSession::continuity_for(const PathObservation& path) const {
+  double continuity =
+      packet_continuity(path.video_latency_ms, game_info().latency_requirement_ms,
+                        path.jitter_mean_ms, path.throughput_kbps,
+                        adapter_.current_bitrate_kbps());
+  if (path.extra_loss > 0.0) {
+    // Injected channel loss removes packets regardless of timeliness. The
+    // branch keeps the no-fault floating-point path bit-identical.
+    continuity *= 1.0 - path.extra_loss;
+  }
+  return continuity;
+}
+
+inline QosSample StreamSession::apply(const PathObservation& path, double continuity) {
+  CLOUDFOG_REQUIRE(path.interval_s > 0.0, "interval must be positive");
+  QosSample sample;
+  sample.bitrate_kbps = adapter_.current_bitrate_kbps();
+  sample.response_latency_ms = path.response_latency_ms;
+  sample.continuity = continuity;
+
+  const double packets = game::kFramesPerSecond * path.interval_s;
+  meter_.add(sample.continuity, packets);
+
+  const auto outcome = adapter_.step(path.interval_s, path.throughput_kbps * 1000.0);
+  sample.decision = outcome.decision;
+  return sample;
+}
 
 }  // namespace cloudfog::video

@@ -93,6 +93,39 @@ TEST_F(FogManagerTest, ReputationOrdersSelection) {
   EXPECT_EQ(outcome.serving.index, 1u);
 }
 
+// Without the reputation strategy, step 3 orders the qualified candidates
+// by the rng alone, so the join never reads a score: a player's ratings
+// cannot change what it selects or what the selection costs.
+TEST_F(FogManagerTest, RatingsChangeSelectionOnlyWithReputation) {
+  for (int k = 0; k < 6; ++k) add_sn(10.0 + 2.0 * k);
+  PlayerState unrated = make_player(0.0);
+  PlayerState rated = make_player(0.0);
+  rated.reputation.add_rating(1, 0.2, 1);
+  rated.reputation.add_rating(3, 0.6, 1);
+  rated.reputation.add_rating(5, 0.95, 1);
+  const auto select = [&](PlayerState p, bool reputation) {
+    util::Rng rng(2024);
+    const auto outcome = fog_->select_supernode(p, fleet_, catalog_, 2, reputation, rng);
+    fog_->release(p, fleet_);
+    return outcome;
+  };
+
+  const auto a = select(unrated, false);
+  const auto b = select(rated, false);
+  ASSERT_EQ(a.serving.kind, ServingKind::kSupernode);
+  EXPECT_EQ(a.serving, b.serving);
+  EXPECT_EQ(a.join_latency_ms, b.join_latency_ms);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.capacity_asks, b.capacity_asks);
+
+  // With it, unknown nodes all score 0 and keep probe (distance) order,
+  // while the ratings put the best-rated node first.
+  const auto c = select(unrated, true);
+  const auto d = select(rated, true);
+  EXPECT_EQ(c.serving.index, 0u);
+  EXPECT_EQ(d.serving.index, 5u);
+}
+
 TEST_F(FogManagerTest, SequentialClaimSkipsFullSupernode) {
   add_sn(10.0, /*capacity=*/0);  // advertises but cannot accept
   add_sn(12.0, /*capacity=*/3);
