@@ -212,12 +212,15 @@ BENCHMARK(BM_CandidateDiscoveryNearby)
     ->Args({10000, 1});
 
 // One end-to-end System subcycle (population churn + demand tallies + QoS
-// pass) on the CloudFog arm.
+// pass) on the CloudFog arm. `adapt` 0 runs no §3.3 adaptation, so each
+// session's substeps run back to back; `adapt` 1 turns every strategy on
+// (StrategyToggles::all()), and the pass keeps substep order.
 void BM_QosSubcycle(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   const core::Testbed testbed(core::TestbedConfig::peersim(players), 42);
   core::SystemConfig cfg;
   cfg.supernode_count = players / 10;  // the profile's capable pool
+  if (state.range(1) != 0) cfg.strategies = core::StrategyToggles::all();
   core::System system(testbed, cfg, 42);
   constexpr int per_day = sim::CycleConfig::subcycles_per_cycle;
   system.begin_cycle(1);
@@ -229,7 +232,11 @@ void BM_QosSubcycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(players));
 }
-BENCHMARK(BM_QosSubcycle)->ArgName("players")->Arg(2000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QosSubcycle)
+    ->ArgNames({"players", "adapt"})
+    ->Args({2000, 0})
+    ->Args({2000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // Observability hot paths: the disabled gate must be near-free; the
 // enabled increments bound what instrumented code pays per event.

@@ -24,9 +24,8 @@ const RateObs& rate_obs(obs::Recorder& rec) {
 
 }  // namespace
 
-QosEngine::QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
-                     const game::GameCatalog& catalog, obs::Recorder& rec)
-    : cfg_(cfg), latency_(latency), catalog_(catalog), rec_(rec) {
+QosEngine::QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency, obs::Recorder& rec)
+    : cfg_(cfg), latency_(latency), rec_(rec) {
   CLOUDFOG_REQUIRE(cfg.substeps >= 1, "need at least one substep");
   CLOUDFOG_REQUIRE(cfg.substep_seconds > 0.0, "substep length must be positive");
   CLOUDFOG_REQUIRE(cfg.burst_headroom >= 1.0, "burst headroom below 1");
@@ -68,7 +67,7 @@ const net::Endpoint& QosEngine::serving_endpoint(const ServingRef& ref,
   return cloud.datacenter(0).endpoint;  // unreachable
 }
 
-void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
+void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc, int ahead,
                                 const std::vector<SupernodeState>& fleet, const Cloud& cloud,
                                 const std::vector<CdnServerState>& cdn) const {
   EntityLoad load;
@@ -226,18 +225,25 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
     om.valid = cfg_.memoize;
   }
 
-  const auto sample = player.session->apply(path, continuity);
-  if (sample.decision != video::RateDecision::kHold && rec_.enabled()) {
-    const bool up = sample.decision == video::RateDecision::kUp;
-    rec_.registry().add(up ? rate_obs(rec_).up : rate_obs(rec_).down);
-    rec_.trace(obs::EventKind::kRateSwitch,
-               static_cast<std::int64_t>(player.session->game_id()),
-               player.session->current_quality_level(), up ? 1.0 : -1.0);
+  // Every substep of the visit applies this observation. Past the first,
+  // that is exact only while every bitrate in the subcycle is fixed: each
+  // of them would hit the tier-2 memo with it.
+  for (int r = 0; r < ahead; ++r) {
+    const auto sample = player.session->apply(path, continuity);
+    if (sample.decision != video::RateDecision::kHold) {
+      CLOUDFOG_REQUIRE(ahead == 1, "a replayed substep switched its bitrate");
+      if (rec_.enabled()) {
+        const bool up = sample.decision == video::RateDecision::kUp;
+        rec_.registry().add(up ? rate_obs(rec_).up : rate_obs(rec_).down);
+        rec_.trace(obs::EventKind::kRateSwitch,
+                   static_cast<std::int64_t>(player.session->game_id()),
+                   player.session->current_quality_level(), up ? 1.0 : -1.0);
+      }
+    }
+    acc.latency_sum += sample.response_latency_ms;
+    acc.continuity_sum += sample.continuity;
+    acc.bitrate_sum += sample.bitrate_kbps;
   }
-
-  acc.latency_sum += sample.response_latency_ms;
-  acc.continuity_sum += sample.continuity;
-  acc.bitrate_sum += sample.bitrate_kbps;
 }
 
 SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
@@ -255,13 +261,42 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
   // invariant across substeps: nothing in the subcycle changes liveness
   // or attachment. Build it once; every walk below follows it in index
   // order, and the per-player accumulators are indexed by work slot.
+  // Nothing changes a session's cross-server term within the subcycle
+  // either, so the non-CDN ones are copied out here for the server-latency
+  // sum.
   work_.clear();
+  server_ms_.clear();
+  bool any_adapts = false;
   for (std::size_t i = 0; i < players.size(); ++i) {
     const PlayerState& player = players[i];
-    if (player.online && player.session.has_value() && player.serving.attached())
-      work_.push_back(static_cast<std::uint32_t>(i));
+    if (!player.online || !player.session.has_value() || !player.serving.attached()) continue;
+    work_.push_back(static_cast<std::uint32_t>(i));
+    any_adapts = any_adapts || player.session->adapts();
+    switch (player.serving.kind) {
+      case ServingKind::kSupernode:
+        ++out.fog_served;
+        server_ms_.push_back(player.cross_server_ms);
+        break;
+      case ServingKind::kCloud:
+        ++out.cloud_served;
+        server_ms_.push_back(player.cross_server_ms);
+        break;
+      case ServingKind::kCdn:
+        ++out.cdn_served;
+        break;
+      case ServingKind::kNone:
+        break;
+    }
   }
+  out.online_sessions = work_.size();
   acc_.assign(work_.size(), Acc{});
+
+  // Substeps per visit (DESIGN.md §10.2). Only a bitrate switch ties one
+  // session's substeps to another's, through its entity's demand. With no
+  // session able to switch, every demand, and with it every session's
+  // memoized path, is the same in all substeps, so each session runs its
+  // substeps back to back. The memo-free reference keeps substep order.
+  const int ahead = cfg_.memoize && !any_adapts ? cfg_.substeps : 1;
 
   // Update-feed egress is likewise constant within the subcycle
   // (served/deployed only change between subcycles): one O(fleet) scan
@@ -275,7 +310,7 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     if (edge.served > 0) feed_kbps += cfg_.update_feed_kbps;
   }
 
-  // Demand tallies for the next substep, per entity. Each session's
+  // Demand tallies for the next visit, per entity. Each session's
   // bitrate is added in work-list order, so every entity's sum is the one
   // a separate tally pass over the work list would produce, bit for bit.
   auto& datacenters = cloud.datacenters();
@@ -307,78 +342,66 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
   };
   for (const std::uint32_t i : work_) tally(players[i]);
 
-  double egress_sum_mbps = 0.0;
-  double server_latency_sum = 0.0;
-  std::size_t server_latency_samples = 0;
-
-  for (int step = 0; step < cfg_.substeps; ++step) {
-    publish(fleet, next_sn_kbps_);
-    publish(datacenters, next_dc_kbps_);
-    publish(cdn, next_cdn_kbps_);
-
-    // Cloud egress this substep: direct video + update feeds to every
-    // supernode actively serving players. EdgeCloud servers likewise need
-    // a consistency feed to keep their world replicas in sync.
-    double egress_kbps = 0.0;
-    for (const auto& dc : datacenters) egress_kbps += dc.demanded_kbps;
-    egress_kbps += feed_kbps;
-    egress_sum_mbps += egress_kbps / 1000.0;
-
-    // One walk: the inter-server latency term, the path observation and
-    // rate adaptation, and the demand the adapted bitrate puts on its
-    // entity next substep. The last substep tallies nothing, so the
-    // entities keep its demand.
-    const bool tally_next = step + 1 < cfg_.substeps;
-    CLOUDFOG_TIMED_SCOPE(rec_, "qos.rate_adapt");
-    for (std::size_t k = 0; k < work_.size(); ++k) {
-      const std::uint32_t i = work_[k];
-      PlayerState& player = players[i];
-      if (player.serving.kind != ServingKind::kCdn) {
-        server_latency_sum += player.cross_server_ms;
-        ++server_latency_samples;
-      }
-      evaluate_player(player, memo_[i], acc_[k], fleet, cloud, cdn);
-      if (tally_next) tally(player);
-    }
-  }
-
-  // Aggregate across the work list: exactly the online sessions that
-  // took samples this subcycle.
   const auto samples = static_cast<double>(cfg_.substeps);
+  double egress_sum_mbps = 0.0;
   double latency_sum = 0.0;
   double continuity_sum = 0.0;
   double mos_sum = 0.0;
   std::size_t satisfied = 0;
-  for (std::size_t k = 0; k < work_.size(); ++k) {
-    PlayerState& player = players[work_[k]];
-    const Acc& acc = acc_[k];
-    ++out.online_sessions;
-    switch (player.serving.kind) {
-      case ServingKind::kSupernode:
-        ++out.fog_served;
-        break;
-      case ServingKind::kCloud:
-        ++out.cloud_served;
-        break;
-      case ServingKind::kCdn:
-        ++out.cdn_served;
-        break;
-      case ServingKind::kNone:
-        break;
-    }
-    const double avg_lat = acc.latency_sum / samples;
-    const double avg_cont = acc.continuity_sum / samples;
-    const double avg_bitrate = acc.bitrate_sum / samples;
-    latency_sum += avg_lat;
-    continuity_sum += avg_cont;
-    mos_sum += qoe_.mos(avg_lat, std::min(1.0, avg_cont), avg_bitrate);
-    if (avg_cont >= video::kSatisfactionThreshold) ++satisfied;
 
-    // Feed the per-cycle continuity used for end-of-cycle supernode
-    // ratings (§4.1): the player rates what it actually experienced.
-    player.cycle_continuity_sum += avg_cont;
-    player.cycle_continuity_samples += 1.0;
+  for (int step = 0; step < cfg_.substeps; step += ahead) {
+    publish(fleet, next_sn_kbps_);
+    publish(datacenters, next_dc_kbps_);
+    publish(cdn, next_cdn_kbps_);
+
+    // Cloud egress in each substep of the visit: direct video + update
+    // feeds to every supernode actively serving players. EdgeCloud
+    // servers likewise need a consistency feed to keep their world
+    // replicas in sync.
+    double egress_kbps = 0.0;
+    for (const auto& dc : datacenters) egress_kbps += dc.demanded_kbps;
+    egress_kbps += feed_kbps;
+    for (int r = 0; r < ahead; ++r) egress_sum_mbps += egress_kbps / 1000.0;
+
+    // One walk: the path observation and rate adaptation of `ahead`
+    // substeps, then either the demand the adapted bitrate puts on its
+    // entity next visit or, on the last visit, the session's subcycle
+    // aggregate. The last visit tallies nothing, so the entities keep its
+    // demand.
+    const bool last_visit = step + ahead == cfg_.substeps;
+    CLOUDFOG_TIMED_SCOPE(rec_, "qos.rate_adapt");
+    for (std::size_t k = 0; k < work_.size(); ++k) {
+      const std::uint32_t i = work_[k];
+      PlayerState& player = players[i];
+      Acc& acc = acc_[k];
+      evaluate_player(player, memo_[i], acc, ahead, fleet, cloud, cdn);
+      if (!last_visit) {
+        tally(player);
+        continue;
+      }
+      const double avg_lat = acc.latency_sum / samples;
+      const double avg_cont = acc.continuity_sum / samples;
+      const double avg_bitrate = acc.bitrate_sum / samples;
+      latency_sum += avg_lat;
+      continuity_sum += avg_cont;
+      mos_sum += qoe_.mos(avg_lat, std::min(1.0, avg_cont), avg_bitrate);
+      if (avg_cont >= video::kSatisfactionThreshold) ++satisfied;
+
+      // Feed the per-cycle continuity used for end-of-cycle supernode
+      // ratings (§4.1): the player rates what it actually experienced.
+      player.cycle_continuity_sum += avg_cont;
+      player.cycle_continuity_samples += 1.0;
+    }
   }
+
+  // The server-latency sum in (substep, work slot) order, as the
+  // substep-by-substep walk adds it.
+  double server_latency_sum = 0.0;
+  for (int step = 0; step < cfg_.substeps; ++step) {
+    for (const double ms : server_ms_) server_latency_sum += ms;
+  }
+  const std::size_t server_latency_samples =
+      server_ms_.size() * static_cast<std::size_t>(cfg_.substeps);
 
   if (out.online_sessions > 0) {
     out.avg_response_latency_ms = latency_sum / static_cast<double>(out.online_sessions);

@@ -7,8 +7,10 @@
 // RTT-limited WAN rate, the player's downlink, and a proportional share of
 // the entity's uplink — and the congestion state of the entity, and
 // (3) feeds the resulting path observation to the session, which updates
-// its rate adapter and continuity. Response latency is assembled per
-// architecture:
+// its rate adapter and continuity. When no session can switch its bitrate,
+// the intervals are independent across sessions and each session runs
+// all of them back to back (DESIGN.md §10.2). Response latency is
+// assembled per architecture:
 //
 //   Cloud direct : playout + state + x-server + dc→p           + transfer
 //   CloudFog     : playout + state + x-server + render + sn→p  + transfer
@@ -79,8 +81,7 @@ struct SubcycleQos {
 class QosEngine {
  public:
   /// Reports subcycle/adaptation time and rate switches into `rec`.
-  QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
-            const game::GameCatalog& catalog, obs::Recorder& rec);
+  QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency, obs::Recorder& rec);
 
   const QosEngineConfig& config() const { return cfg_; }
 
@@ -151,9 +152,12 @@ class QosEngine {
     ObsMemo obs;
   };
 
-  /// One player's substep: path computation (through the memo tiers) and
-  /// session update into `acc`.
-  void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
+  /// One visit to a session: `ahead` consecutive substeps. The first
+  /// computes the path (through the memo tiers); the rest replay its
+  /// observation, which is exact only while no bitrate in the subcycle can
+  /// change (`ahead > 1` requires the session to hold its rate). Each
+  /// substep's sample is added into `acc`.
+  void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc, int ahead,
                        const std::vector<SupernodeState>& fleet, const Cloud& cloud,
                        const std::vector<CdnServerState>& cdn) const;
 
@@ -164,7 +168,6 @@ class QosEngine {
 
   QosEngineConfig cfg_;
   const net::LatencyModel& latency_;
-  const game::GameCatalog& catalog_;
   obs::Recorder& rec_;
   video::QoeModel qoe_;
   const fault::FaultState* faults_ = nullptr;
@@ -173,7 +176,9 @@ class QosEngine {
   // not reentrant).
   mutable std::vector<Acc> acc_;  ///< indexed by work slot
   mutable std::vector<std::uint32_t> work_;
-  /// Next substep's demand per supernode / datacenter / CDN server.
+  /// Cross-server term of each non-CDN work-list session, in work order.
+  mutable std::vector<double> server_ms_;
+  /// Next visit's demand per supernode / datacenter / CDN server.
   mutable std::vector<double> next_sn_kbps_;
   mutable std::vector<double> next_dc_kbps_;
   mutable std::vector<double> next_cdn_kbps_;

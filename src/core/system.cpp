@@ -84,7 +84,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed,
         QosEngineConfig qc = cfg.qos;
         qc.base_jitter_ms = testbed.trace().base_jitter_ms();
         return qc;
-      }(), testbed.latency(), testbed.catalog(), rec),
+      }(), testbed.latency(), rec),
       provisioner_(cfg.provisioning, rec),
       partition_(testbed.players().size(), 0) {
   cfg_.adapter.enabled = cfg_.strategies.rate_adaptation;

@@ -14,6 +14,7 @@ QoeModel::QoeModel(QoeModelConfig cfg) : cfg_(cfg) {
   CLOUDFOG_REQUIRE(cfg.max_bitrate_kbps > cfg.min_bitrate_kbps &&
                        cfg.min_bitrate_kbps > 0.0,
                    "bitrate anchors inverted");
+  log_bitrate_range_ = std::log(cfg.max_bitrate_kbps / cfg.min_bitrate_kbps);
   weight_sum_ = cfg.latency_weight + cfg.continuity_weight + cfg.quality_weight;
   CLOUDFOG_REQUIRE(weight_sum_ > 0.0, "weights must not all be zero");
 }
@@ -34,8 +35,7 @@ double QoeModel::quality_factor(double bitrate_kbps) const {
   CLOUDFOG_REQUIRE(bitrate_kbps > 0.0, "bitrate must be positive");
   const double clamped =
       std::clamp(bitrate_kbps, cfg_.min_bitrate_kbps, cfg_.max_bitrate_kbps);
-  return std::log(clamped / cfg_.min_bitrate_kbps) /
-         std::log(cfg_.max_bitrate_kbps / cfg_.min_bitrate_kbps);
+  return std::log(clamped / cfg_.min_bitrate_kbps) / log_bitrate_range_;
 }
 
 double QoeModel::mos(double response_latency_ms, double continuity,

@@ -47,6 +47,7 @@ class QoeModel {
  private:
   QoeModelConfig cfg_;
   double weight_sum_;
+  double log_bitrate_range_;  ///< log(max_bitrate_kbps / min_bitrate_kbps)
 };
 
 }  // namespace cloudfog::video

@@ -52,6 +52,10 @@ class StreamSession {
   const game::GameInfo& game_info() const;
   double current_bitrate_kbps() const { return adapter_.current_bitrate_kbps(); }
   int current_quality_level() const { return adapter_.current_level().level; }
+  /// Whether the rate adapter may switch the bitrate (§3.3: players may
+  /// disable adaptation). A session that does not adapt keeps its bitrate
+  /// for life.
+  bool adapts() const { return adapter_.config().enabled; }
 
   /// Processes one observation interval; updates adapter + continuity.
   /// Exactly apply(path, continuity_for(path)).

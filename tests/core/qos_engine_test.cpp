@@ -16,10 +16,10 @@ class QosEngineTest : public ::testing::Test {
     dcs[0].endpoint = net::make_infrastructure_endpoint({1500.0, 0.0});
     dcs[0].uplink_mbps = 100.0;
     cloud_.emplace(std::move(dcs), latency_, net::IpLocator{0.0});
-    engine_.emplace(QosEngineConfig{}, latency_, catalog_, rec_);
+    engine_.emplace(QosEngineConfig{}, latency_, rec_);
   }
 
-  PlayerState make_player(double x, game::GameId game, ServingRef serving) {
+  PlayerState make_player(double x, game::GameId game, ServingRef serving, bool adapts = false) {
     PlayerState p;
     p.info.id = players_.size();
     p.info.endpoint = net::Endpoint{{x, 0.0}, 5.0};
@@ -29,7 +29,7 @@ class QosEngineTest : public ::testing::Test {
     p.serving = serving;
     p.state_dc = 0;
     video::RateAdapterConfig adapter;
-    adapter.enabled = false;
+    adapter.enabled = adapts;
     p.session.emplace(catalog_, game, adapter);
     return p;
   }
@@ -189,13 +189,53 @@ TEST_F(QosEngineTest, EmptySubcycleIsWellDefined) {
   EXPECT_DOUBLE_EQ(qos.cloud_egress_mbps, 0.0);
 }
 
+// One adapting session among non-adapting ones on an overloaded
+// supernode: its down-switches move the demand every other session there
+// sees, so the memoized engine must keep substep order whenever any
+// session on the work list adapts. It is listed last, after the sessions
+// whose substeps its switches move.
+TEST_F(QosEngineTest, OneAdaptingSessionKeepsMemoizedSubstepsInOrder) {
+  add_sn(10.0, /*upload=*/3.0, /*capacity=*/10);
+  fleet_[0].served = 4;
+  for (int i = 0; i < 3; ++i) players_.push_back(make_player(0.0, 4, {ServingKind::kSupernode, 0}));
+  players_.push_back(make_player(0.0, 4, {ServingKind::kCloud, 0}));
+  players_.push_back(make_player(0.0, 4, {ServingKind::kSupernode, 0}, /*adapts=*/true));
+  const double start_kbps = players_.back().session->current_bitrate_kbps();
+
+  QosEngineConfig cfg;
+  cfg.memoize = false;
+  const QosEngine reference(cfg, latency_, rec_);
+  std::vector<PlayerState> ref_players = players_;
+  std::vector<SupernodeState> ref_fleet = fleet_;
+  for (int sub = 0; sub < 4; ++sub) {
+    SCOPED_TRACE("subcycle " + std::to_string(sub));
+    const auto a = engine_->run_subcycle(players_, fleet_, *cloud_, cdn_);
+    const auto b = reference.run_subcycle(ref_players, ref_fleet, *cloud_, cdn_);
+    EXPECT_EQ(a.avg_response_latency_ms, b.avg_response_latency_ms);
+    EXPECT_EQ(a.avg_server_latency_ms, b.avg_server_latency_ms);
+    EXPECT_EQ(a.avg_continuity, b.avg_continuity);
+    EXPECT_EQ(a.satisfied_fraction, b.satisfied_fraction);
+    EXPECT_EQ(a.avg_mos, b.avg_mos);
+    EXPECT_EQ(a.cloud_egress_mbps, b.cloud_egress_mbps);
+    EXPECT_EQ(a.online_sessions, b.online_sessions);
+    for (std::size_t i = 0; i < players_.size(); ++i) {
+      EXPECT_EQ(players_[i].session->current_bitrate_kbps(),
+                ref_players[i].session->current_bitrate_kbps());
+      EXPECT_EQ(players_[i].cycle_continuity_sum, ref_players[i].cycle_continuity_sum);
+    }
+    EXPECT_EQ(fleet_[0].demanded_kbps, ref_fleet[0].demanded_kbps);
+  }
+  EXPECT_LT(players_.back().session->current_bitrate_kbps(), start_kbps);
+  EXPECT_EQ(players_.front().session->current_bitrate_kbps(), start_kbps);
+}
+
 TEST_F(QosEngineTest, ConfigValidation) {
   QosEngineConfig cfg;
   cfg.substeps = 0;
-  EXPECT_THROW(QosEngine(cfg, latency_, catalog_, rec_), ConfigError);
+  EXPECT_THROW(QosEngine(cfg, latency_, rec_), ConfigError);
   cfg = QosEngineConfig{};
   cfg.burst_headroom = 0.5;
-  EXPECT_THROW(QosEngine(cfg, latency_, catalog_, rec_), ConfigError);
+  EXPECT_THROW(QosEngine(cfg, latency_, rec_), ConfigError);
 }
 
 }  // namespace

@@ -110,14 +110,29 @@ class QosParallelEquality : public ::testing::Test {
   core::Testbed testbed_;
 };
 
+// Every architecture: the memoized engine runs a non-adapting session's
+// substeps back to back (DESIGN.md §10.2), the reference in substep
+// order. CDN sessions are the ones left out of the server-latency sum.
 TEST_F(QosParallelEquality, MemoizationMatchesReferenceExactly) {
-  auto cfg = cloudfog_config();
-  cfg.qos.memoize = false;
-  const RunResult reference = run_system(testbed_, cfg, 2);
-  cfg.qos.memoize = true;
-  const RunResult memoized = run_system(testbed_, cfg, 2);
-  ASSERT_FALSE(reference.trace.empty());
-  expect_identical(reference, memoized);
+  for (const auto arch :
+       {core::Architecture::kCloudFog, core::Architecture::kCloudDirect, core::Architecture::kCdn}) {
+    SCOPED_TRACE("architecture " + std::to_string(static_cast<int>(arch)));
+    auto cfg = cloudfog_config();
+    cfg.architecture = arch;
+    cfg.qos.memoize = false;
+    const RunResult reference = run_system(testbed_, cfg, 2);
+    cfg.qos.memoize = true;
+    const RunResult memoized = run_system(testbed_, cfg, 2);
+    ASSERT_FALSE(reference.trace.empty());
+    std::size_t served = 0;
+    for (const auto& q : memoized.qos) {
+      served += arch == core::Architecture::kCloudFog    ? q.fog_served
+                : arch == core::Architecture::kCloudDirect ? q.cloud_served
+                                                           : q.cdn_served;
+    }
+    EXPECT_GT(served, 0u);
+    expect_identical(reference, memoized);
+  }
 }
 
 TEST_F(QosParallelEquality, GridDiscoveryMatchesLinearExactly) {
